@@ -1,10 +1,9 @@
-//! Microbenchmarks of the event-driven serving primitives: `EventHeap`
+//! Microbenchmarks of the event-driven serving primitive `EventHeap`:
 //! push/pop under the fill-then-drain and steady-state patterns the
-//! serve loop produces, and the `merge_epoch_max` fold that combines
-//! per-shard completion partials at an epoch boundary.
+//! serve loop produces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use decluster_sim::{merge_epoch_max, EventHeap};
+use decluster_sim::EventHeap;
 use std::hint::black_box;
 
 /// Deterministic pseudo-random event times (splitmix64, no rand dep
@@ -70,35 +69,5 @@ fn bench_heap_steady_state(c: &mut Criterion) {
     });
 }
 
-fn bench_epoch_merge(c: &mut Criterion) {
-    // One pipeline epoch's worth of completion partials (the serve
-    // shard walker folds `shards` partials per epoch).
-    let epoch = 8192usize;
-    let mut group = c.benchmark_group("epoch_merge_max");
-    for &shards in &[2usize, 8] {
-        let parts: Vec<Vec<f64>> = (0..shards)
-            .map(|s| times(epoch).iter().map(|t| t + s as f64).collect())
-            .collect();
-        let issue = times(epoch);
-        group.throughput(Throughput::Elements((shards * epoch) as u64));
-        group.bench_function(BenchmarkId::from_parameter(shards), |b| {
-            let mut acc = vec![0.0f64; epoch];
-            b.iter(|| {
-                acc.copy_from_slice(&issue);
-                for part in &parts {
-                    merge_epoch_max(&mut acc, part);
-                }
-                black_box(acc[epoch - 1])
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_heap_fill_drain,
-    bench_heap_steady_state,
-    bench_epoch_merge
-);
+criterion_group!(benches, bench_heap_fill_drain, bench_heap_steady_state);
 criterion_main!(benches);

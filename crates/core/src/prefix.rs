@@ -416,9 +416,7 @@ impl PlanCache {
     }
 
     /// The slot bound this cache was built with (shapes it can hold
-    /// before evicting). Consumers that replicate the cache's LRU
-    /// behavior out-of-band (e.g. sharded serving's hit/miss replay)
-    /// read this instead of hard-coding [`PlanCache::DEFAULT_CAPACITY`].
+    /// before evicting).
     pub fn capacity(&self) -> usize {
         self.capacity
     }

@@ -16,6 +16,18 @@
 //!   mid-run state (in-flight, queue depth, windowed p50/p95/p99) at
 //!   configurable logical-time intervals.
 //!
+//! # Plan once per run
+//!
+//! A streaming run cycles a fixed pool of `L` query regions (arrival `i`
+//! issues region `i % L`), so the open-loop and degraded serves plan
+//! each region once into an `L × M` table of per-disk page counts held
+//! in the [`LoopScratch`]; every arrival and retry fans out its row.
+//! Planning costs `O(L · M · 2^k)` per run instead of per arrival, and
+//! the floats each arrival adds to the disk queues are unchanged. The
+//! `kernel.shape_cache_hits`/`misses` counters therefore count the
+//! table fill's cache probes, one per planned region. The closed loops
+//! and the shared-scan loop plan each query on issue.
+//!
 //! # Memory bounds
 //!
 //! A serving run's state is the event heap (one entry per in-flight
@@ -439,17 +451,24 @@ pub(crate) fn retry_jitter01(seed: u64, query: u64, attempt: u32) -> f64 {
 /// Reusable per-run buffers for every serving loop: the kernel
 /// [`Scratch`] (accumulators), the cross-query [`PlanCache`] of
 /// compiled corner plans (amortizes plan compilation across repeated
-/// query shapes within a run), the per-query count histogram, the FCFS
-/// queue state, the latency vector, the event heap, and the sampling
-/// window. One instance per worker thread makes every
-/// loop allocation-free per event once the buffers have grown to the
-/// working-set size. The degraded serve loop adds its own typed event
-/// heap, the per-disk health vector, and the per-query replica targets.
+/// query shapes within a run), the per-query count histogram, the
+/// streaming loops' per-run plan table, the FCFS queue state, the
+/// latency vector, the event heap, and the sampling window. One
+/// instance per worker thread makes every loop allocation-free per
+/// event once the buffers have grown to the working-set size. The
+/// degraded serve loop adds its own typed event heap, the per-disk
+/// health vector, and the per-query replica targets.
 #[derive(Debug, Default)]
 pub struct LoopScratch {
     pub(crate) scratch: Scratch,
     pub(crate) plans: PlanCache,
     pub(crate) hist: Vec<u64>,
+    /// Plan table of the streaming loops: row `q` (`M` entries) holds
+    /// the per-disk page counts of query region `q`, filled once per
+    /// run by [`ServingEngine::plan_queries`].
+    pub(crate) plan: Vec<u64>,
+    /// Total pages of each planned region (row sums of `plan`).
+    pub(crate) plan_pages: Vec<u64>,
     pub(crate) disk_free_at: Vec<f64>,
     pub(crate) disk_busy_ms: Vec<f64>,
     pub(crate) latencies: Vec<f64>,
@@ -462,9 +481,6 @@ pub struct LoopScratch {
     pub(crate) targets: Vec<u32>,
     pub(crate) batch: Vec<(u64, f64)>,
     pub(crate) shared: decluster_methods::SharedScan,
-    /// Buffers for sharded parallel runs (see [`crate::shard`]); empty
-    /// and untouched in serial runs.
-    pub(crate) shard: crate::shard::ShardScratch,
 }
 
 impl LoopScratch {
@@ -582,6 +598,28 @@ impl ServingEngine {
         self.counts.counts_into_cached(region, plans, scratch, out)
     }
 
+    /// Plans a streaming run once: arrival `i` issues query region
+    /// `i % queries.len()`, so the loops need only the per-disk counts
+    /// of the first `min(n, queries.len())` regions. Row `q` of
+    /// `ls.plan` receives region `q`'s counts and `ls.plan_pages[q]`
+    /// their total, through the same [`PlanCache`]-backed kernel the
+    /// closed loops call per query — one cache probe per planned
+    /// region. Buffers keep their capacity across runs.
+    pub(crate) fn plan_queries(&self, queries: &[BucketRegion], n: usize, ls: &mut LoopScratch) {
+        ls.plan.clear();
+        ls.plan_pages.clear();
+        for region in &queries[..queries.len().min(n)] {
+            let pages = self.counts.counts_into_cached(
+                region,
+                &mut ls.plans,
+                &mut ls.scratch,
+                &mut ls.hist,
+            );
+            ls.plan.extend_from_slice(&ls.hist);
+            ls.plan_pages.push(pages);
+        }
+    }
+
     /// Static load (pages stored) of disk `d`.
     pub(crate) fn load_of(&self, d: usize) -> u64 {
         self.loads[d]
@@ -633,14 +671,12 @@ impl ServingEngine {
     /// [`ServeConfig::sample_every_ms`], and the aggregate report carries
     /// exact p50/p95/p99 over all latencies.
     ///
-    /// The per-request service math is identical to the open loop's, so
-    /// for `arrivals_ms.len() == queries.len()` the aggregate report is
-    /// bit-identical to [`crate::MultiUserEngine::open_loop_obs`] on the
-    /// same inputs. Reach it through [`crate::ServeSpec::open`].
-    ///
-    /// # Panics
-    /// Panics if `queries` is empty or `arrivals_ms` is not
-    /// non-decreasing.
+    /// Each distinct region is planned once per run
+    /// ([`ServingEngine::plan_queries`]); an arrival reads its row of
+    /// the plan table and fans it out FCFS, the same float sequence as
+    /// planning it on arrival. Reach it through [`crate::ServeSpec::open`],
+    /// which rejects an empty `queries` and arrival times that are not
+    /// finite and non-decreasing before the loop starts.
     pub(crate) fn serve_core(
         &self,
         params: &DiskParams,
@@ -650,16 +686,13 @@ impl ServingEngine {
         obs: &Obs,
         ls: &mut LoopScratch,
     ) -> ServeReport {
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
         let record = obs.enabled();
         let m = self.loads.len();
         let meters = record.then(|| LoopMeters::new(obs, "serve", m));
         let n = arrivals_ms.len();
         ls.begin(m, n);
+        self.plan_queries(queries, n, ls);
+        let rows = ls.plan_pages.len();
         ls.ring.reset(cfg.window);
         ls.sorted.clear();
         let sample_every = if cfg.sample_every_ms > 0.0 {
@@ -712,18 +745,13 @@ impl ServingEngine {
                 completed += 1;
             } else {
                 let issue_at = arrival_t;
-                let region = &queries[next_arrival % queries.len()];
+                let q = next_arrival % rows;
                 next_arrival += 1;
-                pages += self.counts.counts_into_cached(
-                    region,
-                    &mut ls.plans,
-                    &mut ls.scratch,
-                    &mut ls.hist,
-                );
+                pages += ls.plan_pages[q];
                 let completion = self.fan_out(
                     params,
                     issue_at,
-                    &ls.hist,
+                    &ls.plan[q * m..(q + 1) * m],
                     &mut ls.disk_free_at,
                     &mut ls.disk_busy_ms,
                     record,
@@ -794,10 +822,13 @@ impl ServingEngine {
     /// [`SimError::ScheduleMismatch`] when the schedule's disk count
     /// differs from the engine's.
     ///
+    /// Arrivals and retries read their query's row of the run's plan
+    /// table, exactly like the plain streaming serve.
+    ///
     /// # Panics
-    /// As the plain streaming serve; also if `replicas >= M` (CLI and
-    /// constructors validate upstream). Reach it through
-    /// [`crate::ServeSpec::faults`].
+    /// Panics if `replicas >= M` (CLI and constructors validate
+    /// upstream). Reach it through [`crate::ServeSpec::faults`], which
+    /// also validates `queries` and `arrivals_ms`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_degraded_core(
         &self,
@@ -811,11 +842,6 @@ impl ServingEngine {
         obs: &Obs,
         ls: &mut LoopScratch,
     ) -> Result<DegradedServeReport> {
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
         let m = self.loads.len();
         if schedule.num_disks() as usize != m {
             return Err(SimError::ScheduleMismatch {
@@ -831,6 +857,7 @@ impl ServingEngine {
         let meters = record.then(|| LoopMeters::new(obs, "serve", m));
         let n = arrivals_ms.len();
         ls.begin(m, n);
+        self.plan_queries(queries, n, ls);
         ls.begin_degraded(m, schedule);
         ls.ring.reset(cfg.serve.window);
         ls.sorted.clear();
@@ -910,7 +937,6 @@ impl ServingEngine {
                     ServeEventKind::Retry { query, attempt } => {
                         self.issue_degraded(
                             params,
-                            queries,
                             arrivals_ms,
                             replicas,
                             policy,
@@ -939,7 +965,6 @@ impl ServingEngine {
                     c.peak_in_flight = c.peak_in_flight.max(c.in_flight);
                     self.issue_degraded(
                         params,
-                        queries,
                         arrivals_ms,
                         replicas,
                         policy,
@@ -1019,7 +1044,6 @@ impl ServingEngine {
     fn issue_degraded(
         &self,
         params: &DiskParams,
-        queries: &[BucketRegion],
         arrivals_ms: &[f64],
         replicas: u32,
         policy: ReplicaPolicy,
@@ -1034,15 +1058,13 @@ impl ServingEngine {
         c: &mut DegradedCounters,
     ) {
         let m = self.loads.len();
-        let region = &queries[(query as usize) % queries.len()];
-        let page_count =
-            self.counts
-                .counts_into_cached(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
+        let q = query as usize % ls.plan_pages.len();
+        let row = &ls.plan[q * m..(q + 1) * m];
         // Pass 1: pick a serving copy for every touched disk, without
         // touching queue state. Any batch with no live copy makes the
         // whole request unserviceable right now.
         let mut serviceable = true;
-        for (d, &count) in ls.hist.iter().enumerate() {
+        for (d, &count) in row.iter().enumerate() {
             if count == 0 {
                 continue;
             }
@@ -1076,9 +1098,9 @@ impl ServingEngine {
             return;
         }
         // Pass 2: fan out to the chosen copies, FCFS per disk.
-        c.pages += page_count;
+        c.pages += ls.plan_pages[q];
         let mut completion = now;
-        for (d, &count) in ls.hist.iter().enumerate() {
+        for (d, &count) in row.iter().enumerate() {
             if count == 0 {
                 continue;
             }
@@ -1136,9 +1158,10 @@ impl ServingEngine {
     /// only; `ServeSpec` rejects sharing combined with a fault schedule.
     ///
     /// # Panics
-    /// As the unshared loop; also if `dir`'s disk count differs from the
-    /// engine's, if `cfg.replicas >= M`, or if the window is negative or
-    /// non-finite (all validated upstream by `ServeSpec`).
+    /// Panics if `dir`'s disk count differs from the engine's, if
+    /// `cfg.replicas >= M`, or if the window is negative or non-finite
+    /// (all validated upstream by `ServeSpec`, which also validates
+    /// `queries` and `arrivals_ms`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_shared_core(
         &self,
@@ -1162,11 +1185,6 @@ impl ServingEngine {
         assert!(
             cfg.batch_window_ms.is_finite() && cfg.batch_window_ms > 0.0,
             "batch window must be finite and non-negative"
-        );
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
         );
         let m = self.loads.len();
         assert_eq!(

@@ -279,7 +279,6 @@ pub struct Experiment {
     seed: u64,
     include_baselines: bool,
     threads: usize,
-    shards: usize,
     method_filter: Option<String>,
     obs: Obs,
     kernel_cache: Option<Arc<Mutex<KernelCache>>>,
@@ -296,7 +295,6 @@ impl Experiment {
             seed: 1994,
             include_baselines: false,
             threads: 1,
-            shards: 1,
             method_filter: None,
             obs: Obs::disabled(),
             kernel_cache: None,
@@ -337,16 +335,6 @@ impl Experiment {
     /// per available CPU. Results do not depend on this setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Splits each healthy open-loop serve run over `shards` disk shards
-    /// (clamped to at least one; [`ServeSpec::shards`] documents the
-    /// semantics). Results are byte-identical at any shard count; the
-    /// degraded (fault-injected) serve path has global feedback and
-    /// always runs serially regardless of this setting.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -988,14 +976,14 @@ impl Experiment {
             .iter()
             .map(|(name, dir)| (name.as_str(), dir))
             .collect();
-        Ok(load_sweep_with_threads(
+        load_sweep_with_threads(
             &dirs,
             params,
             &regions,
             rates_qps,
             self.seed,
             self.effective_threads(),
-        ))
+        )
     }
 
     /// **Serve sweep (extension).** Per-method saturation-knee curves
@@ -1062,15 +1050,11 @@ impl Experiment {
                     sample_every_ms: (clients as f64 * 1000.0 / rates_qps[ri]) / 32.0,
                     ..ServeConfig::default()
                 };
-                // Cells already fan out across the executor's workers, so
-                // each sharded run walks its shards inline (threads = 1).
-                let rep = engines[mi].1.serving().serve_core_sharded(
+                let rep = engines[mi].1.serving().serve_core(
                     params,
                     &regions,
                     &arrivals[ri],
                     &cfg,
-                    self.shards.min(self.m as usize),
-                    1,
                     &self.obs,
                     ls,
                 );
@@ -1345,7 +1329,6 @@ impl Experiment {
                     .share(batch_window_ms)
                     .replicas(replicas)
                     .policy(ReplicaPolicy::Spread)
-                    .shards(self.shards.min(self.m as usize))
                     .run_with_arrivals(
                         &engines[mi].1,
                         params,
@@ -1490,17 +1473,14 @@ impl Experiment {
                 let (mi, oi, ri) = (i / (no * nr), (i / nr) % no, i % nr);
                 let engine = &engines[mi].1;
                 let queries = &streams[oi];
-                let shards = self.shards.min(self.m as usize);
                 let unshared = ServeSpec::open(rate_qps)
                     .seed(self.seed)
-                    .shards(shards)
                     .run_with_arrivals(engine, params, queries, &arrivals, &self.obs, ls)?;
                 let shared = ServeSpec::open(rate_qps)
                     .seed(self.seed)
                     .share(batch_window_ms)
                     .replicas(replicas[ri])
                     .policy(ReplicaPolicy::Spread)
-                    .shards(shards)
                     .run_with_arrivals(engine, params, queries, &arrivals, &self.obs, ls)?;
                 let sharing = shared.sharing.unwrap_or_default();
                 Ok(SharePoint {

@@ -46,7 +46,6 @@ pub mod faults;
 mod multiuser;
 mod report;
 mod rt;
-mod shard;
 mod spec;
 mod stats;
 pub mod workload;
@@ -75,46 +74,8 @@ pub use rt::{
     deviation_from_optimal, masked_response_time, masked_response_time_with, optimal_response_time,
     response_time, response_time_batched, response_time_batched_with,
 };
-pub use shard::merge_epoch_max;
 pub use spec::{AvailStats, ServeRun, ServeSpec, ShareStats, SpecError, DEFAULT_SPEC_SEED};
 pub use stats::{Quantiles, Summary};
-
-/// Renders a sweep as an aligned plain-text table: one row per x-value,
-/// one column per method, plus the optimal lower bound.
-#[deprecated(note = "use `Report::render(ReportFormat::Table)`")]
-pub fn render_table(result: &SweepResult) -> String {
-    result.render(ReportFormat::Table)
-}
-
-/// Renders a sweep like [`render_table`] but annotates every mean with
-/// its ~95% confidence half-width (`mean ±hw`), so readers can judge
-/// whether method gaps exceed sampling noise.
-#[deprecated(note = "use `Report::render(ReportFormat::TableWithCi)`")]
-pub fn render_table_with_ci(result: &SweepResult) -> String {
-    result.render(ReportFormat::TableWithCi)
-}
-
-/// Renders a sweep as CSV with a header row (`x, <methods…>, OPT`). NaN
-/// points (method not applicable) are empty cells.
-#[deprecated(note = "use `Report::render(ReportFormat::Csv)`")]
-pub fn render_csv(result: &SweepResult) -> String {
-    result.render(ReportFormat::Csv)
-}
-
-/// Renders a fault-injection report as an aligned plain-text table: one
-/// row per method variant, with healthy vs degraded mean RT, worst-case
-/// degraded RT, availability, and failover volume.
-#[deprecated(note = "use `Report::render(ReportFormat::Table)`")]
-pub fn render_fault_table(report: &FaultReport) -> String {
-    report.render(ReportFormat::Table)
-}
-
-/// Renders a fault-injection report as CSV
-/// (`method,healthy_mean_rt,degraded_mean_rt,degraded_max_rt,availability,served,unavailable,failover_buckets`).
-#[deprecated(note = "use `Report::render(ReportFormat::Csv)`")]
-pub fn render_fault_csv(report: &FaultReport) -> String {
-    report.render(ReportFormat::Csv)
-}
 
 /// Errors from the simulator: configuration problems surface as the
 /// underlying crates' errors.

@@ -15,9 +15,10 @@
 //! [`crate::events`]: client readiness and query completions flow
 //! through the deterministic [`crate::events::EventHeap`], and the
 //! per-query FCFS fan-out is [`ServingEngine::fan_out`] — the identical
-//! float sequence the loops always computed, now shared. The streaming
-//! serve (reached through [`crate::ServeSpec::open`]) generalizes the
-//! open loop to unbounded arrival streams with mid-run sampling.
+//! float sequence the loops always computed, now shared. Open-loop runs
+//! (a load generator rather than a closed set of clients) are the
+//! streaming serve, reached through [`crate::ServeSpec::open`]; the
+//! load sweep below drives it once per (rate, method) cell.
 //!
 //! # The counts fast path
 //!
@@ -33,6 +34,7 @@
 
 use crate::events::{EventHeap, LoopScratch, ServingEngine};
 use crate::faults::{DiskState, FaultSchedule, RetryPolicy};
+use crate::spec::ServeSpec;
 use crate::stats::Quantiles;
 use crate::{DiskParams, Result, SimError, Summary};
 use decluster_grid::{BucketRegion, GridDirectory, IoPlan};
@@ -286,98 +288,6 @@ impl MultiUserEngine {
                 TraceEvent::new("closed_loop_done")
                     .with("queries", queries.len())
                     .with("clients", clients)
-                    .with("makespan_ms", report.makespan_ms)
-                    .with("utilization", report.utilization),
-            );
-        }
-        report
-    }
-
-    /// Open-loop run against this engine: query `i` is issued at
-    /// `arrivals_ms[i]` regardless of completions (a load generator, not
-    /// a closed set of clients). Disks serve batches FCFS in arrival
-    /// order; use [`poisson_arrivals`] to generate arrival times at a
-    /// target rate. Records the `openloop.*` loop metrics and an
-    /// `open_loop_done` trace event when observability is enabled. Reach
-    /// it through [`crate::ServeSpec::open`].
-    ///
-    /// # Panics
-    /// Panics if `arrivals_ms` is shorter than `queries` or not
-    /// non-decreasing.
-    pub fn open_loop_obs(
-        &self,
-        params: &DiskParams,
-        queries: &[BucketRegion],
-        arrivals_ms: &[f64],
-        obs: &Obs,
-        ls: &mut LoopScratch,
-    ) -> MultiUserReport {
-        assert!(
-            arrivals_ms.len() >= queries.len(),
-            "need one arrival time per query"
-        );
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
-        let record = obs.enabled();
-        let meters = record.then(|| LoopMeters::new(obs, "openloop", self.core.num_disks()));
-        let m = self.core.num_disks();
-        ls.begin(m, queries.len());
-        let mut makespan: f64 = 0.0;
-        let mut batches = 0u64;
-        let mut queued_batches = 0u64;
-
-        for (region, &issue_at) in queries.iter().zip(arrivals_ms) {
-            // Retire completion events that precede this arrival, so the
-            // heap tracks the in-flight set (arrivals never wait on it —
-            // the open loop has unbounded concurrency).
-            while ls.events.peek_time().is_some_and(|t| t <= issue_at) {
-                ls.events.pop();
-            }
-            self.core
-                .counts_into(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
-            let completion = self.core.fan_out(
-                params,
-                issue_at,
-                &ls.hist,
-                &mut ls.disk_free_at,
-                &mut ls.disk_busy_ms,
-                record,
-                &mut batches,
-                &mut queued_batches,
-            );
-            ls.latencies.push(completion - issue_at);
-            makespan = makespan.max(completion);
-            ls.events.push(completion, completion - issue_at);
-        }
-        ls.events.clear();
-
-        let (shape_hits, shape_misses) = ls.plans.drain_stats();
-        if let Some(meters) = &meters {
-            meters.record(
-                queries.len(),
-                batches,
-                queued_batches,
-                &ls.disk_busy_ms,
-                &ls.latencies,
-            );
-            obs.counter_add("kernel.shape_cache_hits", shape_hits);
-            obs.counter_add("kernel.shape_cache_misses", shape_misses);
-        }
-        // Open loop: unbounded concurrency, reported as 0 clients.
-        let report = assemble_report(
-            queries.len(),
-            0,
-            makespan,
-            m,
-            &ls.disk_busy_ms,
-            &mut ls.latencies,
-        );
-        if obs.trace_enabled() {
-            obs.emit(
-                TraceEvent::new("open_loop_done")
-                    .with("queries", queries.len())
                     .with("makespan_ms", report.makespan_ms)
                     .with("utilization", report.utilization),
             );
@@ -666,23 +576,38 @@ pub struct LoadPoint {
 
 /// Sweeps open-loop arrival rates against a set of directories (one per
 /// method), producing the classic latency-vs-load curves. The same
-/// queries and the same Poisson arrival draws are replayed against every
-/// method at every rate, so curves differ only by the declustering.
+/// queries and the same Poisson arrival draws (one arrival per query)
+/// are replayed against every method at every rate, so curves differ
+/// only by the declustering.
+///
+/// # Errors
+/// As [`ServeSpec::run_with_arrivals`]: [`crate::SpecError::NoQueries`]
+/// for an empty `queries`, [`crate::SpecError::BadRate`] for a
+/// non-finite rate.
+///
+/// # Panics
+/// Panics if a rate is not positive (see [`poisson_arrivals`]).
 pub fn load_sweep(
     dirs: &[(&str, &GridDirectory)],
     params: &DiskParams,
     queries: &[BucketRegion],
     rates_qps: &[f64],
     seed: u64,
-) -> Vec<LoadPoint> {
+) -> Result<Vec<LoadPoint>> {
     load_sweep_with_threads(dirs, params, queries, rates_qps, seed, 1)
 }
 
 /// [`load_sweep`] fanned over the deterministic executor: every
-/// `(rate, method)` cell runs as an independent point on up to `threads`
-/// worker threads, each worker carrying its own [`LoopScratch`]. Engines
-/// and arrival draws are built before the fan-out, so the result is
-/// bit-identical for any thread count.
+/// `(rate, method)` cell runs as an independent [`ServeSpec::open`] run
+/// on up to `threads` worker threads, each worker carrying its own
+/// [`LoopScratch`]. Engines and arrival draws are built before the
+/// fan-out, so the result is bit-identical for any thread count.
+///
+/// # Errors
+/// As [`load_sweep`].
+///
+/// # Panics
+/// As [`load_sweep`].
 pub fn load_sweep_with_threads(
     dirs: &[(&str, &GridDirectory)],
     params: &DiskParams,
@@ -690,7 +615,7 @@ pub fn load_sweep_with_threads(
     rates_qps: &[f64],
     seed: u64,
     threads: usize,
-) -> Vec<LoadPoint> {
+) -> Result<Vec<LoadPoint>> {
     use rand::SeedableRng;
     let engines: Vec<MultiUserEngine> = dirs
         .iter()
@@ -711,12 +636,23 @@ pub fn load_sweep_with_threads(
         &obs,
         LoopScratch::new,
         |i, ls| {
-            let report =
-                engines[i % nm].open_loop_obs(params, queries, &arrivals[i / nm], &obs, ls);
-            (report.latency.mean, report.utilization, report.tail)
+            let run = ServeSpec::open(rates_qps[i / nm]).run_with_arrivals(
+                &engines[i % nm],
+                params,
+                queries,
+                &arrivals[i / nm],
+                &obs,
+                ls,
+            )?;
+            Ok((
+                run.report.latency.mean,
+                run.report.utilization,
+                run.report.tail,
+            ))
         },
     );
-    rates_qps
+    let cells = cells.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok(rates_qps
         .iter()
         .enumerate()
         .map(|(ri, &rate)| LoadPoint {
@@ -735,7 +671,7 @@ pub fn load_sweep_with_threads(
                 })
                 .collect(),
         })
-        .collect()
+        .collect())
 }
 
 /// Exponential (Poisson-process) arrival times for `n` queries at
@@ -787,13 +723,17 @@ mod tests {
         queries: &[BucketRegion],
         arrivals_ms: &[f64],
     ) -> MultiUserReport {
-        MultiUserEngine::new(dir).open_loop_obs(
-            params,
-            queries,
-            arrivals_ms,
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        )
+        ServeSpec::open(1.0)
+            .run_with_arrivals(
+                &MultiUserEngine::new(dir),
+                params,
+                queries,
+                arrivals_ms,
+                &Obs::disabled(),
+                &mut LoopScratch::new(),
+            )
+            .expect("test arrivals are sorted and queries non-empty")
+            .report
     }
 
     fn run_closed_loop_degraded(
@@ -1017,7 +957,8 @@ mod tests {
             &queries,
             &[1.0, 20.0, 200.0],
             42,
-        );
+        )
+        .unwrap();
         assert_eq!(points.len(), 3);
         // Per method, latency never decreases with rate.
         for mi in 0..2 {
@@ -1055,8 +996,8 @@ mod tests {
         let queries = small_squares(&space);
         let rates = [1.0, 10.0, 50.0, 200.0];
         let params = DiskParams::default();
-        let serial = load_sweep_with_threads(&dirs, &params, &queries, &rates, 42, 1);
-        let parallel = load_sweep_with_threads(&dirs, &params, &queries, &rates, 42, 8);
+        let serial = load_sweep_with_threads(&dirs, &params, &queries, &rates, 42, 1).unwrap();
+        let parallel = load_sweep_with_threads(&dirs, &params, &queries, &rates, 42, 8).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.rate_qps.to_bits(), b.rate_qps.to_bits());
@@ -1210,21 +1151,6 @@ mod tests {
             .unwrap_err(),
             SimError::ScheduleMismatch { .. }
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn open_loop_rejects_unsorted_arrivals() {
-        let space = GridSpace::new_2d(4, 4).unwrap();
-        let dm = DiskModulo::new(&space, 2).unwrap();
-        let dir = directory(2, &dm, &space);
-        let queries = small_squares(&space);
-        let n = queries.len();
-        let mut arrivals = vec![0.0; n];
-        if n >= 2 {
-            arrivals[0] = 5.0;
-        }
-        let _ = run_open_loop(&dir, &DiskParams::default(), &queries, &arrivals);
     }
 
     #[test]

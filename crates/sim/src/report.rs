@@ -2,10 +2,6 @@
 //! curves, fault tables, metrics snapshots — renders through one
 //! [`Report`] trait and a [`ReportFormat`] selector, instead of a
 //! parallel free function per (type, format) pair.
-//!
-//! The deprecated `render_*` free functions live at the crate root as
-//! thin wrappers and produce byte-identical output (covered by parity
-//! tests), so existing callers keep compiling.
 
 use crate::experiment::{AvailSweep, ServeSweep, ShareSweep};
 use crate::faults::FaultReport;
@@ -42,8 +38,8 @@ pub trait Report {
 /// right-aligned data rows (columns joined by two spaces).
 ///
 /// This is the one rendering engine behind every `Table` /
-/// `TableWithCi` output in the workspace; it reproduces the original
-/// `render_table` layout byte for byte.
+/// `TableWithCi` output in the workspace; its layout is pinned byte for
+/// byte by the tests below.
 #[derive(Clone, Debug, Default)]
 pub struct TextTable {
     /// Title printed on its own line (skipped when empty).
@@ -148,8 +144,7 @@ impl SweepResult {
             },
             headers: self.column_headers(),
             rows,
-            // The CI variant historically prints no separator line;
-            // byte-identity with the deprecated wrappers preserves that.
+            // The CI variant historically prints no separator line.
             separator: !with_ci,
         }
     }
@@ -875,30 +870,10 @@ mod tests {
         assert!(s.render(ReportFormat::Csv).starts_with("a;b,"));
     }
 
-    /// Byte-identity pin for the deprecated wrappers: the one place the
-    /// deprecated API is still exercised on purpose.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_report_api_bytes() {
-        use crate::{
-            render_csv, render_fault_csv, render_fault_table, render_table, render_table_with_ci,
-        };
-        let s = sample();
-        assert_eq!(render_table(&s), s.render(ReportFormat::Table));
-        assert_eq!(
-            render_table_with_ci(&s),
-            s.render(ReportFormat::TableWithCi)
-        );
-        assert_eq!(render_csv(&s), s.render(ReportFormat::Csv));
-        let f = fault_sample();
-        assert_eq!(render_fault_table(&f), f.render(ReportFormat::Table));
-        assert_eq!(render_fault_csv(&f), f.render(ReportFormat::Csv));
-    }
-
     #[test]
     fn table_layout_is_byte_stable() {
-        // Pin the exact layout the deprecated wrappers promised:
-        // title, right-aligned headers, dashed separator, aligned rows.
+        // Pin the exact table layout: title, right-aligned headers,
+        // dashed separator, aligned rows.
         let t = sample().render(ReportFormat::Table);
         let expected = "demo\n\
                         area     DM    ECC    OPT\n\

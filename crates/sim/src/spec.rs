@@ -5,9 +5,11 @@
 //! methods, each with its own argument pile. [`ServeSpec`] collapses them
 //! behind one builder: pick a mode ([`ServeSpec::closed`] or
 //! [`ServeSpec::open`]), chain the knobs that matter (replicas, policy,
-//! retry, faults, sampling, admission, sharing, shards), and run. Every
-//! knob the chosen mode cannot honor is a typed one-line [`SpecError`]
-//! instead of a silent ignore, and every dispatch lands on the single
+//! retry, faults, sampling, admission, sharing), and run. Every knob the
+//! chosen mode cannot honor, and every input a loop cannot serve (an
+//! empty query pool, arrival times that are not finite and
+//! non-decreasing), is a typed one-line [`SpecError`] instead of a
+//! silent ignore or a panic, and every dispatch lands on the single
 //! canonical loop body for that mode (the deprecated wrappers that used
 //! to alias them were removed once their bit-identity pins had held) —
 //! so migrated callers are bit-identical by construction.
@@ -87,15 +89,15 @@ pub enum SpecError {
     /// Admission control without a fault schedule (only the degraded
     /// loop sheds arrivals).
     AdmissionWithoutFaults,
-    /// The shard count is zero or exceeds the disk count.
-    BadShards {
-        /// Requested worker shards.
-        shards: usize,
-        /// Disks in the directory.
-        disks: usize,
-    },
     /// Explicit arrival times handed to a closed loop.
     ClosedArrivals,
+    /// An open loop was handed an empty query pool.
+    NoQueries,
+    /// An arrival time is not finite or falls before its predecessor.
+    UnsortedArrivals {
+        /// Position of the first offending arrival.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -139,16 +141,17 @@ impl std::fmt::Display for SpecError {
             SpecError::AdmissionWithoutFaults => {
                 write!(f, "admission control requires a fault schedule")
             }
-            SpecError::BadShards { shards, disks } => {
-                write!(
-                    f,
-                    "shard count {shards} must be between 1 and the disk count {disks}"
-                )
-            }
             SpecError::ClosedArrivals => {
                 write!(
                     f,
                     "closed loops pace themselves; arrival times need an open spec"
+                )
+            }
+            SpecError::NoQueries => write!(f, "open loop needs at least one query region"),
+            SpecError::UnsortedArrivals { index } => {
+                write!(
+                    f,
+                    "arrival times must be finite and non-decreasing; arrival {index} is not"
                 )
             }
         }
@@ -192,7 +195,6 @@ pub struct ServeSpec {
     max_in_flight: usize,
     seed: u64,
     threads: usize,
-    shards: usize,
 }
 
 impl ServeSpec {
@@ -210,7 +212,6 @@ impl ServeSpec {
             max_in_flight: 0,
             seed: DEFAULT_SPEC_SEED,
             threads: 1,
-            shards: 1,
         }
     }
 
@@ -298,23 +299,18 @@ impl ServeSpec {
     }
 
     /// Worker threads used to generate the arrival stream in
-    /// [`ServeSpec::run`] and to walk disk shards when
-    /// [`ServeSpec::shards`] splits the run (the result is byte-identical
-    /// at any count).
+    /// [`ServeSpec::run`] (the result is byte-identical at any count).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Partition the M disks across `shards` worker shards for open-loop
-    /// healthy runs (plain or shared-scan). The report, metrics, and
-    /// samples are byte-identical to the serial loop at any shard count;
-    /// [`ServeSpec::validate`] rejects `0` and values above the disk
-    /// count.
+    /// Accepted and ignored: every run is one serial loop that plans
+    /// each distinct query once per run, so there is nothing to shard.
+    #[deprecated(note = "serving is serial and plans each distinct query once; this is a no-op")]
     #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -366,11 +362,22 @@ impl ServeSpec {
         if self.max_in_flight > 0 && self.faults.is_none() {
             return Err(SpecError::AdmissionWithoutFaults);
         }
-        if self.shards == 0 || self.shards > disks {
-            return Err(SpecError::BadShards {
-                shards: self.shards,
-                disks,
-            });
+        Ok(())
+    }
+
+    /// Checks the inputs an open loop serves: a non-empty query pool and
+    /// arrival times that are finite and non-decreasing.
+    fn check_open_inputs(queries: &[BucketRegion], arrivals_ms: &[f64]) -> Result<(), SpecError> {
+        if queries.is_empty() {
+            return Err(SpecError::NoQueries);
+        }
+        let mut prev = f64::NEG_INFINITY;
+        for (index, &t) in arrivals_ms.iter().enumerate() {
+            // `prev <= t` is false for a NaN on either side.
+            if !(t.is_finite() && prev <= t) {
+                return Err(SpecError::UnsortedArrivals { index });
+            }
+            prev = t;
         }
         Ok(())
     }
@@ -421,7 +428,9 @@ impl ServeSpec {
     ///
     /// # Errors
     /// As [`ServeSpec::run`]; also [`SpecError::ClosedArrivals`] for
-    /// closed mode.
+    /// closed mode, [`SpecError::NoQueries`] for an empty `queries`, and
+    /// [`SpecError::UnsortedArrivals`] when an arrival time is NaN,
+    /// infinite, or earlier than its predecessor.
     pub fn run_with_arrivals(
         &self,
         engine: &MultiUserEngine,
@@ -468,6 +477,9 @@ impl ServeSpec {
         ls: &mut LoopScratch,
     ) -> crate::Result<ServeRun> {
         self.validate(engine.num_disks()).map_err(SimError::Spec)?;
+        if let SpecMode::Open { .. } = self.mode {
+            Self::check_open_inputs(queries, arrivals_ms).map_err(SimError::Spec)?;
+        }
         let serving: &ServingEngine = engine.serving();
         match (self.mode, &self.faults, self.batch_window_ms) {
             (SpecMode::Closed { clients }, None, _) => {
@@ -497,16 +509,8 @@ impl ServeSpec {
                 Ok(run)
             }
             (SpecMode::Open { .. }, None, None) => {
-                let sr = serving.serve_core_sharded(
-                    params,
-                    queries,
-                    arrivals_ms,
-                    &self.serve_config(),
-                    self.shards,
-                    self.threads,
-                    obs,
-                    ls,
-                );
+                let sr =
+                    serving.serve_core(params, queries, arrivals_ms, &self.serve_config(), obs, ls);
                 Ok(ServeRun::from_serve(sr, None, None))
             }
             (SpecMode::Open { .. }, None, Some(batch_window_ms)) => {
@@ -516,14 +520,12 @@ impl ServeSpec {
                     replicas: self.replicas,
                     policy: self.policy,
                 };
-                let sr = serving.serve_shared_core_sharded(
+                let sr = serving.serve_shared_core(
                     engine.directory(),
                     params,
                     queries,
                     arrivals_ms,
                     &cfg,
-                    self.shards,
-                    self.threads,
                     obs,
                     ls,
                 );
@@ -722,20 +724,6 @@ mod tests {
                 ServeSpec::open(100.0).admission(64),
                 SpecError::AdmissionWithoutFaults,
             ),
-            (
-                ServeSpec::open(100.0).shards(0),
-                SpecError::BadShards {
-                    shards: 0,
-                    disks: 8,
-                },
-            ),
-            (
-                ServeSpec::open(100.0).shards(9),
-                SpecError::BadShards {
-                    shards: 9,
-                    disks: 8,
-                },
-            ),
         ];
         for (spec, want) in cases {
             let got = spec.validate(8).expect_err("spec must be rejected");
@@ -750,6 +738,79 @@ mod tests {
                 "{got:?} must render as one line"
             );
         }
+    }
+
+    /// Every open mode (plain, shared scan, fault-injected) run over
+    /// `queries` and `arrivals` on the fixture's engine.
+    fn run_open_modes(
+        dir: &GridDirectory,
+        queries: &[BucketRegion],
+        arrivals: &[f64],
+    ) -> Vec<crate::Result<ServeRun>> {
+        let engine = MultiUserEngine::new(dir);
+        let schedule = FaultSchedule::parse("fail:2@10", 8).unwrap();
+        [
+            ServeSpec::open(200.0),
+            ServeSpec::open(200.0).share(5.0),
+            ServeSpec::open(200.0).replicas(1).faults(schedule),
+        ]
+        .iter()
+        .map(|spec| {
+            spec.run_with_arrivals(
+                &engine,
+                &DiskParams::default(),
+                queries,
+                arrivals,
+                &Obs::disabled(),
+                &mut LoopScratch::new(),
+            )
+        })
+        .collect()
+    }
+
+    fn assert_spec_error(runs: Vec<crate::Result<ServeRun>>, want: &SpecError) {
+        for run in runs {
+            match run {
+                Err(SimError::Spec(got)) => {
+                    assert_eq!(&got, want);
+                    assert_eq!(got.to_string().lines().count(), 1, "{got:?}");
+                }
+                other => panic!("expected {want:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn empty_query_pool_is_a_typed_error() {
+        let (dir, _, arrivals) = fixture();
+        assert_spec_error(run_open_modes(&dir, &[], &arrivals), &SpecError::NoQueries);
+        // Even with nothing to serve, an empty pool is rejected.
+        assert_spec_error(run_open_modes(&dir, &[], &[]), &SpecError::NoQueries);
+    }
+
+    #[test]
+    fn unsorted_arrivals_are_a_typed_error() {
+        let (dir, queries, mut arrivals) = fixture();
+        arrivals.swap(4, 5);
+        assert_spec_error(
+            run_open_modes(&dir, &queries, &arrivals),
+            &SpecError::UnsortedArrivals { index: 5 },
+        );
+    }
+
+    #[test]
+    fn nan_arrival_is_a_typed_error() {
+        let (dir, queries, mut arrivals) = fixture();
+        arrivals[7] = f64::NAN;
+        assert_spec_error(
+            run_open_modes(&dir, &queries, &arrivals),
+            &SpecError::UnsortedArrivals { index: 7 },
+        );
+        // A lone NaN has no neighbour to be out of order with.
+        assert_spec_error(
+            run_open_modes(&dir, &queries, &[f64::NAN]),
+            &SpecError::UnsortedArrivals { index: 0 },
+        );
     }
 
     #[test]

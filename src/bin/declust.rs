@@ -264,7 +264,8 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
         &regions,
         &rates,
         seed_of(flags),
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let table = TextTable {
         title: format!(
             "mean latency (ms) vs offered load, {n} {}x{} queries on {:?} with M={m}:",

@@ -155,19 +155,13 @@ const EXPERIMENTS: &[ExperimentSpec] = &[
             "warm-start timing: cold vs kernel-cache startup-to-first-query (writes BENCH_warm.json)",
         engine: false,
     },
-    ExperimentSpec {
-        name: "bench_parallel",
-        describe:
-            "sharded-serving scaling: shards x rate events/sec grid, serial-vs-sharded byte-identity (writes BENCH_parallel.json)",
-        engine: false,
-    },
 ];
 
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     let mut u = format!(
-        "usage: repro <{}>\n       [--csv DIR] [--quick] [--threads N] [--shards S] \
-         [--faults SPEC] [--method NAME]\n       [--replicas R] [--policy NAME] [--clients N] \
+        "usage: repro <{}>\n       [--csv DIR] [--quick] [--threads N] [--faults SPEC] \
+         [--method NAME]\n       [--replicas R] [--policy NAME] [--clients N] \
          [--rate R]\n       [--share F] [--batch-window MS] [--kernel-cache FILE]\n       \
          [--metrics FILE|-] [--trace FILE|-]\n\n\
          experiments:\n",
@@ -204,19 +198,13 @@ fn usage() -> String {
          kernels: a warmed run skips the kernel build phase entirely (stale entries\n\
          revalidate and rebuild; outputs are byte-identical with or without it).\n",
     );
-    u.push_str(&format!(
-        "\n--shards S (1..={DISKS}) splits each healthy open-loop serve run over S\n\
-         disk shards; every table, metric, and sample is byte-identical at any\n\
-         shard count (the fault-injected path has global feedback and stays\n\
-         serial regardless).\n"
-    ));
     u
 }
 
 /// Shared validation of numeric flag arguments: parses the flag's value
 /// and checks it, rendering rejections with the one uniform one-line
-/// phrasing `--<flag> needs <what>` used by `--threads`,
-/// `--batch-window`, and `--shards`.
+/// phrasing `--<flag> needs <what>` used by `--threads` and
+/// `--batch-window`.
 fn parse_flag<T: std::str::FromStr>(
     flag: &str,
     what: &str,
@@ -233,9 +221,6 @@ struct Opts {
     queries: usize,
     quick: bool,
     threads: usize,
-    /// Disk shards each healthy open-loop serve run is split over
-    /// (byte-identical at any count); 1 = the serial loop.
-    shards: usize,
     /// Arrivals per (rate, method) cell of the `serve` experiment;
     /// `None` = 50,000 (5,000 with `--quick`).
     clients: Option<usize>,
@@ -283,7 +268,6 @@ fn main() -> ExitCode {
         queries: 1000,
         quick: false,
         threads: 1,
-        shards: 1,
         clients: None,
         rate: 12.0,
         faults: None,
@@ -320,20 +304,6 @@ fn main() -> ExitCode {
                     |&n: &usize| n > 0,
                 ) {
                     Ok(n) => opts.threads = n,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--shards" => {
-                match parse_flag(
-                    "--shards",
-                    &format!("a shard count in 1..={DISKS} (M = {DISKS} disks)"),
-                    it.next(),
-                    |&s: &usize| (1..=DISKS as usize).contains(&s),
-                ) {
-                    Ok(s) => opts.shards = s,
                     Err(e) => {
                         eprintln!("{e}");
                         return ExitCode::FAILURE;
@@ -623,10 +593,6 @@ fn main() -> ExitCode {
         println!("{}", bench_warm(&opts));
         ran_any = true;
     }
-    if experiment == "bench_parallel" {
-        println!("{}", bench_parallel(&opts));
-        ran_any = true;
-    }
     if !ran_any {
         eprintln!("unknown experiment {experiment:?}");
         return ExitCode::FAILURE;
@@ -707,7 +673,6 @@ fn experiment_2d(opts: &Opts) -> Experiment {
         .with_queries_per_point(opts.queries)
         .with_seed(SEED)
         .with_threads(opts.threads)
-        .with_shards(opts.shards)
         .with_obs(opts.obs.clone());
     match &opts.kernel_cache {
         Some(cache) => e.with_kernel_cache(cache.clone()),
@@ -2347,166 +2312,6 @@ fn bench_warm(opts: &Opts) -> String {
             format!("{dir}/BENCH_warm.json")
         }
         None => "BENCH_warm.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-/// Timing snapshot of sharded parallel serving: one million open-loop
-/// Poisson arrivals stream through HCAM's serving engine at each rate of
-/// a small ladder, once per shard count in {1, 2, 4, 8, 16}. Every
-/// sharded run's report is asserted bit-identical to the 1-shard serial
-/// baseline before its cell is accepted, so the grid measures pure
-/// mechanism cost. Reports events/sec per (shards, rate) cell and the
-/// 8-shard speedup; writes `BENCH_parallel.json` beside the other
-/// snapshots.
-///
-/// The workload is the paper's multi-attribute setting at serving
-/// scale: a 4-attribute 16^4 grid on 64 disks with small mixed-shape
-/// range queries. That shape stresses exactly what sharding amortizes —
-/// the serial loop pays the `O(M · 2^k)` per-disk count kernel on every
-/// arrival, while the sharded pipeline plans each *distinct* query once
-/// per run (Stage A) and streams the remaining per-arrival work through
-/// the shard walk, so the speedup is algorithmic and holds even on a
-/// single core.
-fn bench_parallel(opts: &Opts) -> String {
-    use decluster::sim::workload::random_region;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::Instant;
-
-    let arrivals_n: usize = if opts.quick { 100_000 } else { 1_000_000 };
-    const SHARDS: [usize; 5] = [1, 2, 4, 8, 16];
-    const BENCH_SIDE: u32 = 16;
-    const BENCH_DIMS: usize = 4;
-    const BENCH_DISKS: u32 = 64;
-    let space = GridSpace::new(vec![BENCH_SIDE; BENCH_DIMS]).expect("bench grid is valid");
-    let params = DiskParams::default();
-    let method = Hcam::new(&space, BENCH_DISKS).expect("HCAM builds on the bench grid");
-    let dir = GridDirectory::build(space.clone(), BENCH_DISKS, |b| method.disk_of(b.as_slice()));
-    let engine = MultiUserEngine::new(&dir);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let regions: Vec<BucketRegion> = (0..1000)
-        .map(|_| {
-            // Per-dimension extents 1..=2: sixteen distinct shapes, up
-            // to 16 buckets per query spread over up to 16 of 64 disks.
-            let sides: Vec<u32> = (0..BENCH_DIMS).map(|_| rng.gen_range(1..=2)).collect();
-            random_region(&mut rng, &space, &sides).expect("placement fits")
-        })
-        .collect();
-    let obs = Obs::disabled();
-    let rates: Vec<f64> = [0.5, 1.0, 2.0].iter().map(|f| f * opts.rate).collect();
-    let arrivals: Vec<Vec<f64>> = rates
-        .iter()
-        .map(|&r| {
-            sharded_arrivals(
-                SEED,
-                arrivals_n,
-                InterArrival::Poisson { rate_qps: r },
-                opts.threads,
-                &obs,
-            )
-        })
-        .collect();
-
-    let mut out = format!(
-        "Parallel serve bench: {arrivals_n} open-loop arrivals per cell, HCAM, \
-         mixed 1..2-extent queries on a {BENCH_SIDE}^{BENCH_DIMS} grid, M={BENCH_DISKS}\n\
-         {:<7} {:>10} {:>10} {:>10} {:>13} {:>10}\n",
-        "shards", "rate q/s", "events", "loop ms", "events/sec", "identical"
-    );
-    let mut ls = LoopScratch::new();
-    // The 1-shard serial baseline per rate, captured for the
-    // byte-identity assertion every sharded cell must pass.
-    let mut baselines: Vec<Option<decluster::sim::ServeRun>> = vec![None; rates.len()];
-    let mut cells = Vec::new();
-    // events/sec summed over rates, per shard count, for the speedup line.
-    let mut eps_by_shards: Vec<f64> = Vec::new();
-    for &shards in &SHARDS {
-        let (mut events, mut secs_total) = (0u64, 0.0f64);
-        for (ri, &rate) in rates.iter().enumerate() {
-            let spec = ServeSpec::open(rate)
-                .seed(SEED)
-                .shards(shards)
-                .threads(shards);
-            // Warm pass: size every shard buffer so the timed pass runs
-            // allocation-free, exactly like the serial loop's steady state.
-            let _ = spec
-                .run_with_arrivals(&engine, &params, &regions, &arrivals[ri], &obs, &mut ls)
-                .expect("the bench serve spec is valid");
-            let t = Instant::now();
-            let run = spec
-                .run_with_arrivals(&engine, &params, &regions, &arrivals[ri], &obs, &mut ls)
-                .expect("the bench serve spec is valid");
-            let secs = t.elapsed().as_secs_f64();
-            let identical = match &baselines[ri] {
-                None => {
-                    baselines[ri] = Some(run.clone());
-                    true
-                }
-                Some(base) => {
-                    let b = &base.report;
-                    let r = &run.report;
-                    assert_eq!(b.makespan_ms.to_bits(), r.makespan_ms.to_bits());
-                    assert_eq!(b.throughput_qps.to_bits(), r.throughput_qps.to_bits());
-                    assert_eq!(b.latency.mean.to_bits(), r.latency.mean.to_bits());
-                    assert_eq!(b.utilization.to_bits(), r.utilization.to_bits());
-                    assert_eq!(base.events, run.events);
-                    assert_eq!(base.pages, run.pages);
-                    assert_eq!(base.peak_in_flight, run.peak_in_flight);
-                    assert_eq!(base.samples, run.samples);
-                    true
-                }
-            };
-            let eps = run.events as f64 / secs.max(1e-9);
-            out.push_str(&format!(
-                "{:<7} {:>10.2} {:>10} {:>10.3} {:>13.0} {:>10}\n",
-                shards,
-                rate,
-                run.events,
-                secs * 1e3,
-                eps,
-                identical
-            ));
-            cells.push(format!(
-                "    {{\"shards\": {shards}, \"rate_qps\": {rate:.3}, \"events\": {}, \
-                 \"loop_ms\": {:.3}, \"events_per_sec\": {eps:.0}, \"identical\": {identical}}}",
-                run.events,
-                secs * 1e3
-            ));
-            events += run.events;
-            secs_total += secs;
-        }
-        eps_by_shards.push(events as f64 / secs_total.max(1e-9));
-    }
-    let base_eps = eps_by_shards[0];
-    let speedup_8 =
-        eps_by_shards[SHARDS.iter().position(|&s| s == 8).expect("8 in grid")] / base_eps.max(1e-9);
-    out.push_str(&format!(
-        "\n8-shard speedup over the serial loop: {speedup_8:.2}x \
-         (all sharded reports byte-identical to 1 shard)\n"
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"serve_parallel\",\n  \
-         \"grid\": [{BENCH_SIDE}, {BENCH_SIDE}, {BENCH_SIDE}, {BENCH_SIDE}],\n  \
-         \"disks\": {BENCH_DISKS},\n  \"method\": \"HCAM\",\n  \"arrivals_per_cell\": {arrivals_n},\n  \
-         \"base_rate_qps\": {:.3},\n  \"serial_events_per_sec\": {base_eps:.0},\n  \
-         \"speedup_8_shards\": {speedup_8:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        opts.rate,
-        cells.join(",\n")
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_parallel.json")
-        }
-        None => "BENCH_parallel.json".into(),
     };
     match std::fs::write(&path, json) {
         Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),

@@ -1,9 +1,10 @@
 //! Proof of the multi-user engine's allocation-free hot path: a counting
 //! global allocator observes zero heap allocations across an entire
-//! closed-loop, open-loop, event-driven serve, degraded, shared-scan,
-//! and sharded (serve + shared) run (mid-run sampling included) once the
-//! caller-owned `LoopScratch` has been warmed. Lives at the workspace root because the library crates
-//! `forbid(unsafe_code)` and a `GlobalAlloc` impl is necessarily unsafe.
+//! closed-loop, event-driven serve, degraded, and shared-scan run
+//! (mid-run sampling and the per-run plan table included) once the
+//! caller-owned `LoopScratch` has been warmed. Lives at the workspace
+//! root because the library crates `forbid(unsafe_code)` and a
+//! `GlobalAlloc` impl is necessarily unsafe.
 //!
 //! The file holds exactly one test: the counter is process-wide, and a
 //! concurrently running test would pollute the measurement.
@@ -110,24 +111,12 @@ fn warmed_loops_make_zero_heap_allocations() {
         .share(24.0)
         .replicas(1)
         .policy(ReplicaPolicy::Spread);
-    // Sharded serving: the same serve and shared-scan runs split over 4
-    // disk shards, walked inline (spawning worker threads would itself
-    // allocate), so every warmed shard's walk + merge + replay must stay
-    // off the heap and repeat the serial reports bit for bit.
-    let sharded_spec = ServeSpec::open(200.0).sampling(64.0).shards(4).threads(1);
-    let sharded_shared_spec = ServeSpec::open(200.0)
-        .sampling(64.0)
-        .share(24.0)
-        .replicas(1)
-        .policy(ReplicaPolicy::Spread)
-        .shards(4)
-        .threads(1);
 
-    // Warm-up: grows every LoopScratch buffer to the working-set size and
-    // compiles the kernel's per-shape corner plans.
+    // Warm-up: grows every LoopScratch buffer (the plan table included)
+    // to the working-set size and compiles the kernel's per-shape corner
+    // plans.
     let mut ls = LoopScratch::new();
     let warm_closed = engine.closed_loop_obs(&params, &queries, 8, &obs, &mut ls);
-    let warm_open = engine.open_loop_obs(&params, &queries, &arrivals, &obs, &mut ls);
     let warm_serve = serve_spec
         .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
         .expect("the serve spec is valid");
@@ -137,16 +126,9 @@ fn warmed_loops_make_zero_heap_allocations() {
     let warm_shared = shared_spec
         .run_with_arrivals(&engine, &params, &queries, &burst, &obs, &mut ls)
         .expect("the shared spec is valid");
-    let _ = sharded_spec
-        .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
-        .expect("the sharded spec is valid");
-    let _ = sharded_shared_spec
-        .run_with_arrivals(&engine, &params, &queries, &burst, &obs, &mut ls)
-        .expect("the sharded shared spec is valid");
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let closed = engine.closed_loop_obs(&params, &queries, 8, &obs, &mut ls);
-    let open = engine.open_loop_obs(&params, &queries, &arrivals, &obs, &mut ls);
     let serve = serve_spec
         .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
         .expect("the serve spec is valid");
@@ -156,17 +138,11 @@ fn warmed_loops_make_zero_heap_allocations() {
     let shared = shared_spec
         .run_with_arrivals(&engine, &params, &queries, &burst, &obs, &mut ls)
         .expect("the shared spec is valid");
-    let sharded = sharded_spec
-        .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
-        .expect("the sharded spec is valid");
-    let sharded_shared = sharded_shared_spec
-        .run_with_arrivals(&engine, &params, &queries, &burst, &obs, &mut ls)
-        .expect("the sharded shared spec is valid");
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(
         during, 0,
-        "warmed closed+open+serve+degraded+shared+sharded loops must not touch the heap ({during} allocations observed)"
+        "warmed closed+serve+degraded+shared loops must not touch the heap ({during} allocations observed)"
     );
     // The measured runs are the warm-up runs, bit for bit.
     assert_eq!(
@@ -176,11 +152,6 @@ fn warmed_loops_make_zero_heap_allocations() {
     assert_eq!(
         closed.latency.mean.to_bits(),
         warm_closed.latency.mean.to_bits()
-    );
-    assert_eq!(open.makespan_ms.to_bits(), warm_open.makespan_ms.to_bits());
-    assert_eq!(
-        open.latency.mean.to_bits(),
-        warm_open.latency.mean.to_bits()
     );
     assert_eq!(
         serve.report.makespan_ms.to_bits(),
@@ -225,22 +196,4 @@ fn warmed_loops_make_zero_heap_allocations() {
     assert_eq!(shared.events, warm_shared.events);
     assert_eq!(shared.pages, warm_shared.pages);
     assert_eq!(sharing, warm_sharing);
-    // The sharded runs are the serial runs, bit for bit.
-    assert_eq!(
-        sharded.report.makespan_ms.to_bits(),
-        serve.report.makespan_ms.to_bits()
-    );
-    assert_eq!(sharded.events, serve.events);
-    assert_eq!(sharded.samples, serve.samples);
-    assert_eq!(sharded.peak_in_flight, serve.peak_in_flight);
-    assert_eq!(
-        sharded_shared.report.makespan_ms.to_bits(),
-        shared.report.makespan_ms.to_bits()
-    );
-    assert_eq!(sharded_shared.events, shared.events);
-    assert_eq!(sharded_shared.pages, shared.pages);
-    assert_eq!(
-        sharded_shared.sharing.expect("sharded shared run shares"),
-        sharing
-    );
 }

@@ -364,41 +364,6 @@ fn repro_faults_is_thread_count_invariant() {
 }
 
 #[test]
-fn repro_rejects_bad_shard_counts() {
-    // 0 and M+1 (the default array has M = 16 disks) both fall outside
-    // the accepted 1..=M range, with the same one-line phrasing the
-    // other numeric flags use.
-    for s in ["0", "17", "banana"] {
-        let (ok, _, stderr) = run(REPRO, &["serve", "--quick", "--shards", s]);
-        assert!(!ok, "shards {s:?} should be rejected");
-        assert_eq!(
-            stderr.lines().count(),
-            1,
-            "one-line error for {s:?}, got:\n{stderr}"
-        );
-        assert!(stderr.contains("--shards"), "{stderr}");
-    }
-}
-
-#[test]
-fn repro_serve_is_shard_count_invariant() {
-    let args = ["serve", "--quick", "--clients", "800"];
-    let (ok1, s1, _) = run(REPRO, &[&args[..], &["--shards", "1"][..]].concat());
-    let (ok8, s8, _) = run(REPRO, &[&args[..], &["--shards", "8"][..]].concat());
-    assert!(ok1 && ok8);
-    assert_eq!(s1, s8, "serve tables differ between --shards 1 and 8");
-}
-
-#[test]
-fn repro_share_is_shard_count_invariant() {
-    let args = ["share", "--quick", "--clients", "500", "--rate", "60"];
-    let (ok1, s1, _) = run(REPRO, &[&args[..], &["--shards", "1"][..]].concat());
-    let (ok8, s8, _) = run(REPRO, &[&args[..], &["--shards", "8"][..]].concat());
-    assert!(ok1 && ok8);
-    assert_eq!(s1, s8, "share tables differ between --shards 1 and 8");
-}
-
-#[test]
 fn repro_rejects_bad_share_fractions() {
     for f in ["-0.1", "1.5", "NaN", "banana"] {
         let (ok, _, stderr) = run(REPRO, &["serve", "--quick", "--share", f]);

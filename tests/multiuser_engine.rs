@@ -1,15 +1,16 @@
 //! End-to-end equivalence tests for the kernel-backed multi-user engine:
-//! the public closed/open/degraded loops must produce bit-identical
-//! reports to an independent reference loop that materializes each
-//! query's I/O plan and reads counts off its group lengths — the
-//! pre-rewire data path. This pins the rewire as a pure data-path
-//! optimization: same queueing, same service model, same bytes.
+//! the closed, open (streaming serve), and degraded loops behind
+//! `ServeSpec` must produce bit-identical reports to independent
+//! reference loops that materialize each query's I/O plan and read
+//! counts off its group lengths — the pre-rewire data path. This pins
+//! the kernel and the per-run plan table as pure data-path
+//! optimizations: same queueing, same service model, same bytes.
 
 use decluster::grid::{BucketRegion, GridDirectory, GridSpace, IoPlan};
 use decluster::prelude::*;
 use decluster::sim::workload::random_region;
 use decluster::sim::{
-    load_sweep, poisson_arrivals, DiskParams, LoopScratch, MultiUserEngine, ServeSpec,
+    load_sweep, poisson_arrivals, DiskParams, LoopScratch, MultiUserEngine, ServeRun, ServeSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,22 +102,24 @@ fn closed_loop_is_bit_identical_to_materialized_plan_loop() {
     }
 }
 
-#[test]
-fn open_loop_is_bit_identical_to_materialized_plan_loop() {
-    let (space, dir) = directory();
-    let params = DiskParams::default();
-    let queries = query_stream(&space, 200);
-    let mut rng = StdRng::seed_from_u64(5);
-    let arrivals = poisson_arrivals(&mut rng, queries.len(), 80.0);
-    // Reference: same loop but issue times come from the arrival vector.
+/// The pre-rewire open loop: arrival `i` issues `queries[i % L]` at
+/// `arrivals[i]` through a materialized `IoPlan`, FCFS per disk.
+/// Returns `(makespan_ms, latencies, total disk busy ms)`.
+fn reference_open_loop(
+    dir: &GridDirectory,
+    params: &DiskParams,
+    queries: &[BucketRegion],
+    arrivals: &[f64],
+) -> (f64, Vec<f64>, f64) {
     let loads = dir.load_vector();
     let m = loads.len();
     let mut plan = IoPlan::new();
     let mut disk_free_at = vec![0.0f64; m];
+    let mut disk_busy = vec![0.0f64; m];
+    let mut latencies = Vec::with_capacity(arrivals.len());
     let mut makespan = 0.0f64;
-    let mut sum = 0.0f64;
-    for (region, &issue_at) in queries.iter().zip(&arrivals) {
-        dir.io_plan_into(region, &mut plan);
+    for (i, &issue_at) in arrivals.iter().enumerate() {
+        dir.io_plan_into(&queries[i % queries.len()], &mut plan);
         let mut completion = issue_at;
         for d in 0..m {
             let count = plan.disk_pages(d).len() as u64;
@@ -126,21 +129,46 @@ fn open_loop_is_bit_identical_to_materialized_plan_loop() {
             let start = issue_at.max(disk_free_at[d]);
             let service = params.batch_ms_counts(count, loads[d]);
             disk_free_at[d] = start + service;
+            disk_busy[d] += service;
             completion = completion.max(start + service);
         }
-        sum += completion - issue_at;
+        latencies.push(completion - issue_at);
         makespan = makespan.max(completion);
     }
-    let engine = MultiUserEngine::new(&dir);
-    let report = engine.open_loop_obs(
-        &params,
-        &queries,
-        &arrivals,
+    (makespan, latencies, disk_busy.iter().sum())
+}
+
+/// One open-loop `ServeSpec` run with observability off.
+fn open_run(
+    engine: &MultiUserEngine,
+    params: &DiskParams,
+    queries: &[BucketRegion],
+    arrivals: &[f64],
+    spec: ServeSpec,
+) -> ServeRun {
+    spec.run_with_arrivals(
+        engine,
+        params,
+        queries,
+        arrivals,
         &decluster::obs::Obs::disabled(),
         &mut LoopScratch::new(),
-    );
+    )
+    .expect("sorted arrivals over a non-empty pool")
+}
+
+#[test]
+fn open_loop_is_bit_identical_to_materialized_plan_loop() {
+    let (space, dir) = directory();
+    let params = DiskParams::default();
+    let queries = query_stream(&space, 200);
+    let mut rng = StdRng::seed_from_u64(5);
+    let arrivals = poisson_arrivals(&mut rng, queries.len(), 80.0);
+    let (makespan, latencies, _) = reference_open_loop(&dir, &params, &queries, &arrivals);
+    let engine = MultiUserEngine::new(&dir);
+    let report = open_run(&engine, &params, &queries, &arrivals, ServeSpec::open(80.0)).report;
     assert_eq!(report.makespan_ms.to_bits(), makespan.to_bits());
-    let ref_mean = sum / queries.len() as f64;
+    let ref_mean = latencies.iter().sum::<f64>() / queries.len() as f64;
     assert_eq!(report.latency.mean.to_bits(), ref_mean.to_bits());
 }
 
@@ -185,19 +213,13 @@ fn load_sweep_matches_individual_open_loop_runs() {
     let params = DiskParams::default();
     let queries = query_stream(&space, 120);
     let rates = [20.0, 150.0];
-    let points = load_sweep(&[("HCAM", &dir)], &params, &queries, &rates, 9);
+    let points = load_sweep(&[("HCAM", &dir)], &params, &queries, &rates, 9).unwrap();
     assert_eq!(points.len(), 2);
     let engine = MultiUserEngine::new(&dir);
     for (point, &rate) in points.iter().zip(&rates) {
         let mut rng = StdRng::seed_from_u64(9);
         let arrivals = poisson_arrivals(&mut rng, queries.len(), rate);
-        let solo = engine.open_loop_obs(
-            &params,
-            &queries,
-            &arrivals,
-            &decluster::obs::Obs::disabled(),
-            &mut LoopScratch::new(),
-        );
+        let solo = open_run(&engine, &params, &queries, &arrivals, ServeSpec::open(rate)).report;
         assert_eq!(point.methods.len(), 1);
         assert_eq!(point.methods[0].name, "HCAM");
         assert_eq!(
@@ -309,24 +331,20 @@ fn degraded_loop_is_bit_identical_to_materialized_plan_loop() {
     assert_eq!(run.report.latency.mean.to_bits(), ref_mean.to_bits());
 }
 
-/// The serve loop over an arrival stream is the open loop, expressed as
-/// events: identical service model at issue time, so the aggregate
-/// report must match the engine's open loop bit for bit.
+/// The serve loop over an arrival stream three times longer than its
+/// query pool is the open loop replaying the pool round-robin, expressed
+/// as events: identical service model at issue time, so the aggregate
+/// report must match the materialized-plan open loop bit for bit.
 #[test]
 fn serve_report_is_bit_identical_to_open_loop() {
-    use decluster::sim::sharded_arrivals;
     use decluster::sim::workload::InterArrival;
+    use decluster::sim::{sharded_arrivals, Quantiles};
     let (space, dir) = directory();
     let params = DiskParams::default();
     let queries = query_stream(&space, 240);
     let obs = decluster::obs::Obs::disabled();
-    let arrivals = sharded_arrivals(
-        11,
-        queries.len(),
-        InterArrival::Poisson { rate_qps: 60.0 },
-        1,
-        &obs,
-    );
+    let n = 3 * queries.len();
+    let arrivals = sharded_arrivals(11, n, InterArrival::Poisson { rate_qps: 60.0 }, 1, &obs);
     let engine = MultiUserEngine::new(&dir);
     let mut ls = LoopScratch::new();
     // Sampling on: mid-run snapshots must not perturb the report.
@@ -334,21 +352,17 @@ fn serve_report_is_bit_identical_to_open_loop() {
         .sampling(500.0)
         .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
         .unwrap();
-    let open = engine.open_loop_obs(&params, &queries, &arrivals, &obs, &mut LoopScratch::new());
-    assert_eq!(
-        serve.report.makespan_ms.to_bits(),
-        open.makespan_ms.to_bits()
-    );
-    assert_eq!(
-        serve.report.latency.mean.to_bits(),
-        open.latency.mean.to_bits()
-    );
-    assert_eq!(serve.report.tail, open.tail);
+    let (makespan, mut latencies, busy) = reference_open_loop(&dir, &params, &queries, &arrivals);
+    assert_eq!(serve.report.makespan_ms.to_bits(), makespan.to_bits());
+    let ref_mean = latencies.iter().sum::<f64>() / n as f64;
+    assert_eq!(serve.report.latency.mean.to_bits(), ref_mean.to_bits());
+    assert_eq!(serve.report.tail, Quantiles::of_unsorted(&mut latencies));
+    let ref_utilization = busy / (makespan * f64::from(M));
     assert_eq!(
         serve.report.utilization.to_bits(),
-        open.utilization.to_bits()
+        ref_utilization.to_bits()
     );
-    assert_eq!(serve.events, 2 * queries.len() as u64);
+    assert_eq!(serve.events, 2 * n as u64);
     assert!(serve.peak_in_flight >= 1);
     assert!(!ls.samples().is_empty());
 }

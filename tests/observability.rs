@@ -1,47 +1,14 @@
-//! End-to-end tests of the observability subsystem: the Report API's
-//! byte-compatibility with the deprecated render functions, the
-//! JSON-lines trace schema, the null recorder's invisibility, and the
+//! End-to-end tests of the observability subsystem: the JSON-lines
+//! trace schema, the null recorder's invisibility, and the
 //! `repro --metrics/--trace` CLI surface (including the determinism
 //! contract across thread counts).
 
 use decluster::grid::GridSpace;
 use decluster::obs::{json, JsonLinesSink, MetricsRecorder, Obs, TraceEvent, TraceSink};
 use decluster::sim::workload::SizeSweep;
-use decluster::sim::{Experiment, FaultSchedule, Report, ReportFormat, RetryPolicy};
+use decluster::sim::{Experiment, Report, ReportFormat};
 use std::process::Command;
 use std::sync::Arc;
-
-fn seeded_sweep() -> decluster::sim::SweepResult {
-    Experiment::new(GridSpace::new_2d(16, 16).unwrap(), 8)
-        .with_queries_per_point(40)
-        .with_seed(7)
-        .run_size_sweep(&SizeSweep::new(1, 64, 6))
-        .expect("sweep runs")
-}
-
-#[test]
-#[allow(deprecated)] // byte-identity pin of the deprecated wrappers
-fn report_api_is_byte_identical_to_deprecated_wrappers() {
-    use decluster::sim::{render_csv, render_fault_table, render_table, render_table_with_ci};
-    let result = seeded_sweep();
-    assert_eq!(result.render(ReportFormat::Table), render_table(&result));
-    assert_eq!(
-        result.render(ReportFormat::TableWithCi),
-        render_table_with_ci(&result)
-    );
-    assert_eq!(result.render(ReportFormat::Csv), render_csv(&result));
-
-    let schedule = FaultSchedule::healthy(8).fail_stop(2, 10).unwrap();
-    let report = Experiment::new(GridSpace::new_2d(16, 16).unwrap(), 8)
-        .with_queries_per_point(30)
-        .with_seed(11)
-        .run_fault_workload(16, &schedule, &RetryPolicy::default())
-        .expect("fault workload runs");
-    assert_eq!(
-        report.render(ReportFormat::Table),
-        render_fault_table(&report)
-    );
-}
 
 #[test]
 fn json_lines_trace_matches_the_golden_schema() {

@@ -153,8 +153,17 @@ fn open_loop_latency_is_monotone_in_load() {
     for rate in [1.0, 10.0, 100.0] {
         let mut arr_rng = StdRng::seed_from_u64(99);
         let arrivals = poisson_arrivals(&mut arr_rng, queries.len(), rate);
-        let report =
-            engine.open_loop_obs(&params, &queries, &arrivals, &obs, &mut LoopScratch::new());
+        let report = ServeSpec::open(rate)
+            .run_with_arrivals(
+                &engine,
+                &params,
+                &queries,
+                &arrivals,
+                &obs,
+                &mut LoopScratch::new(),
+            )
+            .expect("sorted arrivals over a non-empty pool")
+            .report;
         assert!(
             report.latency.mean + 1e-9 >= last,
             "latency fell from {last} at rate {rate}"
