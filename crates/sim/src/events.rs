@@ -20,10 +20,13 @@
 //!
 //! A streaming run cycles a fixed pool of `L` query regions (arrival `i`
 //! issues region `i % L`), so the open-loop and degraded serves plan
-//! each region once into an `L × M` table of per-disk page counts held
-//! in the [`LoopScratch`]; every arrival and retry fans out its row.
-//! Planning costs `O(L · M · 2^k)` per run instead of per arrival, and
-//! the floats each arrival adds to the disk queues are unchanged. The
+//! each region once into a sparse table held in the [`LoopScratch`]:
+//! row `q` holds one [`PlanEntry`] per disk region `q` touches (at most
+//! `min(|Q|, M)`), with its page count and its batch service time,
+//! costed once. Planning costs `O(L · M · 2^k)` per run instead of per
+//! arrival; every arrival and retry walks only its row, in
+//! `O(touched disks)`, and adds the same floats to the disk queues as
+//! planning on arrival would. The
 //! `kernel.shape_cache_hits`/`misses` counters therefore count the
 //! table fill's cache probes, one per planned region. The closed loops
 //! and the shared-scan loop plan each query on issue.
@@ -448,6 +451,16 @@ pub(crate) fn retry_jitter01(seed: u64, query: u64, attempt: u32) -> f64 {
     )
 }
 
+/// One disk a planned query region touches: the disk, its page count,
+/// and the batch's service time there, costed once when the run's plan
+/// table is filled. 16 bytes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PlanEntry {
+    pub(crate) disk: u32,
+    pub(crate) pages: u32,
+    pub(crate) service_ms: f64,
+}
+
 /// Reusable per-run buffers for every serving loop: the kernel
 /// [`Scratch`] (accumulators), the cross-query [`PlanCache`] of
 /// compiled corner plans (amortizes plan compilation across repeated
@@ -463,11 +476,14 @@ pub struct LoopScratch {
     pub(crate) scratch: Scratch,
     pub(crate) plans: PlanCache,
     pub(crate) hist: Vec<u64>,
-    /// Plan table of the streaming loops: row `q` (`M` entries) holds
-    /// the per-disk page counts of query region `q`, filled once per
-    /// run by [`ServingEngine::plan_queries`].
-    pub(crate) plan: Vec<u64>,
-    /// Total pages of each planned region (row sums of `plan`).
+    /// Sparse plan table of the streaming loops: row `q` is
+    /// `plan[plan_rows[q]..plan_rows[q + 1]]`, one entry per disk query
+    /// region `q` touches, in disk order, filled once per run by
+    /// [`ServingEngine::plan_queries`].
+    pub(crate) plan: Vec<PlanEntry>,
+    /// Row offsets into `plan` (one more than the rows).
+    pub(crate) plan_rows: Vec<usize>,
+    /// Total pages of each planned region.
     pub(crate) plan_pages: Vec<u64>,
     pub(crate) disk_free_at: Vec<f64>,
     pub(crate) disk_busy_ms: Vec<f64>,
@@ -599,23 +615,49 @@ impl ServingEngine {
     }
 
     /// Plans a streaming run once: arrival `i` issues query region
-    /// `i % queries.len()`, so the loops need only the per-disk counts
-    /// of the first `min(n, queries.len())` regions. Row `q` of
-    /// `ls.plan` receives region `q`'s counts and `ls.plan_pages[q]`
-    /// their total, through the same [`PlanCache`]-backed kernel the
-    /// closed loops call per query — one cache probe per planned
-    /// region. Buffers keep their capacity across runs.
-    pub(crate) fn plan_queries(&self, queries: &[BucketRegion], n: usize, ls: &mut LoopScratch) {
+    /// `i % queries.len()`, so the loops need only the first
+    /// `min(n, queries.len())` regions. Row `q` of `ls.plan` receives
+    /// one entry per disk region `q` touches, with its page count and
+    /// its batch service time under `params`, and `ls.plan_pages[q]`
+    /// the region's total, through the same [`PlanCache`]-backed kernel
+    /// the closed loops call per query — one cache probe per planned
+    /// region. The entry buffer is sized once per run from
+    /// `Σ min(|Q|, M)`; every buffer keeps its capacity across runs.
+    pub(crate) fn plan_queries(
+        &self,
+        params: &DiskParams,
+        queries: &[BucketRegion],
+        n: usize,
+        ls: &mut LoopScratch,
+    ) {
+        let planned = &queries[..queries.len().min(n)];
+        let m = self.loads.len() as u64;
+        let bound: usize = planned
+            .iter()
+            .map(|r| r.num_buckets().min(m) as usize)
+            .sum();
         ls.plan.clear();
+        ls.plan.reserve(bound);
+        ls.plan_rows.clear();
+        ls.plan_rows.push(0);
         ls.plan_pages.clear();
-        for region in &queries[..queries.len().min(n)] {
+        for region in planned {
             let pages = self.counts.counts_into_cached(
                 region,
                 &mut ls.plans,
                 &mut ls.scratch,
                 &mut ls.hist,
             );
-            ls.plan.extend_from_slice(&ls.hist);
+            for (d, &count) in ls.hist.iter().enumerate().filter(|(_, &c)| c > 0) {
+                ls.plan.push(PlanEntry {
+                    disk: d as u32,
+                    // A `GridDirectory` holds every page in memory, so
+                    // no disk's count comes near 2^32.
+                    pages: count as u32,
+                    service_ms: params.batch_ms_counts(count, self.loads[d]),
+                });
+            }
+            ls.plan_rows.push(ls.plan.len());
             ls.plan_pages.push(pages);
         }
     }
@@ -626,17 +668,14 @@ impl ServingEngine {
     }
 
     /// The FCFS fan-out step shared by every loop: issues one query's
-    /// per-disk batches (from the count histogram in `hist`) against the
-    /// disk queues and returns its completion time. `batches` /
-    /// `queued_batches` accumulate only when `record` is set, exactly as
-    /// the metered loops always did.
+    /// per-disk batches, given as `(disk, service ms)` pairs in disk
+    /// order, against the disk queues and returns its completion time.
+    /// `batches` / `queued_batches` accumulate only when `record` is
+    /// set, exactly as the metered loops always did.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn fan_out(
-        &self,
-        params: &DiskParams,
         issue_at: f64,
-        hist: &[u64],
+        batches_ms: impl IntoIterator<Item = (usize, f64)>,
         disk_free_at: &mut [f64],
         disk_busy_ms: &mut [f64],
         record: bool,
@@ -644,12 +683,8 @@ impl ServingEngine {
         queued_batches: &mut u64,
     ) -> f64 {
         let mut completion = issue_at;
-        for (d, &count) in hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
+        for (d, service) in batches_ms {
             let start = issue_at.max(disk_free_at[d]);
-            let service = params.batch_ms_counts(count, self.loads[d]);
             disk_free_at[d] = start + service;
             disk_busy_ms[d] += service;
             completion = completion.max(start + service);
@@ -671,12 +706,13 @@ impl ServingEngine {
     /// [`ServeConfig::sample_every_ms`], and the aggregate report carries
     /// exact p50/p95/p99 over all latencies.
     ///
-    /// Each distinct region is planned once per run
-    /// ([`ServingEngine::plan_queries`]); an arrival reads its row of
-    /// the plan table and fans it out FCFS, the same float sequence as
-    /// planning it on arrival. Reach it through [`crate::ServeSpec::open`],
-    /// which rejects an empty `queries` and arrival times that are not
-    /// finite and non-decreasing before the loop starts.
+    /// Each distinct region is planned and costed once per run
+    /// ([`ServingEngine::plan_queries`]); an arrival walks its sparse
+    /// row of the plan table and fans it out FCFS, the same float
+    /// sequence as planning it on arrival. Reach it through
+    /// [`crate::ServeSpec::open`], which rejects an empty `queries` and
+    /// arrival times that are not finite and non-decreasing before the
+    /// loop starts.
     pub(crate) fn serve_core(
         &self,
         params: &DiskParams,
@@ -691,7 +727,7 @@ impl ServingEngine {
         let meters = record.then(|| LoopMeters::new(obs, "serve", m));
         let n = arrivals_ms.len();
         ls.begin(m, n);
-        self.plan_queries(queries, n, ls);
+        self.plan_queries(params, queries, n, ls);
         let rows = ls.plan_pages.len();
         ls.ring.reset(cfg.window);
         ls.sorted.clear();
@@ -748,10 +784,10 @@ impl ServingEngine {
                 let q = next_arrival % rows;
                 next_arrival += 1;
                 pages += ls.plan_pages[q];
-                let completion = self.fan_out(
-                    params,
+                let row = &ls.plan[ls.plan_rows[q]..ls.plan_rows[q + 1]];
+                let completion = Self::fan_out(
                     issue_at,
-                    &ls.plan[q * m..(q + 1) * m],
+                    row.iter().map(|e| (e.disk as usize, e.service_ms)),
                     &mut ls.disk_free_at,
                     &mut ls.disk_busy_ms,
                     record,
@@ -857,7 +893,7 @@ impl ServingEngine {
         let meters = record.then(|| LoopMeters::new(obs, "serve", m));
         let n = arrivals_ms.len();
         ls.begin(m, n);
-        self.plan_queries(queries, n, ls);
+        self.plan_queries(params, queries, n, ls);
         ls.begin_degraded(m, schedule);
         ls.ring.reset(cfg.serve.window);
         ls.sorted.clear();
@@ -1059,15 +1095,13 @@ impl ServingEngine {
     ) {
         let m = self.loads.len();
         let q = query as usize % ls.plan_pages.len();
-        let row = &ls.plan[q * m..(q + 1) * m];
+        let row = &ls.plan[ls.plan_rows[q]..ls.plan_rows[q + 1]];
         // Pass 1: pick a serving copy for every touched disk, without
         // touching queue state. Any batch with no live copy makes the
         // whole request unserviceable right now.
         let mut serviceable = true;
-        for (d, &count) in row.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
+        for e in row {
+            let d = e.disk as usize;
             match select_copy(d, query, replicas, policy, &ls.disk_state, &ls.disk_free_at) {
                 Some(s) => ls.targets[d] = s,
                 None => {
@@ -1097,13 +1131,13 @@ impl ServingEngine {
             }
             return;
         }
-        // Pass 2: fan out to the chosen copies, FCFS per disk.
+        // Pass 2: fan out to the chosen copies, FCFS per disk. Each batch
+        // is costed on the copy that serves it, not on the primary the
+        // plan table costed it for.
         c.pages += ls.plan_pages[q];
         let mut completion = now;
-        for (d, &count) in row.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
+        for e in row {
+            let d = e.disk as usize;
             let s = ls.targets[d] as usize;
             let hops = (s + m - d) % m;
             let base = if policy == ReplicaPolicy::FailoverOnly && hops > 0 {
@@ -1115,8 +1149,8 @@ impl ServingEngine {
                 now
             };
             let start = base.max(ls.disk_free_at[s]);
-            let service =
-                params.batch_ms_counts(count, self.loads[s]) * ls.disk_state[s].latency_factor();
+            let service = params.batch_ms_counts(u64::from(e.pages), self.loads[s])
+                * ls.disk_state[s].latency_factor();
             ls.disk_free_at[s] = start + service;
             ls.disk_busy_ms[s] += service;
             completion = completion.max(start + service);
@@ -1555,7 +1589,7 @@ pub fn sharded_arrivals(
     obs: &Obs,
 ) -> Vec<f64> {
     let chunks = n.div_ceil(ARRIVAL_CHUNK);
-    let parts: Vec<Vec<f64>> = crate::exec::run_indexed(threads, chunks, obs, |c| {
+    let mut parts: Vec<Vec<f64>> = crate::exec::run_indexed(threads, chunks, obs, |c| {
         let mut rng = StdRng::seed_from_u64(crate::exec::derive_point_seed(seed, c as u64));
         let len = ARRIVAL_CHUNK.min(n - c * ARRIVAL_CHUNK);
         let mut t = 0.0;
@@ -1566,6 +1600,11 @@ pub fn sharded_arrivals(
             })
             .collect()
     });
+    if chunks == 1 {
+        // A lone chunk's offset is 0.0 and `0.0 + t == t`: it is the
+        // output as it stands, with no second copy.
+        return parts.pop().expect("one chunk");
+    }
     let mut out = Vec::with_capacity(n);
     let mut offset = 0.0;
     for part in parts {

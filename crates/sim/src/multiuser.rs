@@ -248,10 +248,13 @@ impl MultiUserEngine {
             let issue_at = ls.events.pop().expect("clients > 0").time;
             self.core
                 .counts_into(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
-            let completion = self.core.fan_out(
-                params,
+            let completion = ServingEngine::fan_out(
                 issue_at,
-                &ls.hist,
+                ls.hist
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &count)| count > 0)
+                    .map(|(d, &count)| (d, params.batch_ms_counts(count, self.core.load_of(d)))),
                 &mut ls.disk_free_at,
                 &mut ls.disk_busy_ms,
                 record,

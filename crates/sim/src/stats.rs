@@ -63,7 +63,7 @@ impl Summary {
 }
 
 /// Exact latency tail quantiles, extracted by nearest-rank from the full
-/// sorted sample (no sketches, no interpolation): deterministic for a
+/// sample (no sketches, no interpolation): deterministic for a
 /// deterministic sample, so 1-thread and N-thread runs agree bit for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Quantiles {
@@ -76,37 +76,52 @@ pub struct Quantiles {
 }
 
 impl Quantiles {
-    /// Nearest-rank quantile of an ascending-sorted sample: the smallest
-    /// observation whose rank `r` satisfies `r / n >= q`. Zero when empty.
-    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.max(1) - 1]
+    /// Zero-based index of the nearest-rank `q` quantile in an ascending
+    /// sample of `n > 0` observations: the smallest rank `r` with
+    /// `r / n >= q`, minus one.
+    fn rank_index(n: usize, q: f64) -> usize {
+        ((q * n as f64).ceil() as usize).max(1) - 1
     }
 
     /// Extracts p50/p95/p99 from an ascending-sorted sample. An empty
     /// sample yields all-zero quantiles.
     pub fn of_sorted(sorted: &[f64]) -> Self {
+        if sorted.is_empty() {
+            return Self::default();
+        }
+        let at = |q| sorted[Self::rank_index(sorted.len(), q)];
         Quantiles {
-            p50: Self::nearest_rank(sorted, 0.50),
-            p95: Self::nearest_rank(sorted, 0.95),
-            p99: Self::nearest_rank(sorted, 0.99),
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
         }
     }
 
-    /// Sorts `values` in place (total order, so NaNs cannot poison the
-    /// ranks) and extracts the quantiles. Allocation-free.
+    /// The quantiles [`Quantiles::of_sorted`] reads from a sorted copy
+    /// of `values`, found by selection in `O(n)` instead of a sort: p99
+    /// over the whole slice, then p95 within the prefix that selection
+    /// leaves ending at p99, then p50 within the prefix ending at p95.
+    /// Ranks follow the total order (so NaNs cannot poison them), which
+    /// makes each selected element the sorted copy's, bit for bit.
+    /// Reorders `values` in place; allocation-free. An empty sample
+    /// yields all-zero quantiles.
     pub fn of_unsorted(values: &mut [f64]) -> Self {
-        values.sort_unstable_by(f64::total_cmp);
-        Self::of_sorted(values)
+        if values.is_empty() {
+            return Self::default();
+        }
+        let [i50, i95, i99] = [0.50, 0.95, 0.99].map(|q| Self::rank_index(values.len(), q));
+        let select = |v: &mut [f64], i| *v.select_nth_unstable_by(i, f64::total_cmp).1;
+        let p99 = select(values, i99);
+        let p95 = select(&mut values[..=i99], i95);
+        let p50 = select(&mut values[..=i95], i50);
+        Quantiles { p50, p95, p99 }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_sample() {
@@ -191,6 +206,38 @@ mod tests {
             Quantiles::of_unsorted(&mut shuffled),
             Quantiles::of_sorted(&sorted)
         );
+    }
+
+    /// Tie-heavy samples over signed zeros, infinities and NaNs of both
+    /// signs, next to a few ordinary values.
+    fn awkward_sample() -> impl Strategy<Value = Vec<f64>> {
+        let value = prop_oneof![
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            (0u32..4).prop_map(f64::from),
+            -1e3f64..1e3,
+        ];
+        prop::collection::vec(value, 0..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn selection_matches_a_full_sort(values in awkward_sample()) {
+            let mut sorted = values.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let want = Quantiles::of_sorted(&sorted);
+            let mut scratch = values.clone();
+            let got = Quantiles::of_unsorted(&mut scratch);
+            for (g, w) in [(got.p50, want.p50), (got.p95, want.p95), (got.p99, want.p99)] {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}", values);
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Oracle test of the open-loop serving path: `ServeSpec::open(..)
+//! Oracle test of the open-loop serving paths: `ServeSpec::open(..)
 //! .run_with_arrivals` must equal, bit for bit, a reference simulator
-//! written only for clarity. The reference walks the arrivals in order,
+//! written only for clarity, both plain and through the fault router
+//! under a healthy schedule. The reference walks the arrivals in order,
 //! plans each one from scratch with the uncached
 //! `PlanCounts::counts_into`, and fans it out FCFS over per-disk queues
 //! — no event heap, no plan table, no cross-query plan cache. Cases
 //! cover small random grids and allocations, query pools shorter and
 //! longer than the arrival stream, pools with more distinct shapes than
-//! the `PlanCache` holds, tied arrival times, and sampling on and off.
+//! the `PlanCache` holds, pools of 1-bucket regions (one-entry plan
+//! rows), pools led by the whole grid (an entry for every disk), tied
+//! arrival times, and sampling on and off.
 
 use decluster::grid::{BucketRegion, DiskId, GridDirectory, GridSpace};
 use decluster::methods::{splitmix64, PlanCache, PlanCounts, Scratch};
 use decluster::obs::{MetricsRecorder, Obs};
 use decluster::sim::workload::random_region;
-use decluster::sim::{DiskParams, LoopScratch, MultiUserEngine, ServeRun, ServeSpec};
+use decluster::sim::{
+    DiskParams, FaultSchedule, LoopScratch, MultiUserEngine, ServeRun, ServeSpec,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,6 +155,20 @@ fn assert_matches(run: &ServeRun, want: &Reference, tag: &str) {
     assert_eq!(run.events, want.events, "{tag}: events");
 }
 
+/// How a case draws its query pool.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Pool {
+    /// Random extents per region.
+    Random,
+    /// All-distinct shapes, more of them than the plan cache holds.
+    Thrash,
+    /// 1-bucket regions: every plan row has one entry.
+    Points,
+    /// The whole grid, then random regions: the first row has an entry
+    /// for every disk.
+    WholeGrid,
+}
+
 #[derive(Clone, Debug)]
 struct Case {
     /// Grid side per dimension (2-D or 3-D).
@@ -157,9 +176,7 @@ struct Case {
     disks: u32,
     /// Seed of the random bucket-to-disk allocation.
     alloc_seed: u64,
-    /// Pool regions cycle through this many distinct shapes (more than
-    /// the plan cache's capacity) instead of drawing random extents.
-    thrash: bool,
+    kind: Pool,
     pool: usize,
     place_seed: u64,
     /// Inter-arrival gaps, ms (zeros make tied arrivals).
@@ -172,15 +189,26 @@ fn case() -> impl Strategy<Value = Case> {
         // Small 2-D and 3-D grids with random extents.
         (
             prop::collection::vec(2u32..=9, 2..4),
-            Just(false),
+            Just(Pool::Random),
             1usize..=40
         ),
         // Grids with at least 49 shapes and a pool of more distinct
         // shapes than the plan cache holds.
         (
             prop::collection::vec(7u32..=10, 2..3),
-            Just(true),
+            Just(Pool::Thrash),
             (PlanCache::DEFAULT_CAPACITY + 1)..=48
+        ),
+        (
+            prop::collection::vec(2u32..=9, 2..4),
+            Just(Pool::Points),
+            1usize..=40
+        ),
+        // At least 9 buckets, so every one of up to 9 disks holds one.
+        (
+            prop::collection::vec(3u32..=9, 2..4),
+            Just(Pool::WholeGrid),
+            1usize..=40
         ),
     ];
     (
@@ -192,11 +220,11 @@ fn case() -> impl Strategy<Value = Case> {
         prop_oneof![Just(None), (2.0f64..40.0).prop_map(Some)],
     )
         .prop_map(
-            |((sides, thrash, pool), disks, alloc_seed, place_seed, gaps, sampling)| Case {
+            |((sides, kind, pool), disks, alloc_seed, place_seed, gaps, sampling)| Case {
                 sides,
                 disks,
                 alloc_seed,
-                thrash,
+                kind,
                 pool,
                 place_seed,
                 gaps,
@@ -205,26 +233,42 @@ fn case() -> impl Strategy<Value = Case> {
         )
 }
 
-/// The case's grid, its randomly allocated directory, and the pool.
+/// The case's grid, its randomly allocated directory, and the pool. The
+/// first `M` buckets in row-major order go to distinct disks (rotated
+/// by the seed), so a grid of at least `M` buckets leaves no disk empty.
 fn build(case: &Case) -> (GridDirectory, Vec<BucketRegion>) {
     let space = GridSpace::new(case.sides.clone()).expect("sides are positive");
+    let disks = u64::from(case.disks);
     let dir = GridDirectory::build(space.clone(), case.disks, |b| {
-        let key = b
-            .as_slice()
+        let coords = b.as_slice();
+        let linear = coords
             .iter()
-            .fold(case.alloc_seed, |h, &x| splitmix64(h ^ u64::from(x)));
-        DiskId((key % u64::from(case.disks)) as u32)
+            .zip(&case.sides)
+            .fold(0u64, |acc, (&x, &s)| acc * u64::from(s) + u64::from(x));
+        let key = if linear < disks {
+            linear + case.alloc_seed % disks
+        } else {
+            coords
+                .iter()
+                .fold(case.alloc_seed, |h, &x| splitmix64(h ^ u64::from(x)))
+        };
+        DiskId((key % disks) as u32)
     });
     let mut rng = StdRng::seed_from_u64(case.place_seed);
     let pool = (0..case.pool)
         .map(|i| {
-            let extents: Vec<u32> = if case.thrash {
+            let extents: Vec<u32> = match case.kind {
                 // Region i has shape (1 + i % s0, 1 + i / s0): all
                 // distinct, since the pool is shorter than s0 * s1.
-                let s0 = case.sides[0] as usize;
-                vec![1 + (i % s0) as u32, 1 + (i / s0) as u32]
-            } else {
-                case.sides.iter().map(|&s| rng.gen_range(1..=s)).collect()
+                Pool::Thrash => {
+                    let s0 = case.sides[0] as usize;
+                    vec![1 + (i % s0) as u32, 1 + (i / s0) as u32]
+                }
+                Pool::Points => vec![1; case.sides.len()],
+                Pool::WholeGrid if i == 0 => case.sides.clone(),
+                Pool::Random | Pool::WholeGrid => {
+                    case.sides.iter().map(|&s| rng.gen_range(1..=s)).collect()
+                }
             };
             random_region(&mut rng, &space, &extents).expect("extents fit the grid")
         })
@@ -259,6 +303,7 @@ fn plan_cache_thrash_matches_reference() {
     for spec in [
         ServeSpec::open(100.0),
         ServeSpec::open(100.0).sampling(32.0),
+        ServeSpec::open(100.0).faults(FaultSchedule::healthy(m)),
     ] {
         let (run, cache) = serve(&spec, &engine, &pool, &arrivals);
         assert_matches(&run, &want, "thrash");
@@ -283,15 +328,23 @@ proptest! {
                 t
             })
             .collect();
+        if case.kind == Pool::WholeGrid {
+            prop_assert!(dir.load_vector().iter().all(|&pages| pages > 0));
+        }
         let want = reference_serve(&dir, &DiskParams::default(), &pool, &arrivals);
         let mut spec = ServeSpec::open(100.0);
         if let Some(every_ms) = case.sampling {
             spec = spec.sampling(every_ms);
         }
-        let (run, (hits, misses)) = serve(&spec, &engine, &pool, &arrivals);
-        assert_matches(&run, &want, &format!("{case:?}"));
-        // The plan table probes the shape cache once per region the run
-        // issues.
-        prop_assert_eq!(hits + misses, pool.len().min(arrivals.len()) as u64);
+        // The fault router under a healthy schedule, with the default
+        // replica policy and no admission cap, serves the same schedule.
+        let faulted = spec.clone().faults(FaultSchedule::healthy(case.disks));
+        for (spec, path) in [(spec, "plain"), (faulted, "faults")] {
+            let (run, (hits, misses)) = serve(&spec, &engine, &pool, &arrivals);
+            assert_matches(&run, &want, &format!("{path} {case:?}"));
+            // The plan table probes the shape cache once per region the
+            // run issues.
+            prop_assert_eq!(hits + misses, pool.len().min(arrivals.len()) as u64);
+        }
     }
 }
