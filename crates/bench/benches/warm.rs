@@ -147,12 +147,11 @@ fn bench_shape_cache(c: &mut Criterion) {
         })
     });
     group.bench_function("cached_plan_lru", |b| {
-        let mut scratch = Scratch::new();
         let mut plans = PlanCache::new();
         b.iter(|| {
             let mut acc = 0u64;
             for r in &regions {
-                kernel.access_histogram_cached(r, &mut plans, &mut scratch, &mut hist);
+                kernel.access_histogram_cached(r, &mut plans, &mut hist);
                 acc += hist[0];
             }
             black_box(acc)

@@ -75,7 +75,7 @@ pub use hcam::Hcam;
 pub use optimize::{optimize_allocation, LocalSearchConfig, OptimizedAllocation};
 pub use persist::KernelCache;
 pub use plan::{PlanCounts, ShareAttribution, SharedScan};
-pub use prefix::{kernel_build_count, CornerPlan, DiskCounts, PlanCache, Scratch};
+pub use prefix::{kernel_build_count, CornerPlan, DiskCounts, PlanCache, ScoreBatch, Scratch};
 pub use registry::{MethodKind, MethodRegistry};
 pub use replication::ChainedDecluster;
 pub use sfc::{CurveAlloc, CurveKind};

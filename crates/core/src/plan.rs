@@ -124,11 +124,10 @@ impl PlanCounts {
         &self,
         region: &BucketRegion,
         plans: &mut PlanCache,
-        scratch: &mut Scratch,
         out: &mut Vec<u64>,
     ) -> u64 {
         match &self.kernel {
-            Some(k) => k.access_histogram_cached(region, plans, scratch, out),
+            Some(k) => k.access_histogram_cached(region, plans, out),
             None => self.fallback.access_histogram_into(region, out),
         }
         out.iter().sum()

@@ -52,8 +52,12 @@ pub fn kernel_build_count() -> u64 {
 ///   each placement then costs one base-row computation plus an offset
 ///   add per corner, instead of re-deriving every corner from scratch.
 /// * **Scratch buffers** ([`Scratch`]). The `*_with` entry points thread
-///   a caller-owned accumulator (and the plan cache) through the scoring
-///   loop, so repeated-query scoring allocates nothing per query.
+///   the plan cache (and the naive walk's accumulator) through the
+///   scoring loop, so repeated-query scoring allocates nothing per query.
+///
+/// Every planned entry point — plain, live-masked, histogram and the
+/// batch path of [`ScoreBatch`] — sums corner rows through one
+/// fixed-width lane routine (16-lane chunks plus one remainder chunk).
 #[derive(Clone, Debug)]
 pub struct DiskCounts {
     /// Disks (`M`).
@@ -90,7 +94,7 @@ impl CountLane {
 
 /// A count-lane integer: the private trait behind [`CountLane`]'s two
 /// monomorphizations.
-trait Lane: Copy + Default + std::ops::AddAssign<Self> {
+trait Lane: Copy + Default + Ord + std::ops::AddAssign<Self> {
     const ONE: Self;
     fn widen(self) -> i64;
     fn wrapping_add_lane(self, rhs: Self) -> Self;
@@ -175,35 +179,47 @@ fn accumulate_rows<T: Lane>(table: &[T], lanes: usize, corners: &[(i64, usize)],
     }
 }
 
-/// The planned analogue of [`accumulate_rows`]: corner rows come from
-/// the plan's precompiled offsets relative to `base` (the region's `lo`
-/// row); corners whose low-face falls off the grid edge (`edge` mask)
-/// contribute zero and are skipped.
+/// Disk lanes the planned kernel sums per step: a paper-sized `M = 16`
+/// is exactly one chunk, 32 bytes of `u16` counts.
+const LANE_CHUNK: usize = 16;
+
+/// One placement of a query shape on a kernel's grid: the row of its
+/// `lo` corner and the bit-mask of dimensions sitting on the grid edge
+/// (`lo == 0`), whose low-face corners vanish. With the shape's
+/// [`CornerPlan`] it is all the planned kernel reads of a region.
+#[derive(Clone, Copy, Debug, Default)]
+struct PlacementKey {
+    base: usize,
+    edge: u32,
+}
+
+/// The per-disk counts of placement `key` on lanes `start..start +
+/// width` (`width ≤ LANE_CHUNK`), summed over the plan's corner rows;
+/// lanes past `width` stay zero. Corners whose low face falls off the
+/// grid edge contribute zero and are skipped.
 ///
 /// Accumulation runs in *native lane width* with wrapping arithmetic:
 /// every final per-disk count is a bucket count `≤` the grid total,
 /// which fits the lane type by construction, and modular add/sub is
 /// exact whenever the true result fits — intermediate partial sums may
-/// "wrap negative" freely. This removes the per-lane widening to `i64`
-/// and the sign multiply of the v1 path, and leaves an inner loop of
-/// plain `u16`/`u32` adds the compiler can vectorize (`M` lanes per
-/// corner in one or two SIMD registers on a paper-sized `M`).
-fn accumulate_planned<T: Lane>(
+/// "wrap negative" freely. That leaves plain `u16`/`u32` adds on a
+/// fixed-size array, which the compiler vectorizes.
+#[inline(always)]
+fn chunk_counts<T: Lane>(
     table: &[T],
     lanes: usize,
     plan: &CornerPlan,
-    base: usize,
-    edge: u32,
-    acc: &mut Vec<T>,
-) {
-    acc.clear();
-    acc.resize(lanes, T::default());
+    key: PlacementKey,
+    start: usize,
+    width: usize,
+) -> [T; LANE_CHUNK] {
+    let mut acc = [T::default(); LANE_CHUNK];
     for c in &plan.corners {
-        if c.lo_mask & edge != 0 {
+        if c.lo_mask & key.edge != 0 {
             continue;
         }
-        let row = (base as i64 + c.offset) as usize * lanes;
-        let src = &table[row..row + lanes];
+        let row = (key.base as i64 + c.offset) as usize * lanes + start;
+        let src = &table[row..row + width];
         if c.sign > 0 {
             for (a, &v) in acc.iter_mut().zip(src) {
                 *a = a.wrapping_add_lane(v);
@@ -214,29 +230,89 @@ fn accumulate_planned<T: Lane>(
             }
         }
     }
+    acc
 }
 
-/// [`accumulate_planned`] followed by the RT reduction: the max over
-/// lanes, optionally restricted to `live` disks.
-fn planned_max<T: Lane>(
+/// The one planned lane routine behind plain, live-masked, histogram and
+/// batch scoring: hands `emit(start, width, counts)` the per-disk counts
+/// of placement `key` in full 16-lane chunks, then one zero-padded
+/// remainder chunk. A full chunk's width is a constant after inlining,
+/// so each corner row costs one or two SIMD adds with no call and no
+/// lane loop left.
+#[inline(always)]
+fn planned_chunks<T: Lane>(
     table: &[T],
     lanes: usize,
     plan: &CornerPlan,
-    base: usize,
-    edge: u32,
-    acc: &mut Vec<T>,
+    key: PlacementKey,
+    mut emit: impl FnMut(usize, usize, &[T; LANE_CHUNK]),
+) {
+    let full = lanes - lanes % LANE_CHUNK;
+    let mut start = 0;
+    while start < full {
+        let counts = chunk_counts(table, lanes, plan, key, start, LANE_CHUNK);
+        emit(start, LANE_CHUNK, &counts);
+        start += LANE_CHUNK;
+    }
+    if full < lanes {
+        let counts = chunk_counts(table, lanes, plan, key, full, lanes - full);
+        emit(full, lanes - full, &counts);
+    }
+}
+
+/// The RT reduction over [`planned_chunks`]: the max count over lanes,
+/// after zeroing the lanes of disks that `live` marks dead. Counts are
+/// never negative, so zeroed and padding lanes cannot raise the max.
+#[inline(always)]
+fn lane_max<T: Lane>(
+    table: &[T],
+    lanes: usize,
+    plan: &CornerPlan,
+    key: PlacementKey,
     live: Option<&[bool]>,
 ) -> u64 {
-    accumulate_planned(table, lanes, plan, base, edge, acc);
-    let counts = acc.iter().map(|v| v.widen() as u64);
-    match live {
-        None => counts.max().unwrap_or(0),
-        Some(mask) => counts
-            .zip(mask)
-            .filter(|(_, &l)| l)
-            .map(|(c, _)| c)
-            .max()
-            .unwrap_or(0),
+    let mut max = T::default();
+    planned_chunks(table, lanes, plan, key, |start, width, counts| {
+        let chunk = match live {
+            None => counts.iter().copied().fold(T::default(), Ord::max),
+            Some(live) => counts
+                .iter()
+                .zip(&live[start..start + width])
+                .map(|(&c, &l)| if l { c } else { T::default() })
+                .fold(T::default(), Ord::max),
+        };
+        max = max.max(chunk);
+    });
+    max.widen() as u64
+}
+
+/// The histogram over [`planned_chunks`]: every lane's count, widened,
+/// into `out` (cleared first).
+#[inline(always)]
+fn lane_histogram<T: Lane>(
+    table: &[T],
+    lanes: usize,
+    plan: &CornerPlan,
+    key: PlacementKey,
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    planned_chunks(table, lanes, plan, key, |_, width, counts| {
+        out.extend(counts[..width].iter().map(|v| v.widen() as u64));
+    });
+}
+
+/// Scores one run of equal-shape placements with the run's plan: the
+/// batch loop, with [`lane_max`] inlined per placement.
+fn run_response_times<T: Lane>(
+    table: &[T],
+    lanes: usize,
+    plan: &CornerPlan,
+    keys: &[PlacementKey],
+    out: &mut [u64],
+) {
+    for (rt, &key) in out.iter_mut().zip(keys) {
+        *rt = lane_max(table, lanes, plan, key, None);
     }
 }
 
@@ -291,34 +367,116 @@ impl CornerPlan {
     }
 }
 
-/// Reusable scoring state for the `*_with` kernel entry points: the
-/// per-disk accumulator (replacing a per-query allocation) plus a cached
-/// [`CornerPlan`] with hit/compile counts.
+/// Reusable scoring state for the `*_with` kernel entry points: a cached
+/// [`CornerPlan`] with hit/compile counts, the naive walk's per-disk
+/// accumulator, and the placement keys of the current [`ScoreBatch`].
 ///
 /// Keep one per worker thread and thread it through the scoring loop;
 /// a `Scratch` may be re-used freely across queries, methods, and even
-/// grids — every entry point revalidates the cached plan against the
-/// kernel it is called on and recompiles on mismatch.
+/// grids — every entry point revalidates the cached plan (and batch
+/// keys) against the kernel it is called on and recomputes on mismatch.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     /// Wide accumulator for the naive per-bucket walk
     /// ([`AllocationMap::response_time_with`]).
     acc: Vec<i64>,
-    /// Native-width accumulators for the planned kernel path — one per
-    /// lane width, so inclusion–exclusion runs without widening (see
-    /// [`accumulate_planned`] for why wrapping arithmetic is exact).
-    acc16: Vec<u16>,
-    acc32: Vec<u32>,
     /// The most recently compiled plan, reused while shapes repeat.
     plan: Option<CornerPlan>,
     plan_hits: u64,
     plan_compiles: u64,
+    /// Placement keys of the batch being scored.
+    keys: BatchKeys,
+}
+
+/// The placement keys of one [`ScoreBatch`], computed by the first
+/// kernel that scores it and read by every later kernel over the same
+/// grid layout.
+#[derive(Clone, Debug, Default)]
+struct BatchKeys {
+    /// Row strides the keys were computed against; `None` until a
+    /// kernel of the current batch computes them.
+    strides: Option<SmallVec<[usize; 8]>>,
+    /// One key per region of the batch, in order.
+    placements: Vec<PlacementKey>,
+    /// Exclusive end of each maximal run of consecutive equal-shape
+    /// regions: each run resolves its corner plan once.
+    run_ends: Vec<usize>,
+}
+
+impl BatchKeys {
+    /// Makes the keys those of `regions` on `kernel`'s grid, recomputing
+    /// unless they already are.
+    fn ensure(&mut self, kernel: &DiskCounts, regions: &[BucketRegion]) {
+        if self.strides.as_deref() == Some(kernel.strides.as_slice()) {
+            return;
+        }
+        self.placements.clear();
+        self.placements
+            .extend(regions.iter().map(|r| kernel.placement_key(r)));
+        self.run_ends.clear();
+        for (i, pair) in regions.windows(2).enumerate() {
+            let (a, b) = (&pair[0], &pair[1]);
+            if a.dims() != b.dims() || (0..a.dims()).any(|d| a.extent(d) != b.extent(d)) {
+                self.run_ends.push(i + 1);
+            }
+        }
+        if !regions.is_empty() {
+            self.run_ends.push(regions.len());
+        }
+        self.strides = Some(SmallVec::from_slice(&kernel.strides));
+    }
+}
+
+/// One batch of regions scored through a [`Scratch`] on any number of
+/// kernels over one grid: the sweep engine's hot path.
+///
+/// The first kernel computes each region's placement key (its base row
+/// and edge mask) into the scratch; every later kernel of the batch
+/// reads the same keys, revalidated against its strides the way plans
+/// are. The plan is resolved once per run of equal shapes, and the plan
+/// counters move exactly as a per-query
+/// [`DiskCounts::response_time_with`] loop over the same kernels would
+/// move them. Borrowing the scratch and the regions for the batch's
+/// lifetime is what ties the cached keys to these regions.
+#[derive(Debug)]
+pub struct ScoreBatch<'a> {
+    scratch: &'a mut Scratch,
+    regions: &'a [BucketRegion],
+}
+
+impl ScoreBatch<'_> {
+    /// Writes the response time of every region of the batch on
+    /// `kernel` into `out`, in region order. Each equals
+    /// [`DiskCounts::response_time_with`] (property-tested).
+    ///
+    /// # Panics
+    /// Panics if `out` and the batch differ in length, or if a region's
+    /// arity does not match the grid.
+    pub fn response_times(&mut self, kernel: &DiskCounts, out: &mut [u64]) {
+        assert_eq!(
+            out.len(),
+            self.regions.len(),
+            "one response time per region"
+        );
+        kernel.batch_response_times(self.regions, self.scratch, out);
+    }
 }
 
 impl Scratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Starts scoring `regions` as one [`ScoreBatch`]. Keys cached by an
+    /// earlier batch are dropped; the plan slot and its counters carry
+    /// over, as they do between per-query calls.
+    pub fn batch<'a>(&'a mut self, regions: &'a [BucketRegion]) -> ScoreBatch<'a> {
+        self.keys.strides = None;
+        ScoreBatch {
+            scratch: self,
+            regions,
+        }
     }
 
     /// Drops the cached plan (the next planned call recompiles).
@@ -652,22 +810,19 @@ impl DiskCounts {
         }
     }
 
-    /// The base row of `region`'s `lo` corner plus the bit-mask of
-    /// dimensions sitting on the grid edge (whose low-face corners
-    /// vanish).
+    /// `region`'s [`PlacementKey`] on this kernel's grid.
     #[inline]
-    fn base_and_edge(&self, region: &BucketRegion) -> (usize, u32) {
+    fn placement_key(&self, region: &BucketRegion) -> PlacementKey {
         let lo = region.lo().as_slice();
-        let mut base = 0usize;
-        let mut edge = 0u32;
+        let mut key = PlacementKey::default();
         for (dim, &stride) in self.strides.iter().enumerate() {
             let l = lo[dim] as usize;
-            base += l * stride;
+            key.base += l * stride;
             if l == 0 {
-                edge |= 1 << dim;
+                key.edge |= 1 << dim;
             }
         }
-        (base, edge)
+        key
     }
 
     /// Ensures `scratch` caches a plan valid for `region` on this
@@ -682,9 +837,8 @@ impl DiskCounts {
         }
     }
 
-    /// The planned RT reduction through `scratch`: ensures the plan,
-    /// accumulates `region`'s per-disk counts in native lane width, and
-    /// returns the max over (optionally `live`-masked) lanes.
+    /// The planned RT reduction through `scratch`: ensures the plan and
+    /// returns the max over `region`'s (optionally `live`-masked) lanes.
     fn planned_response_time(
         &self,
         region: &BucketRegion,
@@ -692,15 +846,41 @@ impl DiskCounts {
         live: Option<&[bool]>,
     ) -> u64 {
         self.ensure_plan(region, scratch);
-        let (base, edge) = self.base_and_edge(region);
+        let key = self.placement_key(region);
         let lanes = self.m as usize;
-        let Scratch {
-            acc16, acc32, plan, ..
-        } = scratch;
-        let plan = plan.as_ref().expect("plan just ensured");
+        let plan = scratch.plan.as_ref().expect("plan just ensured");
         match &self.table {
-            CountLane::U16(t) => planned_max(t, lanes, plan, base, edge, acc16, live),
-            CountLane::U32(t) => planned_max(t, lanes, plan, base, edge, acc32, live),
+            CountLane::U16(t) => lane_max(t, lanes, plan, key, live),
+            CountLane::U32(t) => lane_max(t, lanes, plan, key, live),
+        }
+    }
+
+    /// The batch path behind [`ScoreBatch::response_times`]: placement
+    /// keys from (or into) the scratch, one plan resolution per run of
+    /// equal shapes, then the lane routine per placement.
+    fn batch_response_times(
+        &self,
+        regions: &[BucketRegion],
+        scratch: &mut Scratch,
+        out: &mut [u64],
+    ) {
+        scratch.keys.ensure(self, regions);
+        let lanes = self.m as usize;
+        let mut start = 0;
+        for run in 0..scratch.keys.run_ends.len() {
+            let end = scratch.keys.run_ends[run];
+            // The run's first region hits or compiles exactly as the
+            // per-query path would; the rest share its shape, so hit.
+            self.ensure_plan(&regions[start], scratch);
+            scratch.plan_hits += (end - start - 1) as u64;
+            let plan = scratch.plan.as_ref().expect("plan just ensured");
+            let keys = &scratch.keys.placements[start..end];
+            let out = &mut out[start..end];
+            match &self.table {
+                CountLane::U16(t) => run_response_times(t, lanes, plan, keys, out),
+                CountLane::U32(t) => run_response_times(t, lanes, plan, keys, out),
+            }
+            start = end;
         }
     }
 
@@ -771,8 +951,8 @@ impl DiskCounts {
     }
 
     /// As [`DiskCounts::access_histogram`], but through the scratch's
-    /// plan cache and accumulator into a caller-owned buffer — nothing
-    /// allocated per query once the buffers have grown.
+    /// plan cache into a caller-owned buffer — nothing allocated per
+    /// query once the buffer has grown.
     pub fn access_histogram_with(
         &self,
         region: &BucketRegion,
@@ -780,50 +960,31 @@ impl DiskCounts {
         out: &mut Vec<u64>,
     ) {
         self.ensure_plan(region, scratch);
-        let (base, edge) = self.base_and_edge(region);
-        let lanes = self.m as usize;
-        let Scratch {
-            acc16, acc32, plan, ..
-        } = scratch;
-        let plan = plan.as_ref().expect("plan just ensured");
-        out.clear();
-        match &self.table {
-            CountLane::U16(t) => {
-                accumulate_planned(t, lanes, plan, base, edge, acc16);
-                out.extend(acc16.iter().map(|v| v.widen() as u64));
-            }
-            CountLane::U32(t) => {
-                accumulate_planned(t, lanes, plan, base, edge, acc32);
-                out.extend(acc32.iter().map(|v| v.widen() as u64));
-            }
-        }
+        let plan = scratch.plan.as_ref().expect("plan just ensured");
+        self.planned_histogram(region, plan, out);
     }
 
     /// As [`DiskCounts::access_histogram_with`], but resolving the plan
-    /// through a cross-query [`PlanCache`] instead of the scratch's
-    /// single slot — the serving-loop hot path, where arrivals
-    /// interleave different shapes. The scratch still provides the
-    /// native-width accumulators; its own plan slot is untouched.
+    /// through a cross-query [`PlanCache`] instead of a scratch's single
+    /// slot — the serving-loop hot path, where arrivals interleave
+    /// different shapes.
     pub fn access_histogram_cached(
         &self,
         region: &BucketRegion,
         plans: &mut PlanCache,
-        scratch: &mut Scratch,
         out: &mut Vec<u64>,
     ) {
-        let (base, edge) = self.base_and_edge(region);
-        let lanes = self.m as usize;
         let plan = plans.ensure(self, region);
-        out.clear();
+        self.planned_histogram(region, plan, out);
+    }
+
+    /// `region`'s per-disk counts through `plan` into `out`.
+    fn planned_histogram(&self, region: &BucketRegion, plan: &CornerPlan, out: &mut Vec<u64>) {
+        let key = self.placement_key(region);
+        let lanes = self.m as usize;
         match &self.table {
-            CountLane::U16(t) => {
-                accumulate_planned(t, lanes, plan, base, edge, &mut scratch.acc16);
-                out.extend(scratch.acc16.iter().map(|v| v.widen() as u64));
-            }
-            CountLane::U32(t) => {
-                accumulate_planned(t, lanes, plan, base, edge, &mut scratch.acc32);
-                out.extend(scratch.acc32.iter().map(|v| v.widen() as u64));
-            }
+            CountLane::U16(t) => lane_histogram(t, lanes, plan, key, out),
+            CountLane::U32(t) => lane_histogram(t, lanes, plan, key, out),
         }
     }
 
@@ -933,15 +1094,15 @@ impl DiskCounts {
     ) -> u64 {
         assert!(disk < self.m, "disk {disk} out of range (m = {})", self.m);
         self.ensure_plan(region, scratch);
-        let (base, edge) = self.base_and_edge(region);
+        let key = self.placement_key(region);
         let lanes = self.m as usize;
         let idx = disk as usize;
         let plan = scratch.plan.as_ref().expect("plan just ensured");
         let single = |rows: &dyn Fn(usize) -> i64| -> i64 {
             plan.corners
                 .iter()
-                .filter(|c| c.lo_mask & edge == 0)
-                .map(|c| c.sign * rows((base as i64 + c.offset) as usize * lanes + idx))
+                .filter(|c| c.lo_mask & key.edge == 0)
+                .map(|c| c.sign * rows((key.base as i64 + c.offset) as usize * lanes + idx))
                 .sum()
         };
         let acc = match &self.table {
@@ -1087,6 +1248,36 @@ mod tests {
     }
 
     #[test]
+    fn batch_keys_follow_the_grid_and_the_batch() {
+        // One batch scored on kernels over two grids of equal arity but
+        // different strides: the keys must be recomputed per grid.
+        let g1 = GridSpace::new_2d(8, 8).unwrap();
+        let g2 = GridSpace::new_2d(8, 16).unwrap();
+        let (map1, dc1) = kernel_for(&g1, &RandomAlloc::new(&g1, 4, 7).unwrap());
+        let (map2, dc2) = kernel_for(&g2, &RandomAlloc::new(&g2, 4, 7).unwrap());
+        let regions: Vec<_> = (0..4u32)
+            .map(|i| BucketRegion::new(&g1, [i, 1].into(), [i + 2, i + 3].into()).unwrap())
+            .collect();
+        let naive = |map: &AllocationMap, regions: &[BucketRegion]| -> Vec<u64> {
+            regions.iter().map(|r| map.response_time(r)).collect()
+        };
+        let mut scratch = Scratch::new();
+        let mut out = vec![0; regions.len()];
+        let mut batch = scratch.batch(&regions);
+        for (map, dc) in [(&map1, &dc1), (&map2, &dc2), (&map1, &dc1)] {
+            batch.response_times(dc, &mut out);
+            assert_eq!(out, naive(map, &regions));
+        }
+        // A new batch on the same scratch drops the old batch's keys.
+        let shifted: Vec<_> = regions
+            .iter()
+            .map(|r| r.translate(&g1, &[1, 1]).unwrap())
+            .collect();
+        scratch.batch(&shifted).response_times(&dc1, &mut out);
+        assert_eq!(out, naive(&map1, &shifted));
+    }
+
+    #[test]
     fn plan_cache_amortizes_interleaved_shapes() {
         // Two alternating shapes thrash the one-slot Scratch cache but
         // fit the cross-query cache: one compile each, hits thereafter.
@@ -1094,23 +1285,20 @@ mod tests {
         let dm = DiskModulo::new(&g, 4).unwrap();
         let (map, dc) = kernel_for(&g, &dm);
         let mut plans = PlanCache::new();
-        let mut scratch = Scratch::new();
         let mut out = Vec::new();
         for i in 0..10u32 {
             let (h, w) = if i % 2 == 0 { (2, 2) } else { (3, 5) };
             let r = BucketRegion::new(&g, [i, i].into(), [i + h - 1, i + w - 1].into()).unwrap();
-            dc.access_histogram_cached(&r, &mut plans, &mut scratch, &mut out);
+            dc.access_histogram_cached(&r, &mut plans, &mut out);
             assert_eq!(out, map.access_histogram(&r));
         }
         assert_eq!(plans.len(), 2);
         assert_eq!(plans.drain_stats(), (8, 2), "one compile per live shape");
-        // The scratch's own single slot was never touched.
-        assert_eq!(scratch.drain_plan_stats(), (0, 0));
         // clear() forgets the shapes but keeps counting deterministic.
         plans.clear();
         assert!(plans.is_empty());
         let r = BucketRegion::new(&g, [0, 0].into(), [1, 1].into()).unwrap();
-        dc.access_histogram_cached(&r, &mut plans, &mut scratch, &mut out);
+        dc.access_histogram_cached(&r, &mut plans, &mut out);
         assert_eq!(plans.drain_stats(), (0, 1));
     }
 
@@ -1120,20 +1308,19 @@ mod tests {
         let dm = DiskModulo::new(&g, 4).unwrap();
         let (_, dc) = kernel_for(&g, &dm);
         let mut plans = PlanCache::with_capacity(2);
-        let mut scratch = Scratch::new();
         let mut out = Vec::new();
         let shape = |w: u32| BucketRegion::new(&g, [0, 0].into(), [0, w].into()).unwrap();
         // Fill: shapes A, B. Touch A so B is the LRU victim.
-        dc.access_histogram_cached(&shape(1), &mut plans, &mut scratch, &mut out);
-        dc.access_histogram_cached(&shape(2), &mut plans, &mut scratch, &mut out);
-        dc.access_histogram_cached(&shape(1), &mut plans, &mut scratch, &mut out);
+        dc.access_histogram_cached(&shape(1), &mut plans, &mut out);
+        dc.access_histogram_cached(&shape(2), &mut plans, &mut out);
+        dc.access_histogram_cached(&shape(1), &mut plans, &mut out);
         // C evicts B; A must still be cached.
-        dc.access_histogram_cached(&shape(3), &mut plans, &mut scratch, &mut out);
+        dc.access_histogram_cached(&shape(3), &mut plans, &mut out);
         assert_eq!(plans.len(), 2);
         let _ = plans.drain_stats();
-        dc.access_histogram_cached(&shape(1), &mut plans, &mut scratch, &mut out);
+        dc.access_histogram_cached(&shape(1), &mut plans, &mut out);
         assert_eq!(plans.drain_stats(), (1, 0), "A survived the eviction");
-        dc.access_histogram_cached(&shape(2), &mut plans, &mut scratch, &mut out);
+        dc.access_histogram_cached(&shape(2), &mut plans, &mut out);
         assert_eq!(plans.drain_stats(), (0, 1), "B was evicted");
     }
 
@@ -1149,11 +1336,10 @@ mod tests {
         let r1 = BucketRegion::new(&g1, [1, 1].into(), [3, 3].into()).unwrap();
         let r2 = BucketRegion::new(&g2, [1, 1].into(), [3, 3].into()).unwrap();
         let mut plans = PlanCache::new();
-        let mut scratch = Scratch::new();
         let mut out = Vec::new();
-        dc1.access_histogram_cached(&r1, &mut plans, &mut scratch, &mut out);
+        dc1.access_histogram_cached(&r1, &mut plans, &mut out);
         assert_eq!(out, map1.access_histogram(&r1));
-        dc2.access_histogram_cached(&r2, &mut plans, &mut scratch, &mut out);
+        dc2.access_histogram_cached(&r2, &mut plans, &mut out);
         assert_eq!(out, map2.access_histogram(&r2));
         assert_eq!(plans.drain_stats(), (0, 2), "stride change must compile");
         assert_eq!(plans.len(), 2, "both grids' plans coexist");
@@ -1423,6 +1609,118 @@ mod proptests {
             // random failure mask.
             let mut scratch = Scratch::new();
             prop_assert_eq!(dc.masked_response_time_with(&r, &live, &mut scratch), expect);
+        }
+    }
+
+    /// Disk counts below, at and across the 16-lane chunk.
+    const BATCH_DISKS: [u32; 8] = [1, 2, 5, 15, 16, 17, 33, 64];
+
+    /// A random grid (k in 1..=4, uneven sides), an allocation over one
+    /// of [`BATCH_DISKS`] disks, and a batch of placements drawn in
+    /// random order from three random shapes — so runs of equal shapes
+    /// break, shapes come back after others, and about a third of the
+    /// low coordinates sit on the `lo = 0` face.
+    fn map_and_batch() -> impl Strategy<Value = (AllocationMap, Vec<BucketRegion>)> {
+        (
+            proptest::collection::vec(1u32..=9, 1..5),
+            0..BATCH_DISKS.len(),
+            0u8..3,
+            any::<u64>(),
+        )
+            .prop_flat_map(|(dims, disks, which, seed)| {
+                let g = GridSpace::new(dims.clone()).unwrap();
+                let m = BATCH_DISKS[disks];
+                let method: Box<dyn DeclusteringMethod> = match which {
+                    0 => Box::new(DiskModulo::new(&g, m).unwrap()),
+                    1 => Box::new(FieldwiseXor::new(&g, m).unwrap()),
+                    _ => Box::new(RandomAlloc::new(&g, m, seed).unwrap()),
+                };
+                let map = AllocationMap::from_method(&g, method.as_ref()).unwrap();
+                let k = dims.len();
+                (
+                    proptest::collection::vec(any::<u64>(), 3 * k..3 * k + 1),
+                    proptest::collection::vec((0usize..3, any::<u64>()), 1..40),
+                )
+                    .prop_map(move |(shape_raws, placements)| {
+                        let shapes: Vec<Vec<u32>> = shape_raws
+                            .chunks(k)
+                            .map(|raws| {
+                                raws.iter()
+                                    .zip(&dims)
+                                    .map(|(&raw, &d)| 1 + (raw % u64::from(d)) as u32)
+                                    .collect()
+                            })
+                            .collect();
+                        let regions = placements
+                            .iter()
+                            .map(|&(shape, raw)| {
+                                let mut lo = Vec::with_capacity(k);
+                                let mut hi = Vec::with_capacity(k);
+                                for (d, (&side, &dim)) in
+                                    shapes[shape].iter().zip(&dims).enumerate()
+                                {
+                                    let bits = raw.rotate_left(16 * d as u32);
+                                    let slack = u64::from(dim - side) + 1;
+                                    let l = if bits % 3 == 0 {
+                                        0
+                                    } else {
+                                        ((bits >> 8) % slack) as u32
+                                    };
+                                    lo.push(l);
+                                    hi.push(l + side - 1);
+                                }
+                                BucketRegion::new(&g, lo.into(), hi.into()).unwrap()
+                            })
+                            .collect();
+                        (map.clone(), regions)
+                    })
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Batch contract: on narrow and wide lanes alike, every batch RT
+        /// equals the naive walk and the per-query planned path, and the
+        /// batch moves the plan counters exactly as the per-query loop
+        /// over the same kernels does. The masked and histogram
+        /// reductions of the same lane routine match their references
+        /// on the same placements under a random live mask.
+        #[test]
+        fn batch_kernel_matches_the_references(
+            (map, regions) in map_and_batch(),
+            mask_bits in any::<u64>()
+        ) {
+            let kernels = [DiskCounts::build(&map).unwrap(), DiskCounts::build_wide(&map).unwrap()];
+            let mut batch_scratch = Scratch::new();
+            let mut batch = batch_scratch.batch(&regions);
+            let mut rts = vec![vec![0u64; regions.len()]; kernels.len()];
+            for (kernel, out) in kernels.iter().zip(&mut rts) {
+                batch.response_times(kernel, out);
+            }
+            let mut scratch = Scratch::new();
+            for (kernel, batch_rts) in kernels.iter().zip(&rts) {
+                for (r, &rt) in regions.iter().zip(batch_rts) {
+                    prop_assert_eq!(rt, map.response_time(r));
+                    prop_assert_eq!(kernel.response_time_with(r, &mut scratch), rt);
+                }
+            }
+            prop_assert_eq!(batch_scratch.drain_plan_stats(), scratch.drain_plan_stats());
+
+            let live: Vec<bool> = (0..map.num_disks())
+                .map(|d| mask_bits.rotate_right(d) & 1 == 1)
+                .collect();
+            let mut hist = Vec::new();
+            for kernel in &kernels {
+                for r in &regions {
+                    prop_assert_eq!(
+                        kernel.masked_response_time_with(r, &live, &mut scratch),
+                        kernel.masked_response_time(r, &live)
+                    );
+                    kernel.access_histogram_with(r, &mut scratch, &mut hist);
+                    prop_assert_eq!(&hist, &map.access_histogram(r));
+                }
+            }
         }
     }
 }

@@ -255,8 +255,10 @@ impl EvalContext {
     }
 
     /// [`EvalContext::score`] through a caller-owned [`Scratch`]: the
-    /// kernel-v2 hot path, re-using the scratch's accumulator and
-    /// shape-compiled plan across queries, methods, and batches.
+    /// kernel-v2 hot path. Every method's kernel scores the whole batch
+    /// as one [`decluster_methods::ScoreBatch`], sharing the placement
+    /// keys the first kernel computes and resolving the corner plan once
+    /// per run of equal shapes.
     ///
     /// The plan cache is reset at batch start and its hit/compile counts
     /// are drained into the `kernel.plan_hits` / `kernel.plan_compiles`
@@ -281,9 +283,16 @@ impl EvalContext {
         let mut naive_scanned = 0u64;
         let mut kernel_cells = 0u64;
         let mut max_rt = 0u64;
+        let mut batch = scratch.batch(regions);
+        let mut naive = Scratch::new();
         for idx in 0..self.maps.len() {
-            for (slot, region) in rts.iter_mut().zip(regions) {
-                *slot = self.response_time_with(idx, region, scratch);
+            match &self.kernels[idx] {
+                Some(kernel) => batch.response_times(kernel, &mut rts),
+                None => {
+                    for (slot, region) in rts.iter_mut().zip(regions) {
+                        *slot = self.maps[idx].response_time_with(region, &mut naive);
+                    }
+                }
             }
             if enabled {
                 match &self.kernels[idx] {

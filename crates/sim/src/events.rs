@@ -53,7 +53,7 @@ use crate::stats::Quantiles;
 use crate::workload::InterArrival;
 use crate::{DiskParams, Result, SimError};
 use decluster_grid::{BucketRegion, GridDirectory};
-use decluster_methods::{DiskCounts, PlanCache, PlanCounts, Scratch};
+use decluster_methods::{DiskCounts, PlanCache, PlanCounts};
 use decluster_obs::{Obs, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -241,7 +241,7 @@ impl LatencyRing {
     }
 
     /// The window contents, in no particular order (quantile extraction
-    /// sorts its own copy).
+    /// selects on its own copy).
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.buf
     }
@@ -461,19 +461,17 @@ pub(crate) struct PlanEntry {
     pub(crate) service_ms: f64,
 }
 
-/// Reusable per-run buffers for every serving loop: the kernel
-/// [`Scratch`] (accumulators), the cross-query [`PlanCache`] of
-/// compiled corner plans (amortizes plan compilation across repeated
-/// query shapes within a run), the per-query count histogram, the
-/// streaming loops' per-run plan table, the FCFS queue state, the
-/// latency vector, the event heap, and the sampling window. One
+/// Reusable per-run buffers for every serving loop: the cross-query
+/// [`PlanCache`] of compiled corner plans (amortizes plan compilation
+/// across repeated query shapes within a run), the per-query count
+/// histogram, the streaming loops' per-run plan table, the FCFS queue
+/// state, the latency vector, the event heap, and the sampling window. One
 /// instance per worker thread makes every loop allocation-free per
 /// event once the buffers have grown to the working-set size. The
 /// degraded serve loop adds its own typed event heap, the per-disk
 /// health vector, and the per-query replica targets.
 #[derive(Debug, Default)]
 pub struct LoopScratch {
-    pub(crate) scratch: Scratch,
     pub(crate) plans: PlanCache,
     pub(crate) hist: Vec<u64>,
     /// Sparse plan table of the streaming loops: row `q` is
@@ -608,10 +606,9 @@ impl ServingEngine {
         &self,
         region: &BucketRegion,
         plans: &mut PlanCache,
-        scratch: &mut Scratch,
         out: &mut Vec<u64>,
     ) -> u64 {
-        self.counts.counts_into_cached(region, plans, scratch, out)
+        self.counts.counts_into_cached(region, plans, out)
     }
 
     /// Plans a streaming run once: arrival `i` issues query region
@@ -642,12 +639,9 @@ impl ServingEngine {
         ls.plan_rows.push(0);
         ls.plan_pages.clear();
         for region in planned {
-            let pages = self.counts.counts_into_cached(
-                region,
-                &mut ls.plans,
-                &mut ls.scratch,
-                &mut ls.hist,
-            );
+            let pages = self
+                .counts
+                .counts_into_cached(region, &mut ls.plans, &mut ls.hist);
             for (d, &count) in ls.hist.iter().enumerate().filter(|(_, &c)| c > 0) {
                 ls.plan.push(PlanEntry {
                     disk: d as u32,
@@ -1218,7 +1212,7 @@ impl ServingEngine {
         }
         assert!(
             cfg.batch_window_ms.is_finite() && cfg.batch_window_ms > 0.0,
-            "batch window must be finite and non-negative"
+            "a nonzero batch window must be finite and positive"
         );
         let m = self.loads.len();
         assert_eq!(

@@ -3,7 +3,7 @@ use crate::events::{sharded_arrivals, DegradedServeConfig, LoopScratch, ServeCon
 use crate::exec::{derive_point_seed, run_indexed, run_indexed_with};
 use crate::faults::{FaultReport, FaultSchedule, ReplicaPolicy, RetryPolicy};
 use crate::multiuser::{load_sweep_with_threads, LoadPoint, MultiUserEngine};
-use crate::spec::ServeSpec;
+use crate::spec::{ServeSpec, SpecError};
 use crate::stats::Quantiles;
 use crate::workload::{
     partial_match_with_unspecified, random_region, rect_sides_for_area, InterArrival, ShapeSweep,
@@ -245,6 +245,33 @@ pub struct AvailSweep {
 /// so overlap streams are identical at any thread count.
 fn index_hash01(i: u64) -> f64 {
     decluster_methods::splitmix64_unit(i)
+}
+
+/// The serve drivers' load checks: at least one client, and every
+/// offered rate finite and positive.
+fn check_load(clients: usize, rates_qps: &[f64]) -> Result<()> {
+    if clients == 0 {
+        return Err(SpecError::NoClients.into());
+    }
+    match rates_qps.iter().find(|&&r| !(r.is_finite() && r > 0.0)) {
+        Some(&rate_qps) => Err(SpecError::BadRate { rate_qps }.into()),
+        None => Ok(()),
+    }
+}
+
+/// The shared drivers' checks: every overlap fraction in `[0, 1]` and a
+/// finite, non-negative batch window.
+fn check_sharing(overlaps: &[f64], batch_window_ms: f64) -> Result<()> {
+    if let Some(&overlap) = overlaps.iter().find(|&&o| !(0.0..=1.0).contains(&o)) {
+        return Err(SpecError::BadOverlap { overlap }.into());
+    }
+    if !(batch_window_ms.is_finite() && batch_window_ms >= 0.0) {
+        return Err(SpecError::BadBatchWindow {
+            window_ms: batch_window_ms,
+        }
+        .into());
+    }
+    Ok(())
 }
 
 /// One evaluated sweep point: the x-value plus each method's summary and
@@ -1001,10 +1028,9 @@ impl Experiment {
     ///
     /// # Errors
     /// [`SimError::EmptySweep`] for no rates;
+    /// [`SpecError::NoClients`] for zero clients; [`SpecError::BadRate`]
+    /// for a rate that is not finite and positive;
     /// [`SimError::QueryDoesNotFit`] as above.
-    ///
-    /// # Panics
-    /// Panics when `clients` is zero or any rate is non-positive.
     pub fn run_serve_sweep(
         &self,
         params: &DiskParams,
@@ -1015,11 +1041,7 @@ impl Experiment {
         if rates_qps.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        assert!(clients > 0, "serve needs at least one client");
-        assert!(
-            rates_qps.iter().all(|&r| r > 0.0),
-            "arrival rate must be positive"
-        );
+        check_load(clients, rates_qps)?;
         let regions = self.shared_regions(area)?;
         let engines = self.multiuser_engines();
         let nm = engines.len();
@@ -1111,13 +1133,12 @@ impl Experiment {
     /// bit-identical to the fault-free sweep.
     ///
     /// # Errors
-    /// [`SimError::EmptySweep`] for no rates;
+    /// As [`Experiment::run_serve_sweep`]; also
     /// [`SimError::ScheduleMismatch`] for a schedule covering a
-    /// different disk count; [`SimError::QueryDoesNotFit`] as above.
+    /// different disk count.
     ///
     /// # Panics
-    /// Panics when `clients` is zero, any rate is non-positive, or
-    /// `replicas` falls outside `1..M`.
+    /// Panics when `replicas` falls outside `1..M`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_serve_sweep_degraded(
         &self,
@@ -1133,11 +1154,7 @@ impl Experiment {
         if rates_qps.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        assert!(clients > 0, "serve needs at least one client");
-        assert!(
-            rates_qps.iter().all(|&r| r > 0.0),
-            "arrival rate must be positive"
-        );
+        check_load(clients, rates_qps)?;
         if schedule.num_disks() != self.m {
             return Err(SimError::ScheduleMismatch {
                 schedule_disks: schedule.num_disks(),
@@ -1251,12 +1268,10 @@ impl Experiment {
     /// --batch-window 0` pin.
     ///
     /// # Errors
-    /// As [`Experiment::run_serve_sweep`]; also [`SimError::Spec`] when
+    /// As [`Experiment::run_serve_sweep`]; also [`SpecError::BadOverlap`]
+    /// for an `overlap` outside `[0, 1]`, [`SpecError::BadBatchWindow`]
+    /// for a negative or non-finite window, and [`SimError::Spec`] when
     /// `replicas` reaches `M`.
-    ///
-    /// # Panics
-    /// Panics when `clients` is zero, any rate is non-positive, `overlap`
-    /// falls outside `[0, 1]`, or the window is negative or non-finite.
     #[allow(clippy::too_many_arguments)]
     pub fn run_serve_sweep_shared(
         &self,
@@ -1274,19 +1289,8 @@ impl Experiment {
         if rates_qps.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        assert!(clients > 0, "serve needs at least one client");
-        assert!(
-            rates_qps.iter().all(|&r| r > 0.0),
-            "arrival rate must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&overlap),
-            "overlap fraction must lie in [0, 1]"
-        );
-        assert!(
-            batch_window_ms.is_finite() && batch_window_ms >= 0.0,
-            "batch window must be finite and non-negative"
-        );
+        check_load(clients, rates_qps)?;
+        check_sharing(&[overlap], batch_window_ms)?;
         let base = self.shared_regions(area)?;
         let hot = base.first().expect("shared_regions is non-empty").clone();
         let regions: Vec<BucketRegion> = base
@@ -1401,13 +1405,11 @@ impl Experiment {
     ///
     /// # Errors
     /// [`SimError::EmptySweep`] for no overlaps or no replica counts;
+    /// [`SpecError::NoClients`], [`SpecError::BadRate`],
+    /// [`SpecError::BadOverlap`] and [`SpecError::BadBatchWindow`] as in
+    /// [`Experiment::run_serve_sweep_shared`];
     /// [`SimError::QueryDoesNotFit`] as above; [`SimError::Spec`] when a
     /// replica count reaches `M`.
-    ///
-    /// # Panics
-    /// Panics when `clients` is zero, `rate_qps` is non-positive, any
-    /// overlap falls outside `[0, 1]`, or the window is negative or
-    /// non-finite.
     #[allow(clippy::too_many_arguments)]
     pub fn run_share_sweep(
         &self,
@@ -1422,16 +1424,8 @@ impl Experiment {
         if overlaps.is_empty() || replicas.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        assert!(clients > 0, "serve needs at least one client");
-        assert!(rate_qps > 0.0, "arrival rate must be positive");
-        assert!(
-            overlaps.iter().all(|&o| (0.0..=1.0).contains(&o)),
-            "overlap fractions must lie in [0, 1]"
-        );
-        assert!(
-            batch_window_ms.is_finite() && batch_window_ms >= 0.0,
-            "batch window must be finite and non-negative"
-        );
+        check_load(clients, &[rate_qps])?;
+        check_sharing(overlaps, batch_window_ms)?;
         let base = self.shared_regions(area)?;
         // The hot pool: one fixed region every redirected query rescans.
         // Using a single target maximizes page overlap inside a window,
@@ -1531,12 +1525,13 @@ impl Experiment {
     ///
     /// # Errors
     /// [`SimError::EmptySweep`] for no schedules or no replica counts;
-    /// [`SimError::ScheduleMismatch`] when any schedule covers a
-    /// different disk count; [`SimError::QueryDoesNotFit`] as above.
+    /// [`SpecError::NoClients`] and [`SpecError::BadRate`] as in
+    /// [`Experiment::run_serve_sweep`]; [`SimError::ScheduleMismatch`]
+    /// when any schedule covers a different disk count;
+    /// [`SimError::QueryDoesNotFit`] as above.
     ///
     /// # Panics
-    /// Panics when `clients` is zero, `rate_qps` is non-positive, or any
-    /// replica count falls outside `1..M`.
+    /// Panics when any replica count falls outside `1..M`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_avail_sweep(
         &self,
@@ -1552,8 +1547,7 @@ impl Experiment {
         if schedules.is_empty() || replicas.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        assert!(clients > 0, "avail needs at least one client");
-        assert!(rate_qps > 0.0, "arrival rate must be positive");
+        check_load(clients, &[rate_qps])?;
         assert!(
             replicas.iter().all(|&r| r >= 1 && r < self.m),
             "replica counts must lie in 1..M"
@@ -2130,9 +2124,62 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
     fn experiment_serve_sweep_rejects_zero_clients() {
-        let _ = experiment().run_serve_sweep(&DiskParams::default(), 0, &[5.0], 16);
+        assert!(matches!(
+            experiment()
+                .run_serve_sweep(&DiskParams::default(), 0, &[5.0], 16)
+                .unwrap_err(),
+            SimError::Spec(SpecError::NoClients)
+        ));
+    }
+
+    /// One bad input per serve driver, each a typed error instead of a
+    /// panic.
+    #[test]
+    fn serve_drivers_return_typed_input_errors() {
+        let p = DiskParams::default();
+        let exp = experiment();
+        let healthy = FaultSchedule::healthy(8);
+        let retry = RetryPolicy::default();
+        let spec_error = |r: Result<()>| match r {
+            Err(SimError::Spec(e)) => e,
+            other => panic!("expected a spec error, got {other:?}"),
+        };
+        let e = spec_error(
+            exp.run_serve_sweep(&p, 50, &[5.0, f64::INFINITY], 16)
+                .map(drop),
+        );
+        assert!(matches!(e, SpecError::BadRate { rate_qps } if rate_qps.is_infinite()));
+        let e = spec_error(
+            exp.run_serve_sweep_degraded(
+                &p,
+                50,
+                &[f64::NAN],
+                16,
+                &healthy,
+                1,
+                ReplicaPolicy::PrimaryOnly,
+                retry,
+            )
+            .map(drop),
+        );
+        assert!(matches!(e, SpecError::BadRate { rate_qps } if rate_qps.is_nan()));
+        let e = spec_error(
+            exp.run_serve_sweep_shared(&p, 50, &[5.0], 16, 1.5, 2.0, 1)
+                .map(drop),
+        );
+        assert_eq!(e, SpecError::BadOverlap { overlap: 1.5 });
+        let e = spec_error(
+            exp.run_share_sweep(&p, 50, 5.0, 16, &[0.5], &[1], -1.0)
+                .map(drop),
+        );
+        assert_eq!(e, SpecError::BadBatchWindow { window_ms: -1.0 });
+        let schedules = [("none".to_owned(), healthy.clone())];
+        let e = spec_error(
+            exp.run_avail_sweep(&p, 0, 5.0, 16, &schedules, &[1], retry, 0)
+                .map(drop),
+        );
+        assert_eq!(e, SpecError::NoClients);
     }
 
     #[test]

@@ -246,8 +246,7 @@ impl MultiUserEngine {
 
         for region in queries {
             let issue_at = ls.events.pop().expect("clients > 0").time;
-            self.core
-                .counts_into(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
+            self.core.counts_into(region, &mut ls.plans, &mut ls.hist);
             let completion = ServingEngine::fan_out(
                 issue_at,
                 ls.hist
@@ -354,8 +353,7 @@ impl MultiUserEngine {
         for (i, region) in queries.iter().enumerate() {
             let t = i as u64;
             let issue_at = ls.events.pop().expect("clients > 0").time;
-            self.core
-                .counts_into(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
+            self.core.counts_into(region, &mut ls.plans, &mut ls.hist);
             // Availability first: abandon (don't half-schedule) a query
             // whose down disk has a down chain successor.
             let lost = ls

@@ -31,9 +31,8 @@ pub fn response_time_batched(kernel: &DiskCounts, region: &BucketRegion) -> u64 
 
 /// The kernel-v2 hot path: [`response_time_batched`] through a
 /// caller-owned [`Scratch`], whose cached shape-compiled plan amortizes
-/// the `2^k` corner derivation over every placement of one query shape
-/// and whose accumulator removes the per-query allocation. Equal to
-/// [`response_time_batched`] on every input.
+/// the `2^k` corner derivation over every placement of one query shape.
+/// Equal to [`response_time_batched`] on every input.
 pub fn response_time_batched_with(
     kernel: &DiskCounts,
     region: &BucketRegion,

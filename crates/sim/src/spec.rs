@@ -70,6 +70,11 @@ pub enum SpecError {
         /// The offending window, ms.
         window_ms: f64,
     },
+    /// A shared-scan overlap fraction falls outside `[0, 1]`.
+    BadOverlap {
+        /// The offending fraction.
+        overlap: f64,
+    },
     /// More replicas than `M - 1` chain successors exist.
     TooManyReplicas {
         /// Requested chain replicas per bucket.
@@ -122,6 +127,9 @@ impl std::fmt::Display for SpecError {
                     f,
                     "batch window must be finite and non-negative, got {window_ms}"
                 )
+            }
+            SpecError::BadOverlap { overlap } => {
+                write!(f, "overlap fraction must lie in [0, 1], got {overlap}")
             }
             SpecError::TooManyReplicas { replicas, disks } => {
                 write!(

@@ -21,7 +21,21 @@ pub struct Summary {
 impl Summary {
     /// Summarizes a sample. An empty sample yields all-zero statistics.
     pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
+        Self::of_iter(values.len(), values.iter().copied())
+    }
+
+    /// Summarizes integer observations (the common case for bucket-count
+    /// response times) without copying them: bit for bit
+    /// [`Summary::of`] on the counts converted to `f64`.
+    pub fn of_counts(values: &[u64]) -> Self {
+        Self::of_iter(values.len(), values.iter().map(|&v| v as f64))
+    }
+
+    /// The one implementation behind [`Summary::of`] and
+    /// [`Summary::of_counts`]: the same float operations in the same
+    /// order over the `n` values `values` yields.
+    fn of_iter(n: usize, values: impl Iterator<Item = f64> + Clone) -> Self {
+        if n == 0 {
             return Summary {
                 n: 0,
                 mean: 0.0,
@@ -30,25 +44,18 @@ impl Summary {
                 max: 0.0,
             };
         }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let len = n as f64;
+        let mean = values.clone().sum::<f64>() / len;
+        let var = values.clone().map(|v| (v - mean) * (v - mean)).sum::<f64>() / len;
+        let min = values.clone().fold(f64::INFINITY, f64::min);
+        let max = values.fold(f64::NEG_INFINITY, f64::max);
         Summary {
-            n: values.len(),
+            n,
             mean,
             stddev: var.sqrt(),
             min,
             max,
         }
-    }
-
-    /// Summarizes integer observations (the common case for bucket-count
-    /// response times).
-    pub fn of_counts(values: &[u64]) -> Self {
-        let floats: Vec<f64> = values.iter().map(|&v| v as f64).collect();
-        Summary::of(&floats)
     }
 
     /// Half-width of a ~95% confidence interval for the mean (normal
@@ -153,12 +160,42 @@ mod tests {
         assert!(s.ci95_half_width() > 0.0);
     }
 
+    /// `of_counts` equals `of` on the counts converted to `f64`, every
+    /// field bit for bit.
+    fn assert_of_counts_matches_of(counts: &[u64]) {
+        let floats: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        let (got, want) = (Summary::of_counts(counts), Summary::of(&floats));
+        assert_eq!(got.n, want.n, "{counts:?}");
+        for (g, w) in [
+            (got.mean, want.mean),
+            (got.stddev, want.stddev),
+            (got.min, want.min),
+            (got.max, want.max),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{counts:?}");
+        }
+    }
+
     #[test]
     fn of_counts_matches_of() {
-        assert_eq!(
-            Summary::of_counts(&[1, 2, 3]),
-            Summary::of(&[1.0, 2.0, 3.0])
-        );
+        const P53: u64 = 1 << 53;
+        for counts in [
+            &[][..],
+            &[4],
+            &[P53 + 1],
+            &[1, 2, 3],
+            &[P53 - 1, P53, P53 + 1, P53 + 2, P53 + 3],
+            &[0, u64::MAX, 3 * P53 + 1],
+        ] {
+            assert_of_counts_matches_of(counts);
+        }
+    }
+
+    /// Counts around `2^53`, where `u64 -> f64` starts rounding, mixed
+    /// with small ones.
+    fn counts_near_2_pow_53() -> impl Strategy<Value = Vec<u64>> {
+        let value = prop_oneof![0u64..64, (1u64 << 53) - 16..(1u64 << 53) + 16, any::<u64>(),];
+        prop::collection::vec(value, 0..40)
     }
 
     #[test]
@@ -226,6 +263,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn of_counts_is_of_on_converted_counts(counts in counts_near_2_pow_53()) {
+            assert_of_counts_matches_of(&counts);
+        }
 
         #[test]
         fn selection_matches_a_full_sort(values in awkward_sample()) {

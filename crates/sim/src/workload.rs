@@ -6,8 +6,9 @@
 //! query stream — runs are exactly reproducible.
 
 use crate::{Result, SimError};
-use decluster_grid::{BucketCoord, BucketRegion, GridSpace, PartialMatchQuery};
+use decluster_grid::{BucketCoord, BucketRegion, GridSpace, PartialMatchQuery, COORD_INLINE_DIMS};
 use rand::Rng;
+use smallvec::SmallVec;
 
 /// Seedable inter-arrival distribution of an open-loop request stream:
 /// the gap between consecutive arrivals, parameterized by the offered
@@ -130,8 +131,10 @@ pub fn random_region<R: Rng>(
             dims: space.dims().to_vec(),
         });
     }
-    let mut lo = Vec::with_capacity(space.k());
-    let mut hi = Vec::with_capacity(space.k());
+    // Corners fill inline (up to `COORD_INLINE_DIMS` dimensions): a
+    // sweep draws thousands of placements per point.
+    let mut lo = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
+    let mut hi = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
     for (d, &s) in sides.iter().enumerate() {
         let max_lo = space.dim(d) - s;
         let l = if max_lo == 0 {
@@ -143,7 +146,7 @@ pub fn random_region<R: Rng>(
         hi.push(l + s - 1);
     }
     Ok(
-        BucketRegion::new(space, BucketCoord::from(lo), BucketCoord::from(hi))
+        BucketRegion::new(space, BucketCoord::new(lo), BucketCoord::new(hi))
             .expect("placement stays in grid"),
     )
 }
