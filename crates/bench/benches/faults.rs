@@ -12,8 +12,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use decluster_grid::{BucketRegion, GridDirectory, GridSpace};
 use decluster_methods::{AllocationMap, DeclusteringMethod, DiskModulo, Hcam};
+use decluster_obs::Obs;
 use decluster_sim::workload::random_region;
-use decluster_sim::{degraded_outcome, simulate_rebuild, DiskParams, FaultSchedule, RetryPolicy};
+use decluster_sim::{
+    degraded_outcome, simulate_rebuild, DiskParams, FaultSchedule, ReplicaPolicy, RetryPolicy,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -84,12 +87,20 @@ fn bench_degraded_outcome(c: &mut Criterion) {
     let mut group = c.benchmark_group("faults_degraded_outcome_512q");
     for (label, schedule) in &schedules {
         group.bench_with_input(BenchmarkId::from_parameter(label), schedule, |b, s| {
+            let mut loads = Vec::new();
             b.iter(|| {
                 let mut served = 0usize;
                 for (t, hist) in hists.iter().enumerate() {
-                    if degraded_outcome(black_box(hist), s, t as u64, &policy, true).is_served() {
-                        served += 1;
-                    }
+                    let out = degraded_outcome(
+                        black_box(hist),
+                        s,
+                        t as u64,
+                        &policy,
+                        1,
+                        ReplicaPolicy::FailoverOnly,
+                        &mut loads,
+                    );
+                    served += usize::from(out.is_served());
                 }
                 black_box(served)
             })
@@ -108,7 +119,8 @@ fn bench_rebuild_simulation(c: &mut Criterion) {
     c.bench_function("faults_rebuild_64q_8clients", |b| {
         b.iter(|| {
             black_box(
-                simulate_rebuild(&dir, &params, 3, black_box(&regions), 8).expect("disk in range"),
+                simulate_rebuild(&dir, &params, 3, black_box(&regions), 8, &Obs::disabled())
+                    .expect("disk in range"),
             )
         })
     });

@@ -60,7 +60,6 @@ mod registry;
 mod replication;
 mod sfc;
 mod traits;
-mod tuning;
 
 pub use advisor::{advise, Advice};
 pub use allocation::{one_shot_response_time, AllocationMap, LoadStats};
@@ -80,7 +79,6 @@ pub use registry::{MethodKind, MethodRegistry};
 pub use replication::ChainedDecluster;
 pub use sfc::{CurveAlloc, CurveKind};
 pub use traits::DeclusteringMethod;
-pub use tuning::{tune_gdm_coefficients, TunedGdm};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, MethodError>;

@@ -1,5 +1,5 @@
 use crate::faults::{
-    degraded_outcome_r, FaultMethodStats, FaultSchedule, QueryOutcome, ReplicaPolicy, RetryPolicy,
+    degraded_outcome, FaultMethodStats, FaultSchedule, QueryOutcome, ReplicaPolicy, RetryPolicy,
 };
 use crate::{optimal_response_time, Result, SimError, Summary};
 use decluster_grid::{BucketRegion, GridSpace};
@@ -430,7 +430,7 @@ impl<'a> DegradedContext<'a> {
         chained: bool,
     ) -> QueryOutcome {
         let hist = self.ctx.access_histogram(idx, region);
-        degraded_outcome_r(
+        degraded_outcome(
             &hist,
             self.schedule,
             t,
@@ -455,7 +455,7 @@ impl<'a> DegradedContext<'a> {
     ) -> QueryOutcome {
         self.ctx
             .access_histogram_into(idx, region, &mut buf.scratch, &mut buf.hist);
-        degraded_outcome_r(
+        degraded_outcome(
             &buf.hist,
             self.schedule,
             t,

@@ -1,9 +1,9 @@
 use crate::eval::{DegradedContext, EvalContext};
-use crate::events::{sharded_arrivals, DegradedServeConfig, LoopScratch, ServeConfig, ServeSample};
+use crate::events::{sharded_arrivals, LoopScratch, Rows, ServeSample};
 use crate::exec::{derive_point_seed, run_indexed, run_indexed_with};
 use crate::faults::{FaultReport, FaultSchedule, ReplicaPolicy, RetryPolicy};
-use crate::multiuser::{load_sweep_with_threads, LoadPoint, MultiUserEngine};
-use crate::spec::{ServeSpec, SpecError};
+use crate::multiuser::{load_sweep, LoadPoint, MultiUserEngine};
+use crate::spec::{ServeRun, ServeSpec, SpecError};
 use crate::stats::Quantiles;
 use crate::workload::{
     partial_match_with_unspecified, random_region, rect_sides_for_area, InterArrival, ShapeSweep,
@@ -240,16 +240,41 @@ pub struct AvailSweep {
     pub points: Vec<AvailPoint>,
 }
 
-/// A splitmix64-finalized hash of a query index mapped to `[0, 1)`: the
-/// share sweep's hot-pool redirect test. A pure function of the index,
-/// so overlap streams are identical at any thread count.
-fn index_hash01(i: u64) -> f64 {
-    decluster_methods::splitmix64_unit(i)
+/// The shared-scan drivers' query stream: `base` with an `overlap`
+/// fraction of its queries redirected to one hot scan (the first
+/// region), which maximizes page overlap inside a window — the regime
+/// batching is supposed to win in. The redirect test is a
+/// splitmix64-finalized hash of the query index, so overlap streams are
+/// identical at any thread count.
+fn redirect_hot(base: &[BucketRegion], overlap: f64) -> Vec<BucketRegion> {
+    base.iter()
+        .enumerate()
+        .map(|(i, region)| {
+            if decluster_methods::splitmix64_unit(i as u64) < overlap {
+                &base[0]
+            } else {
+                region
+            }
+        })
+        .cloned()
+        .collect()
 }
 
-/// The serve drivers' load checks: at least one client, and every
-/// offered rate finite and positive.
+/// One serve-driver cell: the engine, query stream and arrival stream a
+/// [`ServeSpec`] runs over.
+type ServeCell<'a> = (
+    &'a MultiUserEngine,
+    &'a [BucketRegion],
+    &'a [f64],
+    ServeSpec,
+);
+
+/// The serve drivers' load checks: at least one rate, at least one
+/// client, and every offered rate finite and positive.
 fn check_load(clients: usize, rates_qps: &[f64]) -> Result<()> {
+    if rates_qps.is_empty() {
+        return Err(SimError::EmptySweep);
+    }
     if clients == 0 {
         return Err(SpecError::NoClients.into());
     }
@@ -874,7 +899,7 @@ impl Experiment {
                             // persist the fresh kernel for the next start.
                             None => {
                                 let engine = MultiUserEngine::new(&dir);
-                                if let Some(k) = engine.serving().counts().kernel() {
+                                if let Some(k) = engine.counts().kernel() {
                                     guard.insert(&name, &map, k);
                                 }
                                 engine
@@ -904,13 +929,54 @@ impl Experiment {
             .collect()
     }
 
+    /// One Poisson stream of `clients` arrivals at `rate_qps`, drawn from
+    /// `seed` in chunks on the executor (identical at any thread count).
+    fn arrivals(&self, clients: usize, rate_qps: f64, seed: u64) -> Vec<f64> {
+        sharded_arrivals(
+            seed,
+            clients,
+            InterArrival::Poisson { rate_qps },
+            self.effective_threads(),
+            &self.obs,
+        )
+    }
+
+    /// The serve drivers' shared body: `cells` [`ServeSpec`] runs on the
+    /// deterministic executor, one reusable [`LoopScratch`] per worker, so
+    /// every number is bit-identical for any thread count. `cell(i)`
+    /// names cell `i`'s engine, query stream, arrival stream (ignored by
+    /// closed specs) and spec; `read(i, run, samples)` turns its run into
+    /// the driver's point. The first failing cell's error wins.
+    fn serve_cells<'a, T: Send>(
+        &self,
+        params: &DiskParams,
+        cells: usize,
+        cell: impl Fn(usize) -> ServeCell<'a> + Sync,
+        read: impl Fn(usize, ServeRun, &[ServeSample]) -> T + Sync,
+    ) -> Result<Vec<T>> {
+        let threads = self.effective_threads();
+        run_indexed_with(threads, cells, &self.obs, LoopScratch::new, |i, ls| {
+            let (engine, queries, arrivals, spec) = cell(i);
+            let run = spec.serve_rows(
+                engine,
+                Rows::Counts,
+                params,
+                queries,
+                arrivals,
+                &self.obs,
+                ls,
+            )?;
+            Ok(read(i, run, ls.samples()))
+        })
+        .into_iter()
+        .collect()
+    }
+
     /// **Multi-user throughput grid (extension).** Closed-loop throughput
     /// per method as the client count grows: every `(client count,
     /// method)` cell replays the same query stream of near-square
-    /// queries of `area` through that method's [`MultiUserEngine`].
-    /// Cells run on the deterministic parallel executor, one reusable
-    /// [`LoopScratch`] per worker, so results are bit-identical for any
-    /// thread count.
+    /// queries of `area` as one [`ServeSpec::closed`] run through that
+    /// method's [`MultiUserEngine`].
     ///
     /// The returned [`SweepResult`] has client counts on the x-axis,
     /// throughput (queries/s) as each series' means, per-cell latency
@@ -919,10 +985,8 @@ impl Experiment {
     ///
     /// # Errors
     /// [`SimError::EmptySweep`] for no client counts;
+    /// [`SpecError::NoClients`] for a zero client count;
     /// [`SimError::QueryDoesNotFit`] as above.
-    ///
-    /// # Panics
-    /// Panics if any client count is zero.
     pub fn run_multiuser_grid(
         &self,
         params: &DiskParams,
@@ -932,29 +996,18 @@ impl Experiment {
         if clients.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        assert!(
-            clients.iter().all(|&c| c > 0),
-            "closed loop needs at least one client"
-        );
         let regions = self.shared_regions(area)?;
         let engines = self.multiuser_engines();
         let nm = engines.len();
-        let cells = run_indexed_with(
-            self.effective_threads(),
+        let cells = self.serve_cells(
+            params,
             clients.len() * nm,
-            &self.obs,
-            LoopScratch::new,
-            |i, ls| {
-                let report = engines[i % nm].1.closed_loop_obs(
-                    params,
-                    &regions,
-                    clients[i / nm],
-                    &self.obs,
-                    ls,
-                );
-                (report.throughput_qps, report.latency)
+            |i| {
+                let spec = ServeSpec::closed(clients[i / nm]);
+                (&engines[i % nm].1, &regions[..], &[][..], spec)
             },
-        );
+            |_, run, _| (run.report.throughput_qps, run.report.latency),
+        )?;
         let bound_qps = 1000.0 * f64::from(self.m) / (area as f64 * params.per_page_ms());
         let mut series: Vec<MethodSeries> = engines
             .iter()
@@ -986,7 +1039,8 @@ impl Experiment {
     /// executor with the experiment's thread setting.
     ///
     /// # Errors
-    /// [`SimError::EmptySweep`] for no rates;
+    /// [`SimError::EmptySweep`] for no rates; [`SpecError::BadRate`] for a
+    /// rate that is not finite and positive;
     /// [`SimError::QueryDoesNotFit`] as above.
     pub fn run_load_sweep(
         &self,
@@ -1003,7 +1057,7 @@ impl Experiment {
             .iter()
             .map(|(name, dir)| (name.as_str(), dir))
             .collect();
-        load_sweep_with_threads(
+        load_sweep(
             &dirs,
             params,
             &regions,
@@ -1013,18 +1067,74 @@ impl Experiment {
         )
     }
 
+    /// The serve sweeps' shared body: one arrival stream per offered rate
+    /// (identical for every method), one `spec(rate)` run per `(rate,
+    /// method)` cell with mid-run samples every 1/32nd of the expected
+    /// span, and per-method curves whose knee is the largest offered rate
+    /// the method still completes at ≥95% of the offered throughput
+    /// (`0.0` when even the lowest rate saturates).
+    fn serve_curves(
+        &self,
+        params: &DiskParams,
+        clients: usize,
+        rates_qps: &[f64],
+        regions: &[BucketRegion],
+        spec: impl Fn(f64) -> ServeSpec + Sync,
+    ) -> Result<Vec<ServeCurve>> {
+        let engines = self.multiuser_engines();
+        let nm = engines.len();
+        let arrivals: Vec<Vec<f64>> = rates_qps
+            .iter()
+            .enumerate()
+            .map(|(r, &rate)| self.arrivals(clients, rate, derive_point_seed(self.seed, r as u64)))
+            .collect();
+        let points = self.serve_cells(
+            params,
+            rates_qps.len() * nm,
+            |i| {
+                let rate = rates_qps[i / nm];
+                let spec = spec(rate).sampling((clients as f64 * 1000.0 / rate) / 32.0);
+                (&engines[i % nm].1, regions, &arrivals[i / nm][..], spec)
+            },
+            |i, run, samples| ServePoint {
+                offered_qps: rates_qps[i / nm],
+                achieved_qps: run.report.throughput_qps,
+                mean_latency_ms: run.report.latency.mean,
+                tail_ms: run.report.tail,
+                utilization: run.report.utilization,
+                peak_in_flight: run.peak_in_flight,
+                samples: samples.to_vec(),
+            },
+        )?;
+        let mut curves: Vec<ServeCurve> = engines
+            .iter()
+            .map(|(name, _)| ServeCurve {
+                method: name.clone(),
+                points: Vec::with_capacity(rates_qps.len()),
+                knee_qps: 0.0,
+            })
+            .collect();
+        for (i, point) in points.into_iter().enumerate() {
+            curves[i % nm].points.push(point);
+        }
+        for curve in &mut curves {
+            curve.knee_qps = curve
+                .points
+                .iter()
+                .filter(|p| p.achieved_qps >= 0.95 * p.offered_qps)
+                .map(|p| p.offered_qps)
+                .fold(0.0, f64::max);
+        }
+        Ok(curves)
+    }
+
     /// **Serve sweep (extension).** Per-method saturation-knee curves
-    /// from the event-driven serving core: for every offered arrival
-    /// rate, `clients` Poisson arrivals — sharded deterministically
-    /// across the executor and identical for every method — stream
-    /// through each method's serving engine, with mid-run metric
-    /// samples every 1/32nd of the expected span. A curve's knee is the
-    /// largest offered rate the method still completes at ≥95% of the
-    /// offered throughput (`0.0` when even the lowest rate saturates).
-    ///
-    /// Cells fan out on the deterministic executor with one reusable
-    /// [`LoopScratch`] per worker, so every table and every sample is
-    /// bit-identical for any thread count.
+    /// from the serving loop: for every offered arrival rate, `clients`
+    /// Poisson arrivals — sharded deterministically across the executor
+    /// and identical for every method — stream through each method's
+    /// engine (see [`Experiment::run_multiuser_grid`] for the executor
+    /// contract: every table and every sample is bit-identical for any
+    /// thread count).
     ///
     /// # Errors
     /// [`SimError::EmptySweep`] for no rates;
@@ -1038,78 +1148,9 @@ impl Experiment {
         rates_qps: &[f64],
         area: u64,
     ) -> Result<ServeSweep> {
-        if rates_qps.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
         check_load(clients, rates_qps)?;
         let regions = self.shared_regions(area)?;
-        let engines = self.multiuser_engines();
-        let nm = engines.len();
-        let threads = self.effective_threads();
-        // One arrival stream per rate, built before the fan-out so every
-        // method replays the identical stream.
-        let arrivals: Vec<Vec<f64>> = rates_qps
-            .iter()
-            .enumerate()
-            .map(|(r, &rate)| {
-                sharded_arrivals(
-                    derive_point_seed(self.seed, r as u64),
-                    clients,
-                    InterArrival::Poisson { rate_qps: rate },
-                    threads,
-                    &self.obs,
-                )
-            })
-            .collect();
-        let cells = run_indexed_with(
-            threads,
-            rates_qps.len() * nm,
-            &self.obs,
-            LoopScratch::new,
-            |i, ls| {
-                let (ri, mi) = (i / nm, i % nm);
-                let cfg = ServeConfig {
-                    sample_every_ms: (clients as f64 * 1000.0 / rates_qps[ri]) / 32.0,
-                    ..ServeConfig::default()
-                };
-                let rep = engines[mi].1.serving().serve_core(
-                    params,
-                    &regions,
-                    &arrivals[ri],
-                    &cfg,
-                    &self.obs,
-                    ls,
-                );
-                ServePoint {
-                    offered_qps: rates_qps[ri],
-                    achieved_qps: rep.report.throughput_qps,
-                    mean_latency_ms: rep.report.latency.mean,
-                    tail_ms: rep.report.tail,
-                    utilization: rep.report.utilization,
-                    peak_in_flight: rep.peak_in_flight,
-                    samples: ls.samples().to_vec(),
-                }
-            },
-        );
-        let mut curves: Vec<ServeCurve> = engines
-            .iter()
-            .map(|(name, _)| ServeCurve {
-                method: name.clone(),
-                points: Vec::with_capacity(rates_qps.len()),
-                knee_qps: 0.0,
-            })
-            .collect();
-        for (i, point) in cells.into_iter().enumerate() {
-            curves[i % nm].points.push(point);
-        }
-        for curve in &mut curves {
-            curve.knee_qps = curve
-                .points
-                .iter()
-                .filter(|p| p.achieved_qps >= 0.95 * p.offered_qps)
-                .map(|p| p.offered_qps)
-                .fold(0.0, f64::max);
-        }
+        let curves = self.serve_curves(params, clients, rates_qps, &regions, ServeSpec::open)?;
         Ok(ServeSweep {
             title: format!(
                 "Serve sweep: {} open-loop clients per rate at query area {} (grid {:?}, M={})",
@@ -1135,10 +1176,8 @@ impl Experiment {
     /// # Errors
     /// As [`Experiment::run_serve_sweep`]; also
     /// [`SimError::ScheduleMismatch`] for a schedule covering a
-    /// different disk count.
-    ///
-    /// # Panics
-    /// Panics when `replicas` falls outside `1..M`.
+    /// different disk count, and [`SpecError::TooManyReplicas`] when
+    /// `replicas` reaches `M`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_serve_sweep_degraded(
         &self,
@@ -1151,94 +1190,16 @@ impl Experiment {
         policy: ReplicaPolicy,
         retry: RetryPolicy,
     ) -> Result<ServeSweep> {
-        if rates_qps.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
         check_load(clients, rates_qps)?;
-        if schedule.num_disks() != self.m {
-            return Err(SimError::ScheduleMismatch {
-                schedule_disks: schedule.num_disks(),
-                experiment_disks: self.m,
-            });
-        }
         let regions = self.shared_regions(area)?;
-        let engines = self.multiuser_engines();
-        let nm = engines.len();
-        let threads = self.effective_threads();
-        let arrivals: Vec<Vec<f64>> = rates_qps
-            .iter()
-            .enumerate()
-            .map(|(r, &rate)| {
-                sharded_arrivals(
-                    derive_point_seed(self.seed, r as u64),
-                    clients,
-                    InterArrival::Poisson { rate_qps: rate },
-                    threads,
-                    &self.obs,
-                )
-            })
-            .collect();
-        let cells = run_indexed_with(
-            threads,
-            rates_qps.len() * nm,
-            &self.obs,
-            LoopScratch::new,
-            |i, ls| {
-                let (ri, mi) = (i / nm, i % nm);
-                let cfg = DegradedServeConfig {
-                    serve: ServeConfig {
-                        sample_every_ms: (clients as f64 * 1000.0 / rates_qps[ri]) / 32.0,
-                        ..ServeConfig::default()
-                    },
-                    max_in_flight: 0,
-                    retry,
-                    seed: self.seed,
-                };
-                let rep = engines[mi]
-                    .1
-                    .serving()
-                    .serve_degraded_core(
-                        params,
-                        &regions,
-                        &arrivals[ri],
-                        schedule,
-                        replicas,
-                        policy,
-                        &cfg,
-                        &self.obs,
-                        ls,
-                    )
-                    .expect("schedule pre-validated against M");
-                ServePoint {
-                    offered_qps: rates_qps[ri],
-                    achieved_qps: rep.serve.report.throughput_qps,
-                    mean_latency_ms: rep.serve.report.latency.mean,
-                    tail_ms: rep.serve.report.tail,
-                    utilization: rep.serve.report.utilization,
-                    peak_in_flight: rep.serve.peak_in_flight,
-                    samples: ls.samples().to_vec(),
-                }
-            },
-        );
-        let mut curves: Vec<ServeCurve> = engines
-            .iter()
-            .map(|(name, _)| ServeCurve {
-                method: name.clone(),
-                points: Vec::with_capacity(rates_qps.len()),
-                knee_qps: 0.0,
-            })
-            .collect();
-        for (i, point) in cells.into_iter().enumerate() {
-            curves[i % nm].points.push(point);
-        }
-        for curve in &mut curves {
-            curve.knee_qps = curve
-                .points
-                .iter()
-                .filter(|p| p.achieved_qps >= 0.95 * p.offered_qps)
-                .map(|p| p.offered_qps)
-                .fold(0.0, f64::max);
-        }
+        let curves = self.serve_curves(params, clients, rates_qps, &regions, |rate| {
+            ServeSpec::open(rate)
+                .seed(self.seed)
+                .faults(schedule.clone())
+                .replicas(replicas)
+                .policy(policy)
+                .retry(retry)
+        })?;
         Ok(ServeSweep {
             title: format!(
                 "Degraded serve sweep: {} open-loop clients per rate at query area {} (grid {:?}, M={}, r={replicas}, policy {}, faults: {})",
@@ -1256,7 +1217,7 @@ impl Experiment {
     }
 
     /// **Shared serve sweep (extension).** [`Experiment::run_serve_sweep`]
-    /// through the shared-scan batching path: an `overlap` fraction of the
+    /// through the shared-scan batcher: an `overlap` fraction of the
     /// query stream is redirected to one hot scan, and arrivals inside a
     /// `batch_window_ms` window merge into one deduplicated schedule
     /// spread over the `1 + replicas` chain copies
@@ -1270,8 +1231,8 @@ impl Experiment {
     /// # Errors
     /// As [`Experiment::run_serve_sweep`]; also [`SpecError::BadOverlap`]
     /// for an `overlap` outside `[0, 1]`, [`SpecError::BadBatchWindow`]
-    /// for a negative or non-finite window, and [`SimError::Spec`] when
-    /// `replicas` reaches `M`.
+    /// for a negative or non-finite window, and
+    /// [`SpecError::TooManyReplicas`] when `replicas` reaches `M`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_serve_sweep_shared(
         &self,
@@ -1286,91 +1247,16 @@ impl Experiment {
         if overlap == 0.0 && batch_window_ms == 0.0 {
             return self.run_serve_sweep(params, clients, rates_qps, area);
         }
-        if rates_qps.is_empty() {
-            return Err(SimError::EmptySweep);
-        }
         check_load(clients, rates_qps)?;
         check_sharing(&[overlap], batch_window_ms)?;
-        let base = self.shared_regions(area)?;
-        let hot = base.first().expect("shared_regions is non-empty").clone();
-        let regions: Vec<BucketRegion> = base
-            .iter()
-            .enumerate()
-            .map(|(i, region)| {
-                if index_hash01(i as u64) < overlap {
-                    hot.clone()
-                } else {
-                    region.clone()
-                }
-            })
-            .collect();
-        let engines = self.multiuser_engines();
-        let nm = engines.len();
-        let threads = self.effective_threads();
-        let arrivals: Vec<Vec<f64>> = rates_qps
-            .iter()
-            .enumerate()
-            .map(|(r, &rate)| {
-                sharded_arrivals(
-                    derive_point_seed(self.seed, r as u64),
-                    clients,
-                    InterArrival::Poisson { rate_qps: rate },
-                    threads,
-                    &self.obs,
-                )
-            })
-            .collect();
-        let cells: Vec<Result<ServePoint>> = run_indexed_with(
-            threads,
-            rates_qps.len() * nm,
-            &self.obs,
-            LoopScratch::new,
-            |i, ls| {
-                let (ri, mi) = (i / nm, i % nm);
-                let run = ServeSpec::open(rates_qps[ri])
-                    .seed(self.seed)
-                    .sampling((clients as f64 * 1000.0 / rates_qps[ri]) / 32.0)
-                    .share(batch_window_ms)
-                    .replicas(replicas)
-                    .policy(ReplicaPolicy::Spread)
-                    .run_with_arrivals(
-                        &engines[mi].1,
-                        params,
-                        &regions,
-                        &arrivals[ri],
-                        &self.obs,
-                        ls,
-                    )?;
-                Ok(ServePoint {
-                    offered_qps: rates_qps[ri],
-                    achieved_qps: run.report.throughput_qps,
-                    mean_latency_ms: run.report.latency.mean,
-                    tail_ms: run.report.tail,
-                    utilization: run.report.utilization,
-                    peak_in_flight: run.peak_in_flight,
-                    samples: ls.samples().to_vec(),
-                })
-            },
-        );
-        let mut curves: Vec<ServeCurve> = engines
-            .iter()
-            .map(|(name, _)| ServeCurve {
-                method: name.clone(),
-                points: Vec::with_capacity(rates_qps.len()),
-                knee_qps: 0.0,
-            })
-            .collect();
-        for (i, point) in cells.into_iter().enumerate() {
-            curves[i % nm].points.push(point?);
-        }
-        for curve in &mut curves {
-            curve.knee_qps = curve
-                .points
-                .iter()
-                .filter(|p| p.achieved_qps >= 0.95 * p.offered_qps)
-                .map(|p| p.offered_qps)
-                .fold(0.0, f64::max);
-        }
+        let regions = redirect_hot(&self.shared_regions(area)?, overlap);
+        let curves = self.serve_curves(params, clients, rates_qps, &regions, |rate| {
+            ServeSpec::open(rate)
+                .seed(self.seed)
+                .share(batch_window_ms)
+                .replicas(replicas)
+                .policy(ReplicaPolicy::Spread)
+        })?;
         Ok(ServeSweep {
             title: format!(
                 "Shared serve sweep: {} open-loop clients per rate, overlap {:.2}, {} ms window, r={} (query area {}, grid {:?}, M={})",
@@ -1392,24 +1278,22 @@ impl Experiment {
     /// serving path across query overlap and replica depth: for every
     /// `(method, overlap, r)` cell, `clients` Poisson arrivals at
     /// `rate_qps` replay a query stream in which an `overlap` fraction of
-    /// queries is redirected to a small hot pool of identical scans, once
-    /// through the unbatched engine and once through a
-    /// `batch_window_ms`-wide shared-scan window spreading merged reads
-    /// over the `1 + r` chain copies ([`ReplicaPolicy::Spread`]).
+    /// queries is redirected to one hot scan, once unbatched and once
+    /// through a `batch_window_ms`-wide shared-scan window spreading
+    /// merged reads over the `1 + r` chain copies
+    /// ([`ReplicaPolicy::Spread`]).
     ///
     /// The redirect is a pure function of the query index, and both runs
     /// of a cell replay the identical arrival and query streams, so the
-    /// shared-vs-unshared delta isolates the merge. Cells fan out on the
-    /// deterministic executor with one reusable [`LoopScratch`] per
-    /// worker; every number is bit-identical for any thread count.
+    /// shared-vs-unshared delta isolates the merge.
     ///
     /// # Errors
     /// [`SimError::EmptySweep`] for no overlaps or no replica counts;
     /// [`SpecError::NoClients`], [`SpecError::BadRate`],
     /// [`SpecError::BadOverlap`] and [`SpecError::BadBatchWindow`] as in
     /// [`Experiment::run_serve_sweep_shared`];
-    /// [`SimError::QueryDoesNotFit`] as above; [`SimError::Spec`] when a
-    /// replica count reaches `M`.
+    /// [`SimError::QueryDoesNotFit`] as above;
+    /// [`SpecError::TooManyReplicas`] when a replica count reaches `M`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_share_sweep(
         &self,
@@ -1427,57 +1311,39 @@ impl Experiment {
         check_load(clients, &[rate_qps])?;
         check_sharing(overlaps, batch_window_ms)?;
         let base = self.shared_regions(area)?;
-        // The hot pool: one fixed region every redirected query rescans.
-        // Using a single target maximizes page overlap inside a window,
-        // which is the regime the batching is supposed to win in.
-        let hot = base.first().expect("shared_regions is non-empty").clone();
-        let streams: Vec<Vec<BucketRegion>> = overlaps
-            .iter()
-            .map(|&overlap| {
-                base.iter()
-                    .enumerate()
-                    .map(|(i, region)| {
-                        if index_hash01(i as u64) < overlap {
-                            hot.clone()
-                        } else {
-                            region.clone()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let streams: Vec<Vec<BucketRegion>> =
+            overlaps.iter().map(|&o| redirect_hot(&base, o)).collect();
         let engines = self.multiuser_engines();
-        let nm = engines.len();
-        let threads = self.effective_threads();
-        let arrivals = sharded_arrivals(
-            self.seed,
-            clients,
-            InterArrival::Poisson { rate_qps },
-            threads,
-            &self.obs,
-        );
-        let no = overlaps.len();
-        let nr = replicas.len();
-        let cells: Vec<Result<SharePoint>> = run_indexed_with(
-            threads,
-            nm * no * nr,
-            &self.obs,
-            LoopScratch::new,
-            |i, ls| {
-                let (mi, oi, ri) = (i / (no * nr), (i / nr) % no, i % nr);
-                let engine = &engines[mi].1;
-                let queries = &streams[oi];
-                let unshared = ServeSpec::open(rate_qps)
-                    .seed(self.seed)
-                    .run_with_arrivals(engine, params, queries, &arrivals, &self.obs, ls)?;
-                let shared = ServeSpec::open(rate_qps)
-                    .seed(self.seed)
-                    .share(batch_window_ms)
-                    .replicas(replicas[ri])
-                    .policy(ReplicaPolicy::Spread)
-                    .run_with_arrivals(engine, params, queries, &arrivals, &self.obs, ls)?;
+        let arrivals = self.arrivals(clients, rate_qps, self.seed);
+        let (no, nr) = (overlaps.len(), replicas.len());
+        // Cell c = (method, overlap, r) runs twice: 2c unshared, 2c + 1
+        // through the window.
+        let cell = |c: usize| (c / (no * nr), (c / nr) % no, c % nr);
+        let runs = self.serve_cells(
+            params,
+            engines.len() * no * nr * 2,
+            |i| {
+                let (mi, oi, ri) = cell(i / 2);
+                let spec = ServeSpec::open(rate_qps).seed(self.seed);
+                let spec = if i % 2 == 0 {
+                    spec
+                } else {
+                    spec.share(batch_window_ms)
+                        .replicas(replicas[ri])
+                        .policy(ReplicaPolicy::Spread)
+                };
+                (&engines[mi].1, &streams[oi][..], &arrivals[..], spec)
+            },
+            |_, run, _| run,
+        )?;
+        let points = runs
+            .chunks(2)
+            .enumerate()
+            .map(|(c, pair)| {
+                let (mi, oi, ri) = cell(c);
+                let (unshared, shared) = (&pair[0], &pair[1]);
                 let sharing = shared.sharing.unwrap_or_default();
-                Ok(SharePoint {
+                SharePoint {
                     method: engines[mi].0.clone(),
                     overlap: overlaps[oi],
                     replicas: replicas[ri],
@@ -1488,10 +1354,9 @@ impl Experiment {
                     windows: sharing.windows,
                     merged_queries: sharing.merged_queries,
                     pages_saved: sharing.pages_saved,
-                })
-            },
-        );
-        let points = cells.into_iter().collect::<Result<Vec<SharePoint>>>()?;
+                }
+            })
+            .collect();
         Ok(ShareSweep {
             title: format!(
                 "Share sweep: {clients} arrivals at {rate_qps} q/s, {batch_window_ms} ms window, query area {area} (grid {:?}, M={})",
@@ -1508,16 +1373,15 @@ impl Experiment {
     /// **Availability sweep (extension).** One fault-injected serve run
     /// per `(schedule, replica count, policy)` cell for a single method
     /// (the first survivor of the method filter): `clients` Poisson
-    /// arrivals at `rate_qps` stream through the serving engine while
-    /// the schedule fails, slows, and recovers disks mid-run, under
-    /// every [`ReplicaPolicy`] and each requested `r`-way chain depth.
+    /// arrivals at `rate_qps` stream through the serving loop while the
+    /// schedule fails, slows, and recovers disks mid-run, under every
+    /// [`ReplicaPolicy`] and each requested `r`-way chain depth, with
+    /// `max_in_flight` bounding admission.
     ///
     /// The arrival stream and query stream are shared across all cells
     /// (and match [`Experiment::run_serve_sweep`] for a single-rate
     /// sweep at the same rate, which is what pins the fault-free
-    /// baseline cell bit-for-bit to the plain serve path). Cells fan out
-    /// on the deterministic executor, so every number is bit-identical
-    /// for any thread count.
+    /// baseline cell bit-for-bit to the plain serve path).
     ///
     /// Put the healthy schedule first and `r = 1` first: the sweep's
     /// first cell (fault-free, `r = 1`, primary-only) is the baseline
@@ -1528,10 +1392,8 @@ impl Experiment {
     /// [`SpecError::NoClients`] and [`SpecError::BadRate`] as in
     /// [`Experiment::run_serve_sweep`]; [`SimError::ScheduleMismatch`]
     /// when any schedule covers a different disk count;
+    /// [`SpecError::TooManyReplicas`] when a replica count reaches `M`;
     /// [`SimError::QueryDoesNotFit`] as above.
-    ///
-    /// # Panics
-    /// Panics when any replica count falls outside `1..M`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_avail_sweep(
         &self,
@@ -1548,18 +1410,6 @@ impl Experiment {
             return Err(SimError::EmptySweep);
         }
         check_load(clients, &[rate_qps])?;
-        assert!(
-            replicas.iter().all(|&r| r >= 1 && r < self.m),
-            "replica counts must lie in 1..M"
-        );
-        for (_, schedule) in schedules {
-            if schedule.num_disks() != self.m {
-                return Err(SimError::ScheduleMismatch {
-                    schedule_disks: schedule.num_disks(),
-                    experiment_disks: self.m,
-                });
-            }
-        }
         let regions = self.shared_regions(area)?;
         let engines = self.multiuser_engines();
         let Some((method, engine)) = engines.first() else {
@@ -1567,69 +1417,50 @@ impl Experiment {
             // sweep — the caller's filter name is the problem.
             return Err(SimError::EmptySweep);
         };
-        let threads = self.effective_threads();
-        // One arrival stream shared by every cell, drawn exactly as a
-        // single-rate serve sweep draws its first rate.
-        let arrivals = sharded_arrivals(
-            derive_point_seed(self.seed, 0),
-            clients,
-            InterArrival::Poisson { rate_qps },
-            threads,
-            &self.obs,
-        );
-        let cfg = DegradedServeConfig {
-            serve: ServeConfig {
-                sample_every_ms: (clients as f64 * 1000.0 / rate_qps) / 32.0,
-                ..ServeConfig::default()
-            },
-            max_in_flight,
-            retry,
-            seed: self.seed,
-        };
+        let arrivals = self.arrivals(clients, rate_qps, derive_point_seed(self.seed, 0));
         let np = ReplicaPolicy::ALL.len();
         let per_schedule = replicas.len() * np;
-        let cells = run_indexed_with(
-            threads,
+        let cell = |i: usize| {
+            let (si, rest) = (i / per_schedule, i % per_schedule);
+            (si, replicas[rest / np], ReplicaPolicy::ALL[rest % np])
+        };
+        let mut points = self.serve_cells(
+            params,
             schedules.len() * per_schedule,
-            &self.obs,
-            LoopScratch::new,
-            |i, ls| {
-                let (si, rest) = (i / per_schedule, i % per_schedule);
-                let (ri, pi) = (rest / np, rest % np);
-                let rep = engine
-                    .serving()
-                    .serve_degraded_core(
-                        params,
-                        &regions,
-                        &arrivals,
-                        &schedules[si].1,
-                        replicas[ri],
-                        ReplicaPolicy::ALL[pi],
-                        &cfg,
-                        &self.obs,
-                        ls,
-                    )
-                    .expect("schedules pre-validated against M");
+            |i| {
+                let (si, r, policy) = cell(i);
+                let spec = ServeSpec::open(rate_qps)
+                    .seed(self.seed)
+                    .sampling((clients as f64 * 1000.0 / rate_qps) / 32.0)
+                    .faults(schedules[si].1.clone())
+                    .replicas(r)
+                    .policy(policy)
+                    .retry(retry)
+                    .admission(max_in_flight);
+                (engine, &regions[..], &arrivals[..], spec)
+            },
+            |i, run, _| {
+                let (si, r, policy) = cell(i);
+                let a = run.availability.unwrap_or_default();
                 AvailPoint {
                     schedule: schedules[si].0.clone(),
-                    replicas: replicas[ri],
-                    policy: ReplicaPolicy::ALL[pi],
-                    availability: rep.availability(),
-                    served: rep.served,
-                    shed: rep.shed,
-                    lost: rep.lost,
-                    retries: rep.retries,
-                    timeouts: rep.timeouts,
-                    failovers: rep.failovers,
-                    achieved_qps: rep.serve.report.throughput_qps,
-                    mean_latency_ms: rep.serve.report.latency.mean,
-                    tail_ms: rep.serve.report.tail,
+                    replicas: r,
+                    policy,
+                    availability: a.availability(),
+                    served: a.served,
+                    shed: a.shed,
+                    lost: a.lost,
+                    retries: a.retries,
+                    timeouts: a.timeouts,
+                    failovers: a.failovers,
+                    achieved_qps: run.report.throughput_qps,
+                    mean_latency_ms: run.report.latency.mean,
+                    tail_ms: run.report.tail,
                     rt_overhead: 1.0,
-                    storage_overhead: f64::from(1 + replicas[ri]),
+                    storage_overhead: f64::from(1 + r),
                 }
             },
-        );
-        let mut points = cells;
+        )?;
         let baseline = points[0].mean_latency_ms;
         for p in &mut points {
             p.rt_overhead = if baseline > 0.0 {
@@ -2180,6 +2011,40 @@ mod tests {
                 .map(drop),
         );
         assert_eq!(e, SpecError::NoClients);
+    }
+
+    #[test]
+    fn multiuser_grid_rejects_a_zero_client_count() {
+        assert!(matches!(
+            experiment()
+                .run_multiuser_grid(&DiskParams::default(), &[2, 0], 16)
+                .unwrap_err(),
+            SimError::Spec(SpecError::NoClients)
+        ));
+    }
+
+    #[test]
+    fn avail_sweep_rejects_a_replica_count_at_m() {
+        let schedules = [("none".to_owned(), FaultSchedule::healthy(8))];
+        let err = experiment()
+            .run_avail_sweep(
+                &DiskParams::default(),
+                50,
+                5.0,
+                16,
+                &schedules,
+                &[1, 8],
+                RetryPolicy::default(),
+                0,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Spec(SpecError::TooManyReplicas {
+                replicas: 8,
+                disks: 8
+            })
+        ));
     }
 
     #[test]

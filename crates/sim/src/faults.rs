@@ -14,6 +14,7 @@
 //! run reproducible under any `--threads` setting: the schedule is a pure
 //! function of the query index, so the parallel sweep executor can hand
 //! queries to any thread in any order without changing a single number.
+//! (The serving loop reads the same schedules on its millisecond clock.)
 //!
 //! The failover model is chained declustering's: a failed disk's batch
 //! moves to its chain successor `(d + 1) mod M` after a timeout and
@@ -22,7 +23,8 @@
 //! lands on one survivor. Without replication a failed disk with touched
 //! buckets makes the query unavailable instead.
 
-use crate::{DiskParams, Result, SimError, Summary};
+use crate::events::{LoopScratch, Rows};
+use crate::{DiskParams, MultiUserEngine, Result, ServeSpec, SimError, Summary};
 use decluster_grid::GridDirectory;
 use decluster_obs::{Obs, TraceEvent};
 use std::fmt::Write as _;
@@ -590,105 +592,22 @@ impl QueryOutcome {
 }
 
 /// Executes one query's access histogram against the fault schedule at
-/// logical time `t` and returns its outcome.
+/// logical time `t` and returns its outcome, accumulating per-disk loads
+/// into a caller-owned buffer (cleared and resized first) so per-query
+/// stream scoring allocates nothing once the buffer has grown.
 ///
 /// `hist[d]` is the number of the query's buckets whose *primary* lives
 /// on disk `d` (from [`decluster_methods::DiskCounts::access_histogram`]
-/// or the naive walk — identical either way). With `chained` set, a down
-/// disk's batch fails over to its chain successor `(d + 1) mod M`, paying
-/// the policy's detection penalty; without replication any touched down
-/// disk makes the query unavailable.
+/// or the naive walk — identical either way). Each bucket has copies on
+/// its primary and `replicas` chain successors, and `selection` decides
+/// which live copy serves each batch.
 ///
-/// Deterministic, and the served response time is never below the
-/// fault-free `max(hist)`: live disks keep at least their own load, slow
-/// factors only inflate (`factor >= 1` is enforced at construction), and
-/// a failed disk's entire share lands on its single chain successor.
-///
-/// # Panics
-/// Panics if `hist.len()` differs from the schedule's disk count (caller
-/// bug — both derive from the same allocation).
-pub fn degraded_outcome(
-    hist: &[u64],
-    schedule: &FaultSchedule,
-    t: u64,
-    policy: &RetryPolicy,
-    chained: bool,
-) -> QueryOutcome {
-    degraded_outcome_with(hist, schedule, t, policy, chained, &mut Vec::new())
-}
-
-/// As [`degraded_outcome`], accumulating per-disk loads into a
-/// caller-owned buffer (cleared and resized first) so per-query stream
-/// scoring allocates nothing once the buffer has grown. The outcome is
-/// identical to [`degraded_outcome`] for any buffer state.
-///
-/// # Panics
-/// As [`degraded_outcome`].
-pub fn degraded_outcome_with(
-    hist: &[u64],
-    schedule: &FaultSchedule,
-    t: u64,
-    policy: &RetryPolicy,
-    chained: bool,
-    loads: &mut Vec<u64>,
-) -> QueryOutcome {
-    let m = schedule.num_disks() as usize;
-    assert_eq!(hist.len(), m, "histogram arity {} != M = {m}", hist.len());
-    let scale = |count: u64, state: DiskState| -> u64 {
-        match state {
-            DiskState::Slow(f) => (count as f64 * f).ceil() as u64,
-            _ => count,
-        }
-    };
-    loads.clear();
-    loads.resize(m, 0);
-    let mut failover_buckets = 0u64;
-    let mut timeout_penalty = 0u64;
-    let mut dead_buckets = 0u64;
-    for (d, &count) in hist.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let state = schedule.state_at(d as u32, t);
-        if state.is_live() {
-            loads[d] += scale(count, state);
-            continue;
-        }
-        if !chained {
-            dead_buckets += count;
-            continue;
-        }
-        let backup = (d + 1) % m;
-        let backup_state = schedule.state_at(backup as u32, t);
-        if !backup_state.is_live() {
-            dead_buckets += count;
-            continue;
-        }
-        // The whole batch moves to the chain successor after detection.
-        loads[backup] += scale(count, backup_state) + policy.detection_units();
-        failover_buckets += count;
-        timeout_penalty += policy.detection_units();
-    }
-    if dead_buckets > 0 {
-        return QueryOutcome::Unavailable { dead_buckets };
-    }
-    QueryOutcome::Served {
-        response_time: loads.iter().copied().max().unwrap_or(0),
-        failover_buckets,
-        timeout_penalty,
-    }
-}
-
-/// The r-way generalization of [`degraded_outcome_with`]: each bucket
-/// has copies on its primary and `replicas` chain successors, and
-/// `selection` decides which live copy serves each batch.
-///
-/// * `replicas = 0` ignores `selection` and reproduces the unreplicated
-///   path (`chained = false`): any touched down disk makes the query
-///   unavailable.
-/// * `replicas = 1` with [`ReplicaPolicy::FailoverOnly`] is bit-identical
-///   to `degraded_outcome_with(…, chained = true, …)` — the classic
-///   chain.
+/// * `replicas = 0` ignores `selection`: any touched down disk makes the
+///   query unavailable.
+/// * `replicas = 1` with [`ReplicaPolicy::FailoverOnly`] is the classic
+///   chain: a down disk's batch moves to `(d + 1) mod M` after the
+///   policy's detection penalty, so the served response time is never
+///   below the fault-free `max(hist)`.
 /// * [`ReplicaPolicy::PrimaryOnly`] never reads a backup, so a down
 ///   primary is an unavailability even when copies exist.
 /// * [`ReplicaPolicy::FailoverOnly`] pays the retry policy's
@@ -705,9 +624,11 @@ pub fn degraded_outcome_with(
 /// in disk order, so `NearestFreeQueue`'s queue lengths are well-defined.
 ///
 /// # Panics
-/// As [`degraded_outcome`]; also if `replicas >= M` (an r-way chain
-/// would wrap onto its own primary — construction-validated upstream).
-pub fn degraded_outcome_r(
+/// Panics if `hist.len()` differs from the schedule's disk count (caller
+/// bug — both derive from the same allocation), or if `replicas >= M`
+/// (an r-way chain would wrap onto its own primary —
+/// construction-validated upstream).
+pub fn degraded_outcome(
     hist: &[u64],
     schedule: &FaultSchedule,
     t: u64,
@@ -873,37 +794,20 @@ const REBUILD_CHUNK_PAGES: u64 = 16;
 /// reads one [`REBUILD_CHUNK_PAGES`]-page sequential chunk of replica
 /// data until the whole failed disk has been replayed. Deterministic.
 ///
+/// With `obs` live, records rebuild progress counters (`rebuild.pages`,
+/// `rebuild.chunks`, `rebuild.interleaved_chunks`,
+/// `rebuild.drained_chunks`) plus `rebuild_start` / `rebuild_done` trace
+/// events, and the healthy baseline's `multiuser.*` metrics. Rebuild
+/// stays entirely on the position model (page identities matter here:
+/// the source disk replays the failed disk's replica pages interleaved
+/// with its own), so the healthy baseline is a closed [`ServeSpec`] run
+/// over position rows and both sides of the interference ratio use the
+/// same elevator accounting.
+///
 /// # Errors
+/// [`crate::SpecError::NoClients`] for zero clients;
 /// [`SimError::BadFaultSpec`] when `failed` is out of range.
-///
-/// # Panics
-/// Panics if `clients == 0`.
 pub fn simulate_rebuild(
-    dir: &GridDirectory,
-    params: &DiskParams,
-    failed: u32,
-    queries: &[decluster_grid::BucketRegion],
-    clients: usize,
-) -> Result<RebuildReport> {
-    simulate_rebuild_obs(dir, params, failed, queries, clients, &Obs::disabled())
-}
-
-/// [`simulate_rebuild`] with an observability handle: records rebuild
-/// progress counters (`rebuild.pages`, `rebuild.chunks`,
-/// `rebuild.interleaved_chunks`, `rebuild.drained_chunks`) plus
-/// `rebuild_start` / `rebuild_done` trace events, and runs the healthy
-/// baseline through the position-model closed loop so its `multiuser.*`
-/// metrics land in the same snapshot. Rebuild stays entirely on the
-/// position model (page identities matter here: the source disk replays
-/// the failed disk's replica pages interleaved with its own), so both
-/// sides of the interference ratio use the same elevator accounting.
-///
-/// # Errors
-/// As [`simulate_rebuild`].
-///
-/// # Panics
-/// As [`simulate_rebuild`].
-pub fn simulate_rebuild_obs(
     dir: &GridDirectory,
     params: &DiskParams,
     failed: u32,
@@ -911,7 +815,8 @@ pub fn simulate_rebuild_obs(
     clients: usize,
     obs: &Obs,
 ) -> Result<RebuildReport> {
-    assert!(clients > 0, "closed loop needs at least one client");
+    let baseline = ServeSpec::closed(clients);
+    baseline.validate(dir.num_disks() as usize)?;
     let m = dir.num_disks();
     if failed >= m {
         return Err(SimError::BadFaultSpec {
@@ -942,8 +847,17 @@ pub fn simulate_rebuild_obs(
         );
     }
 
-    let healthy =
-        crate::multiuser::run_closed_loop_positions_obs(dir, params, queries, clients, obs);
+    let healthy = baseline
+        .serve_rows(
+            &MultiUserEngine::with_kernel(dir, None),
+            Rows::Positions,
+            params,
+            queries,
+            &[],
+            obs,
+            &mut LoopScratch::new(),
+        )?
+        .report;
 
     // Degraded closed loop: the failed disk's batches are redirected to
     // the source, which also interleaves one rebuild chunk before each
@@ -1030,6 +944,74 @@ pub fn simulate_rebuild_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classic two-mode outcome, unreplicated or chained to the one
+    /// successor `(d + 1) mod M`: the reference the r-way
+    /// [`degraded_outcome`] is pinned to.
+    fn chained_outcome(
+        hist: &[u64],
+        schedule: &FaultSchedule,
+        t: u64,
+        policy: &RetryPolicy,
+        chained: bool,
+        loads: &mut Vec<u64>,
+    ) -> QueryOutcome {
+        let m = schedule.num_disks() as usize;
+        assert_eq!(hist.len(), m, "histogram arity {} != M = {m}", hist.len());
+        let scale = |count: u64, state: DiskState| -> u64 {
+            match state {
+                DiskState::Slow(f) => (count as f64 * f).ceil() as u64,
+                _ => count,
+            }
+        };
+        loads.clear();
+        loads.resize(m, 0);
+        let mut failover_buckets = 0u64;
+        let mut timeout_penalty = 0u64;
+        let mut dead_buckets = 0u64;
+        for (d, &count) in hist.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let state = schedule.state_at(d as u32, t);
+            if state.is_live() {
+                loads[d] += scale(count, state);
+                continue;
+            }
+            if !chained {
+                dead_buckets += count;
+                continue;
+            }
+            let backup = (d + 1) % m;
+            let backup_state = schedule.state_at(backup as u32, t);
+            if !backup_state.is_live() {
+                dead_buckets += count;
+                continue;
+            }
+            // The whole batch moves to the chain successor after detection.
+            loads[backup] += scale(count, backup_state) + policy.detection_units();
+            failover_buckets += count;
+            timeout_penalty += policy.detection_units();
+        }
+        if dead_buckets > 0 {
+            return QueryOutcome::Unavailable { dead_buckets };
+        }
+        QueryOutcome::Served {
+            response_time: loads.iter().copied().max().unwrap_or(0),
+            failover_buckets,
+            timeout_penalty,
+        }
+    }
+
+    fn classic(
+        hist: &[u64],
+        schedule: &FaultSchedule,
+        t: u64,
+        policy: &RetryPolicy,
+        chained: bool,
+    ) -> QueryOutcome {
+        chained_outcome(hist, schedule, t, policy, chained, &mut Vec::new())
+    }
 
     #[test]
     fn chain_dead_needs_both_links_down() {
@@ -1161,7 +1143,7 @@ mod tests {
     fn degraded_outcome_healthy_matches_plain_rt() {
         let s = FaultSchedule::healthy(4);
         let hist = [3u64, 1, 0, 2];
-        let out = degraded_outcome(&hist, &s, 0, &RetryPolicy::default(), true);
+        let out = classic(&hist, &s, 0, &RetryPolicy::default(), true);
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1179,7 +1161,7 @@ mod tests {
         let s = FaultSchedule::healthy(4).fail_stop(0, 0).unwrap();
         let hist = [3u64, 1, 0, 2];
         // Instant detection: disk 1 inherits disk 0's 3 buckets -> load 4.
-        let out = degraded_outcome(&hist, &s, 0, &RetryPolicy::instant(), true);
+        let out = classic(&hist, &s, 0, &RetryPolicy::instant(), true);
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1189,7 +1171,7 @@ mod tests {
             }
         );
         // Default policy adds 2 detection units to the failover batch.
-        let out = degraded_outcome(&hist, &s, 0, &RetryPolicy::default(), true);
+        let out = classic(&hist, &s, 0, &RetryPolicy::default(), true);
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1204,11 +1186,11 @@ mod tests {
     fn unreplicated_failure_is_unavailable_not_a_panic() {
         let s = FaultSchedule::healthy(4).fail_stop(0, 0).unwrap();
         let hist = [3u64, 1, 0, 2];
-        let out = degraded_outcome(&hist, &s, 0, &RetryPolicy::default(), false);
+        let out = classic(&hist, &s, 0, &RetryPolicy::default(), false);
         assert_eq!(out, QueryOutcome::Unavailable { dead_buckets: 3 });
         assert_eq!(out.response_time(), None);
         // A query not touching the failed disk is unaffected.
-        let out = degraded_outcome(&[0, 1, 0, 2], &s, 0, &RetryPolicy::default(), false);
+        let out = classic(&[0, 1, 0, 2], &s, 0, &RetryPolicy::default(), false);
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1226,7 +1208,7 @@ mod tests {
             .unwrap()
             .fail_stop(1, 0)
             .unwrap();
-        let out = degraded_outcome(&[2, 1, 1, 1], &s, 0, &RetryPolicy::default(), true);
+        let out = classic(&[2, 1, 1, 1], &s, 0, &RetryPolicy::default(), true);
         assert_eq!(out, QueryOutcome::Unavailable { dead_buckets: 2 });
         // Non-adjacent double failure with chaining still serves.
         let s2 = FaultSchedule::healthy(4)
@@ -1234,7 +1216,7 @@ mod tests {
             .unwrap()
             .fail_stop(2, 0)
             .unwrap();
-        let out = degraded_outcome(&[2, 1, 1, 1], &s2, 0, &RetryPolicy::instant(), true);
+        let out = classic(&[2, 1, 1, 1], &s2, 0, &RetryPolicy::instant(), true);
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1249,7 +1231,7 @@ mod tests {
     fn slow_disk_inflates_by_ceil() {
         let s = FaultSchedule::healthy(2).slow(0, 1.5, 0, 10).unwrap();
         // 3 buckets at 1.5x -> ceil(4.5) = 5.
-        let out = degraded_outcome(&[3, 1], &s, 5, &RetryPolicy::default(), true);
+        let out = classic(&[3, 1], &s, 5, &RetryPolicy::default(), true);
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1259,7 +1241,7 @@ mod tests {
             }
         );
         // Outside the window the disk is back to full speed.
-        let out = degraded_outcome(&[3, 1], &s, 10, &RetryPolicy::default(), true);
+        let out = classic(&[3, 1], &s, 10, &RetryPolicy::default(), true);
         assert_eq!(out.response_time(), Some(3));
     }
 
@@ -1272,7 +1254,7 @@ mod tests {
             .unwrap();
         // Disk 0's 2 buckets land on slow disk 1: ceil(2*2) + 0 penalty,
         // plus disk 1's own 1 bucket also at 2x.
-        let out = degraded_outcome(&[2, 1, 1], &s, 0, &RetryPolicy::instant(), true);
+        let out = classic(&[2, 1, 1], &s, 0, &RetryPolicy::instant(), true);
         // loads[1] = ceil(1*2) + ceil(2*2) = 6.
         assert_eq!(out.response_time(), Some(6));
     }
@@ -1298,7 +1280,7 @@ mod tests {
                     .collect();
                 let healthy = hist.iter().copied().max().unwrap();
                 for t in [0u64, 25, 75] {
-                    let out = degraded_outcome(&hist, schedule, t, &RetryPolicy::default(), true);
+                    let out = classic(&hist, schedule, t, &RetryPolicy::default(), true);
                     if let Some(rt) = out.response_time() {
                         assert!(
                             rt >= healthy,
@@ -1314,7 +1296,15 @@ mod tests {
     #[should_panic(expected = "histogram arity")]
     fn mismatched_histogram_is_a_caller_bug() {
         let s = FaultSchedule::healthy(4);
-        let _ = degraded_outcome(&[1, 2], &s, 0, &RetryPolicy::default(), true);
+        let _ = degraded_outcome(
+            &[1, 2],
+            &s,
+            0,
+            &RetryPolicy::default(),
+            1,
+            ReplicaPolicy::FailoverOnly,
+            &mut Vec::new(),
+        );
     }
 
     #[test]
@@ -1450,9 +1440,8 @@ mod tests {
                     .collect();
                 for t in [0u64, 25, 75] {
                     for policy in [RetryPolicy::default(), RetryPolicy::instant()] {
-                        let classic =
-                            degraded_outcome_with(&hist, schedule, t, &policy, true, &mut a);
-                        let rway = degraded_outcome_r(
+                        let classic = chained_outcome(&hist, schedule, t, &policy, true, &mut a);
+                        let rway = degraded_outcome(
                             &hist,
                             schedule,
                             t,
@@ -1463,8 +1452,8 @@ mod tests {
                         );
                         assert_eq!(classic, rway, "hist {hist:?} t {t}");
                         let unreplicated =
-                            degraded_outcome_with(&hist, schedule, t, &policy, false, &mut a);
-                        let r0 = degraded_outcome_r(
+                            chained_outcome(&hist, schedule, t, &policy, false, &mut a);
+                        let r0 = degraded_outcome(
                             &hist,
                             schedule,
                             t,
@@ -1483,7 +1472,7 @@ mod tests {
     #[test]
     fn primary_only_ignores_live_backups() {
         let s = FaultSchedule::healthy(4).fail_stop(0, 0).unwrap();
-        let out = degraded_outcome_r(
+        let out = degraded_outcome(
             &[2, 1, 1, 1],
             &s,
             0,
@@ -1504,7 +1493,7 @@ mod tests {
             .unwrap();
         let hist = [2u64, 1, 1, 1];
         // r = 1 dies (0's backup is 1); r = 2 fails over to disk 2.
-        let r1 = degraded_outcome_r(
+        let r1 = degraded_outcome(
             &hist,
             &s,
             0,
@@ -1514,7 +1503,7 @@ mod tests {
             &mut Vec::new(),
         );
         assert!(!r1.is_served());
-        let r2 = degraded_outcome_r(
+        let r2 = degraded_outcome(
             &hist,
             &s,
             0,
@@ -1535,7 +1524,7 @@ mod tests {
         // With the default policy each skipped dead copy costs the
         // detection units: disk 0's batch skips two dead copies (2×2),
         // disk 1's skips one (2).
-        let r2 = degraded_outcome_r(
+        let r2 = degraded_outcome(
             &hist,
             &s,
             0,
@@ -1561,7 +1550,7 @@ mod tests {
         // point, so the max load can only improve on primary-only.
         let s = FaultSchedule::healthy(4);
         let hist = [6u64, 0, 2, 0];
-        let nearest = degraded_outcome_r(
+        let nearest = degraded_outcome(
             &hist,
             &s,
             0,
@@ -1570,7 +1559,7 @@ mod tests {
             ReplicaPolicy::NearestFreeQueue,
             &mut Vec::new(),
         );
-        let primary = degraded_outcome_r(
+        let primary = degraded_outcome(
             &hist,
             &s,
             0,
@@ -1589,7 +1578,7 @@ mod tests {
         let hist = [3u64, 0, 0];
         // r = 2, all live: t selects copy t % 3 for disk 0's batch.
         for t in 0u64..6 {
-            let out = degraded_outcome_r(
+            let out = degraded_outcome(
                 &hist,
                 &s,
                 t,
@@ -1616,7 +1605,7 @@ mod tests {
         let s = FaultSchedule::healthy(4);
         let hist = [7u64, 0, 0, 0];
         // r = 1, all live: 7 pages split 4/3 over disks 0 and 1.
-        let out = degraded_outcome_r(
+        let out = degraded_outcome(
             &hist,
             &s,
             0,
@@ -1635,7 +1624,7 @@ mod tests {
         );
         // A dead primary shifts the whole batch to the live successor.
         let down = FaultSchedule::parse("fail:0@0", 4).unwrap();
-        let out = degraded_outcome_r(
+        let out = degraded_outcome(
             &hist,
             &down,
             1,
@@ -1653,7 +1642,7 @@ mod tests {
             }
         );
         // r = 0 degenerates to primary-only.
-        let out = degraded_outcome_r(
+        let out = degraded_outcome(
             &hist,
             &down,
             1,
@@ -1707,7 +1696,15 @@ mod tests {
         #[test]
         fn rebuild_replays_the_failed_disks_pages() {
             let (dir, queries) = setup();
-            let report = simulate_rebuild(&dir, &DiskParams::default(), 1, &queries, 2).unwrap();
+            let report = simulate_rebuild(
+                &dir,
+                &DiskParams::default(),
+                1,
+                &queries,
+                2,
+                &Obs::disabled(),
+            )
+            .unwrap();
             assert_eq!(report.failed_disk, 1);
             assert_eq!(report.pages_rebuilt, dir.load_vector()[1]);
             assert!(report.rebuild_ms > 0.0);
@@ -1716,7 +1713,15 @@ mod tests {
         #[test]
         fn rebuild_interferes_with_foreground() {
             let (dir, queries) = setup();
-            let report = simulate_rebuild(&dir, &DiskParams::default(), 0, &queries, 2).unwrap();
+            let report = simulate_rebuild(
+                &dir,
+                &DiskParams::default(),
+                0,
+                &queries,
+                2,
+                &Obs::disabled(),
+            )
+            .unwrap();
             assert!(report.degraded_qps > 0.0);
             assert!(
                 report.degraded_qps <= report.healthy_qps + 1e-9,
@@ -1730,17 +1735,58 @@ mod tests {
         #[test]
         fn rebuild_is_deterministic() {
             let (dir, queries) = setup();
-            let a = simulate_rebuild(&dir, &DiskParams::default(), 2, &queries, 3).unwrap();
-            let b = simulate_rebuild(&dir, &DiskParams::default(), 2, &queries, 3).unwrap();
+            let a = simulate_rebuild(
+                &dir,
+                &DiskParams::default(),
+                2,
+                &queries,
+                3,
+                &Obs::disabled(),
+            )
+            .unwrap();
+            let b = simulate_rebuild(
+                &dir,
+                &DiskParams::default(),
+                2,
+                &queries,
+                3,
+                &Obs::disabled(),
+            )
+            .unwrap();
             assert_eq!(a.rebuild_ms, b.rebuild_ms);
             assert_eq!(a.degraded_qps, b.degraded_qps);
+        }
+
+        #[test]
+        fn rebuild_rejects_zero_clients() {
+            let (dir, queries) = setup();
+            assert!(matches!(
+                simulate_rebuild(
+                    &dir,
+                    &DiskParams::default(),
+                    1,
+                    &queries,
+                    0,
+                    &Obs::disabled()
+                )
+                .unwrap_err(),
+                SimError::Spec(crate::SpecError::NoClients)
+            ));
         }
 
         #[test]
         fn rebuild_rejects_out_of_range_disk() {
             let (dir, queries) = setup();
             assert!(matches!(
-                simulate_rebuild(&dir, &DiskParams::default(), 4, &queries, 1).unwrap_err(),
+                simulate_rebuild(
+                    &dir,
+                    &DiskParams::default(),
+                    4,
+                    &queries,
+                    1,
+                    &Obs::disabled()
+                )
+                .unwrap_err(),
                 SimError::BadFaultSpec { .. }
             ));
         }

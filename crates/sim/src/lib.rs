@@ -52,22 +52,17 @@ pub mod workload;
 
 pub use disk::{DiskParams, IoSimulator};
 pub use eval::{DegradedContext, EvalContext};
-pub use events::{
-    sharded_arrivals, DegradedServeConfig, DegradedServeReport, Event, EventHeap, LoopScratch,
-    ServeConfig, ServeReport, ServeSample, ServingEngine, SharedServeConfig, SharedServeReport,
-};
+pub use events::{sharded_arrivals, Event, EventHeap, LoopScratch, ServeSample};
 pub use experiment::{
     AvailPoint, AvailSweep, DbSizePoint, Experiment, MethodSeries, ServeCurve, ServePoint,
     ServeSweep, SharePoint, ShareSweep, SweepResult,
 };
 pub use faults::{
-    degraded_outcome, degraded_outcome_r, degraded_outcome_with, simulate_rebuild,
-    simulate_rebuild_obs, DiskState, FaultEvent, FaultMethodStats, FaultReport, FaultSchedule,
-    QueryOutcome, RebuildReport, ReplicaPolicy, RetryPolicy,
+    degraded_outcome, simulate_rebuild, DiskState, FaultEvent, FaultMethodStats, FaultReport,
+    FaultSchedule, QueryOutcome, RebuildReport, ReplicaPolicy, RetryPolicy,
 };
 pub use multiuser::{
-    load_sweep, load_sweep_with_threads, poisson_arrivals, DegradedMultiUserReport, LoadPoint,
-    LoadPointMethod, MultiUserEngine, MultiUserReport,
+    load_sweep, poisson_arrivals, LoadPoint, LoadPointMethod, MultiUserEngine, MultiUserReport,
 };
 pub use report::{Report, ReportFormat, TextTable};
 pub use rt::{

@@ -9,38 +9,35 @@
 //! methods that spread each query thinly across disks keep all spindles
 //! busy and finish the workload sooner.
 //!
-//! # The event core
+//! # The event loop
 //!
-//! Every loop here is a driver over the serving core in
-//! [`crate::events`]: client readiness and query completions flow
-//! through the deterministic [`crate::events::EventHeap`], and the
-//! per-query FCFS fan-out is [`ServingEngine::fan_out`] — the identical
-//! float sequence the loops always computed, now shared. Open-loop runs
-//! (a load generator rather than a closed set of clients) are the
-//! streaming serve, reached through [`crate::ServeSpec::open`]; the
-//! load sweep below drives it once per (rate, method) cell.
+//! Every run here — closed loops, open-loop load sweeps, fault-injected
+//! and shared-scan serves, and the rebuild's healthy baseline — is one
+//! [`crate::ServeSpec`] run through the single serving loop in
+//! [`crate::events`]: client readiness, arrivals and completions flow
+//! through one deterministic [`crate::events::EventHeap`], and each
+//! query's per-disk batches are pre-costed rows of the run's plan
+//! table. The load sweep below drives one open run per (rate, method)
+//! cell.
 //!
 //! # The counts fast path
 //!
-//! None of the loops here ever look at page *identities* — FCFS queueing
-//! needs only "how many pages must disk `d` fetch", which is exactly what
-//! the [`PlanCounts`] kernel answers in `O(M · 2^k)` per query. The
-//! [`MultiUserEngine`] caches that kernel per directory and runs every
-//! loop allocation-free through a caller-owned [`LoopScratch`]; batch
-//! service times come from [`DiskParams::batch_ms_counts`]. Consumers
-//! that do need page positions (the rebuild replay in
-//! [`crate::faults`]) use the flat [`IoPlan`] arena and the position
-//! model instead — see `run_closed_loop_positions_obs`.
+//! FCFS queueing needs only "how many pages must disk `d` fetch", which
+//! is exactly what the [`PlanCounts`] kernel answers in `O(M · 2^k)` per
+//! query. The [`MultiUserEngine`] caches that kernel per directory and
+//! runs every loop allocation-free through a caller-owned
+//! [`LoopScratch`]; batch service times come from
+//! [`DiskParams::batch_ms_counts`]. Consumers that need page positions
+//! (the shared-scan merge, the rebuild baseline) read the engine's
+//! [`GridDirectory`] instead.
 
-use crate::events::{EventHeap, LoopScratch, ServingEngine};
-use crate::faults::{DiskState, FaultSchedule, RetryPolicy};
-use crate::spec::ServeSpec;
+use crate::events::LoopScratch;
+use crate::spec::{ServeSpec, SpecError};
 use crate::stats::Quantiles;
-use crate::{DiskParams, Result, SimError, Summary};
-use decluster_grid::{BucketRegion, GridDirectory, IoPlan};
-#[allow(unused_imports)] // rustdoc links
-use decluster_methods::PlanCounts;
-use decluster_obs::{CounterHandle, GaugeHandle, HistogramHandle, Obs, TraceEvent};
+use crate::{DiskParams, Result, Summary};
+use decluster_grid::{BucketRegion, GridDirectory};
+use decluster_methods::{DiskCounts, PlanCounts};
+use decluster_obs::{CounterHandle, GaugeHandle, HistogramHandle, Obs};
 
 /// Pre-interned handles for the shared closed/open-loop metrics: every
 /// name is formatted and resolved once per run, never inside the
@@ -149,52 +146,55 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// A directory's multi-user simulation engine: a [`ServingEngine`] (the
-/// cached [`PlanCounts`] kernel plus the static load vector) with the
-/// whole-run loop drivers on top. Build once per directory (the kernel
-/// build walks the grid once), then run any number of closed-loop,
-/// open-loop, or degraded workloads against it — each query costs
-/// `O(M · 2^k)` kernel lookups and zero heap allocations.
+/// A directory's serving engine: the cached [`PlanCounts`] kernel, the
+/// static load vector, and the directory itself (the shared-scan merge
+/// and the position model read page lists). Build once per directory
+/// (the kernel build walks the grid once), then run any number of
+/// [`ServeSpec`]s against it — each query costs `O(M · 2^k)` kernel
+/// lookups once per run and zero heap allocations per event.
 ///
 /// The engine is immutable and `Sync`: parallel sweeps share one engine
 /// per method across worker threads, each worker carrying its own
 /// [`LoopScratch`].
 #[derive(Clone, Debug)]
 pub struct MultiUserEngine {
-    core: ServingEngine,
-    dir: GridDirectory,
+    pub(crate) counts: PlanCounts,
+    pub(crate) loads: Vec<u64>,
+    pub(crate) dir: GridDirectory,
 }
 
 impl MultiUserEngine {
     /// Builds the count kernel for `dir` and snapshots its load vector.
     pub fn new(dir: &GridDirectory) -> Self {
-        MultiUserEngine {
-            core: ServingEngine::new(dir),
-            dir: dir.clone(),
-        }
+        Self::from_counts(dir, PlanCounts::build(dir))
     }
 
     /// Warm-start constructor: adopts a previously compiled kernel (from
     /// a persist-v3 [`decluster_methods::KernelCache`] image) instead of
-    /// building one; see [`ServingEngine::with_kernel`].
+    /// building one, so the engine reaches its first scored query with
+    /// zero build-phase work. `None` behaves like [`MultiUserEngine::new`]
+    /// minus the kernel (bucket-walk fallback).
     ///
     /// # Panics
     /// Panics if the kernel's disk count disagrees with the directory's.
-    pub fn with_kernel(dir: &GridDirectory, kernel: Option<decluster_methods::DiskCounts>) -> Self {
+    pub fn with_kernel(dir: &GridDirectory, kernel: Option<DiskCounts>) -> Self {
+        Self::from_counts(dir, PlanCounts::with_kernel(dir, kernel))
+    }
+
+    fn from_counts(dir: &GridDirectory, counts: PlanCounts) -> Self {
         MultiUserEngine {
-            core: ServingEngine::with_kernel(dir, kernel),
+            counts,
+            loads: dir.load_vector(),
             dir: dir.clone(),
         }
     }
 
     /// Disks (`M`).
     pub fn num_disks(&self) -> usize {
-        self.core.num_disks()
+        self.loads.len()
     }
 
-    /// The directory this engine was built from (shared-scan runs need
-    /// the page-level [`GridDirectory::io_plan_into`] arena, not just the
-    /// count kernel).
+    /// The directory this engine was built from.
     pub fn directory(&self) -> &GridDirectory {
         &self.dir
     }
@@ -202,354 +202,20 @@ impl MultiUserEngine {
     /// Whether queries are served by the prefix-sum kernel (false means
     /// the grid was too large for a table and the engine walks buckets).
     pub fn kernel_backed(&self) -> bool {
-        self.core.kernel_backed()
+        self.counts.kernel_backed()
     }
 
-    /// The underlying streaming serving core (for
-    /// [`crate::ServeSpec`] arrival-stream runs).
-    pub fn serving(&self) -> &ServingEngine {
-        &self.core
+    /// The engine's count kernel (for exporting into a
+    /// [`decluster_methods::KernelCache`]).
+    pub fn counts(&self) -> &PlanCounts {
+        &self.counts
     }
 
-    /// Closed-loop run against this engine: `clients` users repeatedly
-    /// take the next query from `queries` (in order), waiting for their
-    /// previous query to finish first. Returns aggregate
-    /// throughput/latency/utilization. Deterministic: the only inputs
-    /// are the directory, the disk parameters, and the query order. With
-    /// observability enabled it records `multiuser.*` counters, the
-    /// latency histogram, and a `closed_loop_done` trace event. Reach it
-    /// through [`crate::ServeSpec::closed`].
-    ///
-    /// # Panics
-    /// Panics if `clients == 0`.
-    pub fn closed_loop_obs(
-        &self,
-        params: &DiskParams,
-        queries: &[BucketRegion],
-        clients: usize,
-        obs: &Obs,
-        ls: &mut LoopScratch,
-    ) -> MultiUserReport {
-        assert!(clients > 0, "closed loop needs at least one client");
-        let record = obs.enabled();
-        let meters = record.then(|| LoopMeters::new(obs, "multiuser", self.core.num_disks()));
-        let m = self.core.num_disks();
-        ls.begin(m, queries.len());
-        let mut makespan: f64 = 0.0;
-        let mut batches = 0u64;
-        let mut queued_batches = 0u64;
-        // A client-ready event per client; the earliest-free client
-        // (ties by event order) issues the next query.
-        for _ in 0..clients {
-            ls.events.push(0.0, 0.0);
-        }
-
-        for region in queries {
-            let issue_at = ls.events.pop().expect("clients > 0").time;
-            self.core.counts_into(region, &mut ls.plans, &mut ls.hist);
-            let completion = ServingEngine::fan_out(
-                issue_at,
-                ls.hist
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &count)| count > 0)
-                    .map(|(d, &count)| (d, params.batch_ms_counts(count, self.core.load_of(d)))),
-                &mut ls.disk_free_at,
-                &mut ls.disk_busy_ms,
-                record,
-                &mut batches,
-                &mut queued_batches,
-            );
-            ls.latencies.push(completion - issue_at);
-            makespan = makespan.max(completion);
-            ls.events.push(completion, completion - issue_at);
-        }
-
-        let (shape_hits, shape_misses) = ls.plans.drain_stats();
-        if let Some(meters) = &meters {
-            meters.record(
-                queries.len(),
-                batches,
-                queued_batches,
-                &ls.disk_busy_ms,
-                &ls.latencies,
-            );
-            obs.counter_add("kernel.shape_cache_hits", shape_hits);
-            obs.counter_add("kernel.shape_cache_misses", shape_misses);
-        }
-        let report = assemble_report(
-            queries.len(),
-            clients,
-            makespan,
-            m,
-            &ls.disk_busy_ms,
-            &mut ls.latencies,
-        );
-        if obs.trace_enabled() {
-            obs.emit(
-                TraceEvent::new("closed_loop_done")
-                    .with("queries", queries.len())
-                    .with("clients", clients)
-                    .with("makespan_ms", report.makespan_ms)
-                    .with("utilization", report.utilization),
-            );
-        }
-        report
+    /// Returns this engine, which is its own serving core.
+    #[deprecated(note = "the engine is its own serving core; call its methods directly")]
+    pub fn serving(&self) -> &Self {
+        self
     }
-
-    /// Degraded closed-loop run against this engine: the closed-loop
-    /// workload under a fault schedule with chained-declustering
-    /// failover. Query `i` executes at logical fault time `i`, so the
-    /// result is a pure function of the inputs — reproducible under any
-    /// thread count of the surrounding sweep.
-    ///
-    /// Batches to a down disk fail over to the chain successor
-    /// `(d + 1) mod M`, starting no earlier than
-    /// `issue + detection_units × transfer_ms` (the client's timeout and
-    /// retries); batches on a gray disk take its latency factor times as
-    /// long. A query whose down disk has a down successor is counted
-    /// unavailable and abandoned — its client immediately moves on. The
-    /// simulation never panics on a fault. Reach it through
-    /// [`crate::ServeSpec::closed`] plus [`crate::ServeSpec::faults`].
-    ///
-    /// # Errors
-    /// [`SimError::ScheduleMismatch`] when the schedule's disk count
-    /// differs from the engine's.
-    ///
-    /// # Panics
-    /// Panics if `clients == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn degraded_obs(
-        &self,
-        params: &DiskParams,
-        queries: &[BucketRegion],
-        clients: usize,
-        schedule: &FaultSchedule,
-        policy: &RetryPolicy,
-        obs: &Obs,
-        ls: &mut LoopScratch,
-    ) -> Result<DegradedMultiUserReport> {
-        assert!(clients > 0, "closed loop needs at least one client");
-        let m = self.core.num_disks();
-        if schedule.num_disks() as usize != m {
-            return Err(SimError::ScheduleMismatch {
-                schedule_disks: schedule.num_disks(),
-                experiment_disks: m as u32,
-            });
-        }
-        let record = obs.enabled();
-        let meters = record.then(|| LoopMeters::new(obs, "multiuser_degraded", m));
-        let timeout_ms = policy.detection_units() as f64 * params.transfer_ms;
-        ls.begin(m, queries.len());
-        let mut makespan: f64 = 0.0;
-        let mut unavailable = 0usize;
-        let mut failover_batches = 0usize;
-        let mut batches = 0u64;
-        let mut queued_batches = 0u64;
-        for _ in 0..clients {
-            ls.events.push(0.0, 0.0);
-        }
-
-        for (i, region) in queries.iter().enumerate() {
-            let t = i as u64;
-            let issue_at = ls.events.pop().expect("clients > 0").time;
-            self.core.counts_into(region, &mut ls.plans, &mut ls.hist);
-            // Availability first: abandon (don't half-schedule) a query
-            // whose down disk has a down chain successor.
-            let lost = ls
-                .hist
-                .iter()
-                .enumerate()
-                .any(|(d, &count)| count > 0 && schedule.chain_dead(d as u32, t));
-            if lost {
-                unavailable += 1;
-                ls.events.push(issue_at, 0.0);
-                continue;
-            }
-            let mut completion = issue_at;
-            for (d, &count) in ls.hist.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                match schedule.state_at(d as u32, t) {
-                    state @ (DiskState::Up | DiskState::Slow(_)) => {
-                        let start = issue_at.max(ls.disk_free_at[d]);
-                        let service = params.batch_ms_counts(count, self.core.load_of(d))
-                            * state.latency_factor();
-                        ls.disk_free_at[d] = start + service;
-                        ls.disk_busy_ms[d] += service;
-                        completion = completion.max(start + service);
-                        if record {
-                            batches += 1;
-                            if start > issue_at {
-                                queued_batches += 1;
-                            }
-                        }
-                    }
-                    DiskState::Down => {
-                        let b = (d + 1) % m;
-                        let backup_state = schedule.state_at(b as u32, t);
-                        let start = (issue_at + timeout_ms).max(ls.disk_free_at[b]);
-                        let service = params.batch_ms_counts(count, self.core.load_of(b))
-                            * backup_state.latency_factor();
-                        ls.disk_free_at[b] = start + service;
-                        ls.disk_busy_ms[b] += service;
-                        completion = completion.max(start + service);
-                        failover_batches += 1;
-                        if record {
-                            batches += 1;
-                            if start > issue_at + timeout_ms {
-                                queued_batches += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            ls.latencies.push(completion - issue_at);
-            makespan = makespan.max(completion);
-            ls.events.push(completion, completion - issue_at);
-        }
-
-        let served = ls.latencies.len();
-        let (shape_hits, shape_misses) = ls.plans.drain_stats();
-        if let Some(meters) = &meters {
-            meters.record(
-                served,
-                batches,
-                queued_batches,
-                &ls.disk_busy_ms,
-                &ls.latencies,
-            );
-            obs.counter_add("kernel.shape_cache_hits", shape_hits);
-            obs.counter_add("kernel.shape_cache_misses", shape_misses);
-            obs.counter_add("multiuser_degraded.unavailable", unavailable as u64);
-            obs.counter_add(
-                "multiuser_degraded.failover_batches",
-                failover_batches as u64,
-            );
-        }
-        let report = assemble_report(
-            served,
-            clients,
-            makespan,
-            m,
-            &ls.disk_busy_ms,
-            &mut ls.latencies,
-        );
-        if obs.trace_enabled() {
-            obs.emit(
-                TraceEvent::new("degraded_loop_done")
-                    .with("served", served)
-                    .with("unavailable", unavailable)
-                    .with("failover_batches", failover_batches)
-                    .with("makespan_ms", report.makespan_ms),
-            );
-        }
-        Ok(DegradedMultiUserReport {
-            report,
-            served,
-            unavailable,
-            failover_batches,
-        })
-    }
-}
-
-/// Position-model closed loop over the flat [`IoPlan`] arena: identical
-/// queueing structure to the engine's counts loop, but batch service
-/// times come from [`DiskParams::batch_ms`] over actual page positions.
-/// The rebuild simulation keeps using this so its healthy baseline and
-/// its degraded replay (both position-based) stay directly comparable.
-pub(crate) fn run_closed_loop_positions_obs(
-    dir: &GridDirectory,
-    params: &DiskParams,
-    queries: &[BucketRegion],
-    clients: usize,
-    obs: &Obs,
-) -> MultiUserReport {
-    assert!(clients > 0, "closed loop needs at least one client");
-    let record = obs.enabled();
-    let m = dir.num_disks() as usize;
-    let meters = record.then(|| LoopMeters::new(obs, "multiuser", m));
-    let loads = dir.load_vector();
-    let mut plan = IoPlan::new();
-    let mut disk_free_at = vec![0.0f64; m];
-    let mut disk_busy_ms = vec![0.0f64; m];
-    let mut latencies = Vec::with_capacity(queries.len());
-    let mut makespan: f64 = 0.0;
-    let mut batches = 0u64;
-    let mut queued_batches = 0u64;
-
-    let mut ready: EventHeap<()> = EventHeap::new();
-    for _ in 0..clients {
-        ready.push(0.0, ());
-    }
-
-    for region in queries {
-        let issue_at = ready.pop().expect("clients > 0").time;
-        dir.io_plan_into(region, &mut plan);
-        let mut completion = issue_at;
-        for (d, pages) in plan.iter().enumerate() {
-            if pages.is_empty() {
-                continue;
-            }
-            let start = issue_at.max(disk_free_at[d]);
-            let service = params.batch_ms(pages, loads[d]);
-            disk_free_at[d] = start + service;
-            disk_busy_ms[d] += service;
-            completion = completion.max(start + service);
-            if record {
-                batches += 1;
-                if start > issue_at {
-                    queued_batches += 1;
-                }
-            }
-        }
-        latencies.push(completion - issue_at);
-        makespan = makespan.max(completion);
-        ready.push(completion, ());
-    }
-
-    if let Some(meters) = &meters {
-        meters.record(
-            queries.len(),
-            batches,
-            queued_batches,
-            &disk_busy_ms,
-            &latencies,
-        );
-    }
-    let report = assemble_report(
-        queries.len(),
-        clients,
-        makespan,
-        m,
-        &disk_busy_ms,
-        &mut latencies,
-    );
-    if obs.trace_enabled() {
-        obs.emit(
-            TraceEvent::new("closed_loop_done")
-                .with("queries", queries.len())
-                .with("clients", clients)
-                .with("makespan_ms", report.makespan_ms)
-                .with("utilization", report.utilization),
-        );
-    }
-    report
-}
-
-/// A [`MultiUserReport`] plus the fault accounting of a degraded run.
-#[derive(Clone, Debug)]
-pub struct DegradedMultiUserReport {
-    /// Aggregate stats over the *served* queries (throughput counts only
-    /// completed queries; the makespan covers the whole run).
-    pub report: MultiUserReport,
-    /// Queries that completed.
-    pub served: usize,
-    /// Queries abandoned because some batch had no live copy.
-    pub unavailable: usize,
-    /// Batches served by a chain backup instead of their primary disk.
-    pub failover_batches: usize,
 }
 
 /// One method's measurements at one offered load.
@@ -579,37 +245,16 @@ pub struct LoadPoint {
 /// method), producing the classic latency-vs-load curves. The same
 /// queries and the same Poisson arrival draws (one arrival per query)
 /// are replayed against every method at every rate, so curves differ
-/// only by the declustering.
+/// only by the declustering. Every `(rate, method)` cell is an
+/// independent [`ServeSpec::open`] run on up to `threads` worker
+/// threads, each carrying its own [`LoopScratch`]; engines and arrival
+/// draws are built before the fan-out, so the result is bit-identical
+/// for any thread count.
 ///
 /// # Errors
-/// As [`ServeSpec::run_with_arrivals`]: [`crate::SpecError::NoQueries`]
-/// for an empty `queries`, [`crate::SpecError::BadRate`] for a
-/// non-finite rate.
-///
-/// # Panics
-/// Panics if a rate is not positive (see [`poisson_arrivals`]).
+/// [`SpecError::BadRate`] for a rate that is not finite and positive;
+/// [`SpecError::NoQueries`] for an empty `queries`.
 pub fn load_sweep(
-    dirs: &[(&str, &GridDirectory)],
-    params: &DiskParams,
-    queries: &[BucketRegion],
-    rates_qps: &[f64],
-    seed: u64,
-) -> Result<Vec<LoadPoint>> {
-    load_sweep_with_threads(dirs, params, queries, rates_qps, seed, 1)
-}
-
-/// [`load_sweep`] fanned over the deterministic executor: every
-/// `(rate, method)` cell runs as an independent [`ServeSpec::open`] run
-/// on up to `threads` worker threads, each worker carrying its own
-/// [`LoopScratch`]. Engines and arrival draws are built before the
-/// fan-out, so the result is bit-identical for any thread count.
-///
-/// # Errors
-/// As [`load_sweep`].
-///
-/// # Panics
-/// As [`load_sweep`].
-pub fn load_sweep_with_threads(
     dirs: &[(&str, &GridDirectory)],
     params: &DiskParams,
     queries: &[BucketRegion],
@@ -618,6 +263,9 @@ pub fn load_sweep_with_threads(
     threads: usize,
 ) -> Result<Vec<LoadPoint>> {
     use rand::SeedableRng;
+    if let Some(&rate_qps) = rates_qps.iter().find(|&&r| !(r.is_finite() && r > 0.0)) {
+        return Err(SpecError::BadRate { rate_qps }.into());
+    }
     let engines: Vec<MultiUserEngine> = dirs
         .iter()
         .map(|(_, dir)| MultiUserEngine::new(dir))
@@ -645,34 +293,24 @@ pub fn load_sweep_with_threads(
                 &obs,
                 ls,
             )?;
-            Ok((
-                run.report.latency.mean,
-                run.report.utilization,
-                run.report.tail,
-            ))
+            Ok(LoadPointMethod {
+                name: dirs[i % nm].0.to_owned(),
+                mean_latency_ms: run.report.latency.mean,
+                utilization: run.report.utilization,
+                tail_ms: run.report.tail,
+            })
         },
     );
-    let cells = cells.into_iter().collect::<Result<Vec<_>>>()?;
-    Ok(rates_qps
+    let mut cells = cells.into_iter();
+    rates_qps
         .iter()
-        .enumerate()
-        .map(|(ri, &rate)| LoadPoint {
-            rate_qps: rate,
-            methods: dirs
-                .iter()
-                .enumerate()
-                .map(|(mi, (name, _))| {
-                    let (mean_latency_ms, utilization, tail_ms) = cells[ri * nm + mi];
-                    LoadPointMethod {
-                        name: (*name).to_owned(),
-                        mean_latency_ms,
-                        utilization,
-                        tail_ms,
-                    }
-                })
-                .collect(),
+        .map(|&rate_qps| {
+            Ok(LoadPoint {
+                rate_qps,
+                methods: cells.by_ref().take(nm).collect::<Result<_>>()?,
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Exponential (Poisson-process) arrival times for `n` queries at
@@ -694,28 +332,27 @@ pub fn poisson_arrivals<R: rand::Rng>(rng: &mut R, n: usize, rate_qps: f64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decluster_grid::{BucketCoord, DiskId, GridSpace};
+    use crate::faults::{FaultSchedule, ReplicaPolicy};
+    use crate::SimError;
+    use decluster_grid::{BucketCoord, DiskId, GridSpace, IoPlan};
     use decluster_methods::{DeclusteringMethod, DiskModulo, Hcam};
 
     fn directory(m: u32, method: &dyn DeclusteringMethod, space: &GridSpace) -> GridDirectory {
         GridDirectory::build(space.clone(), m, |b| method.disk_of(b.as_slice()))
     }
 
-    // Test-local shorthands mirroring the removed free-function wrappers:
-    // one engine + fresh scratch per call, observability off.
+    // Test-local shorthands: one engine + fresh scratch per call,
+    // observability off.
     fn run_closed_loop(
         dir: &GridDirectory,
         params: &DiskParams,
         queries: &[BucketRegion],
         clients: usize,
     ) -> MultiUserReport {
-        MultiUserEngine::new(dir).closed_loop_obs(
-            params,
-            queries,
-            clients,
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        )
+        ServeSpec::closed(clients)
+            .run_on(dir, params, queries)
+            .expect("test clients are positive")
+            .report
     }
 
     fn run_open_loop(
@@ -737,23 +374,20 @@ mod tests {
             .report
     }
 
-    fn run_closed_loop_degraded(
+    /// A closed loop through the fault router with one chained replica
+    /// and failover routing.
+    fn run_closed_chained(
         dir: &GridDirectory,
         params: &DiskParams,
         queries: &[BucketRegion],
         clients: usize,
         schedule: &FaultSchedule,
-        policy: &RetryPolicy,
-    ) -> Result<DegradedMultiUserReport> {
-        MultiUserEngine::new(dir).degraded_obs(
-            params,
-            queries,
-            clients,
-            schedule,
-            policy,
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        )
+    ) -> crate::Result<crate::ServeRun> {
+        ServeSpec::closed(clients)
+            .replicas(1)
+            .policy(ReplicaPolicy::FailoverOnly)
+            .faults(schedule.clone())
+            .run_on(dir, params, queries)
     }
 
     fn small_squares(space: &GridSpace) -> Vec<BucketRegion> {
@@ -814,9 +448,13 @@ mod tests {
         let obs = Obs::disabled();
         let mut ls = LoopScratch::new();
         // A warm scratch (reused across runs) must not change any bit of
-        // the output relative to one-shot wrapper runs.
-        let _warmup = engine.closed_loop_obs(&params, &queries, 4, &obs, &mut ls);
-        let reused = engine.closed_loop_obs(&params, &queries, 4, &obs, &mut ls);
+        // the output relative to one-shot runs.
+        let spec = ServeSpec::closed(4);
+        let _warmup = spec.run(&engine, &params, &queries, &obs, &mut ls).unwrap();
+        let reused = spec
+            .run(&engine, &params, &queries, &obs, &mut ls)
+            .unwrap()
+            .report;
         let fresh = run_closed_loop(&dir, &params, &queries, 4);
         assert_eq!(reused.makespan_ms.to_bits(), fresh.makespan_ms.to_bits());
         assert_eq!(reused.latency.mean.to_bits(), fresh.latency.mean.to_bits());
@@ -958,6 +596,7 @@ mod tests {
             &queries,
             &[1.0, 20.0, 200.0],
             42,
+            1,
         )
         .unwrap();
         assert_eq!(points.len(), 3);
@@ -997,8 +636,8 @@ mod tests {
         let queries = small_squares(&space);
         let rates = [1.0, 10.0, 50.0, 200.0];
         let params = DiskParams::default();
-        let serial = load_sweep_with_threads(&dirs, &params, &queries, &rates, 42, 1).unwrap();
-        let parallel = load_sweep_with_threads(&dirs, &params, &queries, &rates, 42, 8).unwrap();
+        let serial = load_sweep(&dirs, &params, &queries, &rates, 42, 1).unwrap();
+        let parallel = load_sweep(&dirs, &params, &queries, &rates, 42, 8).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.rate_qps.to_bits(), b.rate_qps.to_bits());
@@ -1033,28 +672,43 @@ mod tests {
     }
 
     #[test]
-    fn degraded_loop_with_healthy_schedule_matches_plain_loop() {
+    fn load_sweep_rejects_a_bad_rate() {
+        let space = GridSpace::new_2d(8, 8).unwrap();
+        let dm = DiskModulo::new(&space, 4).unwrap();
+        let dir = directory(4, &dm, &space);
+        let err = load_sweep(
+            &[("DM", &dir)],
+            &DiskParams::default(),
+            &small_squares(&space),
+            &[10.0, 0.0],
+            1,
+            1,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Spec(SpecError::BadRate { rate_qps }) if rate_qps == 0.0
+        ));
+    }
+
+    #[test]
+    fn fault_router_with_healthy_schedule_matches_plain_loop() {
         let space = GridSpace::new_2d(8, 8).unwrap();
         let dm = DiskModulo::new(&space, 4).unwrap();
         let dir = directory(4, &dm, &space);
         let params = DiskParams::default();
         let queries = small_squares(&space);
         let plain = run_closed_loop(&dir, &params, &queries, 3);
-        let degraded = run_closed_loop_degraded(
-            &dir,
-            &params,
-            &queries,
-            3,
-            &FaultSchedule::healthy(4),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(degraded.served, queries.len());
-        assert_eq!(degraded.unavailable, 0);
-        assert_eq!(degraded.failover_batches, 0);
-        assert_eq!(degraded.report.makespan_ms, plain.makespan_ms);
-        assert_eq!(degraded.report.latency, plain.latency);
-        assert_eq!(degraded.report.tail, plain.tail);
+        let run = ServeSpec::closed(3)
+            .faults(FaultSchedule::healthy(4))
+            .run_on(&dir, &params, &queries)
+            .unwrap();
+        let avail = run.availability.unwrap();
+        assert_eq!(avail.served, queries.len() as u64);
+        assert_eq!((avail.lost, avail.failovers), (0, 0));
+        assert_eq!(run.report.makespan_ms, plain.makespan_ms);
+        assert_eq!(run.report.latency, plain.latency);
+        assert_eq!(run.report.tail, plain.tail);
     }
 
     #[test]
@@ -1064,25 +718,19 @@ mod tests {
         let dir = directory(4, &hcam, &space);
         let params = DiskParams::default();
         let queries = small_squares(&space);
-        let half = queries.len() as u64 / 2;
-        let schedule = FaultSchedule::healthy(4).fail_stop(1, half).unwrap();
         let healthy = run_closed_loop(&dir, &params, &queries, 2);
-        let degraded = run_closed_loop_degraded(
-            &dir,
-            &params,
-            &queries,
-            2,
-            &schedule,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        // Disk 1 fails halfway through the healthy run.
+        let half = (healthy.makespan_ms / 2.0) as u64;
+        let schedule = FaultSchedule::healthy(4).fail_stop(1, half).unwrap();
+        let run = run_closed_chained(&dir, &params, &queries, 2, &schedule).unwrap();
+        let avail = run.availability.unwrap();
         // Chained failover keeps every query alive...
-        assert_eq!(degraded.served, queries.len());
-        assert_eq!(degraded.unavailable, 0);
-        assert!(degraded.failover_batches > 0);
+        assert_eq!(avail.served, queries.len() as u64);
+        assert_eq!(avail.lost, 0);
+        assert!(avail.failovers > 0);
         // ...at a throughput cost.
-        assert!(degraded.report.throughput_qps <= healthy.throughput_qps + 1e-9);
-        assert!(degraded.report.makespan_ms >= healthy.makespan_ms - 1e-9);
+        assert!(run.report.throughput_qps <= healthy.throughput_qps + 1e-9);
+        assert!(run.report.makespan_ms >= healthy.makespan_ms - 1e-9);
     }
 
     #[test]
@@ -1096,20 +744,13 @@ mod tests {
             .unwrap()
             .fail_stop(2, 0)
             .unwrap();
-        let degraded = run_closed_loop_degraded(
-            &dir,
-            &DiskParams::default(),
-            &queries,
-            2,
-            &schedule,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let run = run_closed_chained(&dir, &DiskParams::default(), &queries, 2, &schedule).unwrap();
+        let avail = run.availability.unwrap();
         // 2x2 queries under HCAM at M=4 touch disk 1 (whose backup, disk
         // 2, is also down) often enough that some queries are lost — but
         // the run completes and accounts for every query.
-        assert_eq!(degraded.served + degraded.unavailable, queries.len());
-        assert!(degraded.unavailable > 0);
+        assert_eq!(avail.served + avail.lost, queries.len() as u64);
+        assert!(avail.lost > 0);
     }
 
     #[test]
@@ -1121,33 +762,24 @@ mod tests {
         let queries = small_squares(&space);
         let schedule = FaultSchedule::healthy(4).slow(0, 4.0, 0, u64::MAX).unwrap();
         let healthy = run_closed_loop(&dir, &params, &queries, 2);
-        let gray = run_closed_loop_degraded(
-            &dir,
-            &params,
-            &queries,
-            2,
-            &schedule,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(gray.served, queries.len());
+        let gray = run_closed_chained(&dir, &params, &queries, 2, &schedule).unwrap();
+        assert_eq!(gray.availability.unwrap().served, queries.len() as u64);
         assert!(gray.report.latency.mean > healthy.latency.mean);
     }
 
     #[test]
-    fn degraded_loop_rejects_mismatched_schedule() {
+    fn closed_loop_rejects_mismatched_schedule() {
         let space = GridSpace::new_2d(8, 8).unwrap();
         let dm = DiskModulo::new(&space, 4).unwrap();
         let dir = directory(4, &dm, &space);
         let queries = small_squares(&space);
         assert!(matches!(
-            run_closed_loop_degraded(
+            run_closed_chained(
                 &dir,
                 &DiskParams::default(),
                 &queries,
                 1,
-                &FaultSchedule::healthy(8),
-                &RetryPolicy::default(),
+                &FaultSchedule::healthy(8)
             )
             .unwrap_err(),
             SimError::ScheduleMismatch { .. }
@@ -1155,11 +787,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
-    fn zero_clients_panics() {
+    fn zero_clients_is_a_typed_error() {
         let space = GridSpace::new_2d(4, 4).unwrap();
         let dm = DiskModulo::new(&space, 2).unwrap();
         let dir = directory(2, &dm, &space);
-        let _ = run_closed_loop(&dir, &DiskParams::default(), &[], 0);
+        assert!(matches!(
+            ServeSpec::closed(0)
+                .run_on(&dir, &DiskParams::default(), &[])
+                .unwrap_err(),
+            SimError::Spec(SpecError::NoClients)
+        ));
     }
 }

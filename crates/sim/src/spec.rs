@@ -1,30 +1,30 @@
-//! Unified serving-run specification: one builder for every loop the
-//! engine can drive.
+//! Unified serving-run specification: one builder for every run the
+//! serving loop can drive.
 //!
-//! PR 7 left the serving surface as six free functions plus three engine
-//! methods, each with its own argument pile. [`ServeSpec`] collapses them
-//! behind one builder: pick a mode ([`ServeSpec::closed`] or
-//! [`ServeSpec::open`]), chain the knobs that matter (replicas, policy,
-//! retry, faults, sampling, admission, sharing), and run. Every knob the
-//! chosen mode cannot honor, and every input a loop cannot serve (an
+//! [`ServeSpec`] picks a mode ([`ServeSpec::closed`] or
+//! [`ServeSpec::open`]), chains the knobs that matter (replicas, policy,
+//! retry, faults, sampling, admission, sharing), and runs. Every knob the
+//! chosen mode cannot honor, and every input the loop cannot serve (an
 //! empty query pool, arrival times that are not finite and
-//! non-decreasing), is a typed one-line [`SpecError`] instead of a
-//! silent ignore or a panic, and every dispatch lands on the single
-//! canonical loop body for that mode (the deprecated wrappers that used
-//! to alias them were removed once their bit-identity pins had held) —
-//! so migrated callers are bit-identical by construction.
+//! non-decreasing, more requests than a `u32` numbers), is a typed
+//! one-line [`SpecError`] instead of a silent ignore or a panic.
 //!
-//! | spec | loop |
-//! |---|---|
-//! | `closed(c)` | the closed-loop counts kernel |
-//! | `closed(c).faults(..)` | chained-failover closed loop |
-//! | `open(rate)` | streaming event serve |
-//! | `open(rate).faults(..)` | fault-injected streaming serve |
-//! | `open(rate).share(w)` | shared-scan streaming serve |
+//! Every spec runs through the one event loop in [`crate::events`]; the
+//! spec only picks its parts:
+//!
+//! | spec | source | router | batcher |
+//! |---|---|---|---|
+//! | `closed(c)` | `c` closed clients | FCFS on the primary | pass-through |
+//! | `closed(c).faults(..)` | `c` closed clients | fault router | pass-through |
+//! | `open(rate)` | arrival stream | FCFS on the primary | pass-through |
+//! | `open(rate).faults(..)` | arrival stream | fault router | pass-through |
+//! | `open(rate).share(w)` | arrival stream | FCFS on the primary | shared-scan window (`w > 0`) |
+//!
+//! Every run plans count rows from the kernel, except the shared-scan
+//! window (which merges page lists at flush) and the rebuild's healthy
+//! baseline (position rows, crate-internal).
 
-use crate::events::{
-    DegradedServeConfig, LoopScratch, ServeConfig, ServingEngine, SharedServeConfig,
-};
+use crate::events::{LoopScratch, Rows};
 use crate::faults::{FaultSchedule, ReplicaPolicy, RetryPolicy};
 use crate::multiuser::{MultiUserEngine, MultiUserReport};
 use crate::workload::InterArrival;
@@ -38,7 +38,7 @@ pub const DEFAULT_SPEC_SEED: u64 = 1994;
 
 /// A serving-run mode: a closed set of clients or an open arrival stream.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum SpecMode {
+pub(crate) enum SpecMode {
     /// `clients` users, each issuing its next query on completion.
     Closed { clients: usize },
     /// An open Poisson stream at `rate_qps` (ignored by
@@ -88,9 +88,6 @@ pub enum SpecError {
     /// Shared-scan batching in a closed loop (windows are defined over
     /// arrival times, which a closed loop does not have).
     SharingClosedLoop,
-    /// Replica routing in a closed loop (the closed loops route by the
-    /// fixed chain, not by policy).
-    ReplicasClosedLoop,
     /// Admission control without a fault schedule (only the degraded
     /// loop sheds arrivals).
     AdmissionWithoutFaults,
@@ -102,6 +99,16 @@ pub enum SpecError {
     UnsortedArrivals {
         /// Position of the first offending arrival.
         index: usize,
+    },
+    /// A run would issue more requests than a `u32` numbers.
+    TooManyRequests {
+        /// Requests the run would issue.
+        requests: usize,
+    },
+    /// The retry budget exceeds `u16::MAX` re-issues.
+    TooManyRetries {
+        /// The offending budget.
+        max_retries: u32,
     },
 }
 
@@ -143,9 +150,6 @@ impl std::fmt::Display for SpecError {
             SpecError::SharingClosedLoop => {
                 write!(f, "shared-scan batching requires an open arrival stream")
             }
-            SpecError::ReplicasClosedLoop => {
-                write!(f, "replica routing requires an open arrival stream")
-            }
             SpecError::AdmissionWithoutFaults => {
                 write!(f, "admission control requires a fault schedule")
             }
@@ -162,6 +166,20 @@ impl std::fmt::Display for SpecError {
                     "arrival times must be finite and non-decreasing; arrival {index} is not"
                 )
             }
+            SpecError::TooManyRequests { requests } => {
+                write!(
+                    f,
+                    "a run issues at most {} requests, got {requests}",
+                    u32::MAX
+                )
+            }
+            SpecError::TooManyRetries { max_retries } => {
+                write!(
+                    f,
+                    "retry budget must be at most {} re-issues, got {max_retries}",
+                    u16::MAX
+                )
+            }
         }
     }
 }
@@ -169,7 +187,7 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Builder-style specification of one serving run. See the module docs
-/// for the mode × knob dispatch table.
+/// for the table of the parts each spec picks.
 ///
 /// # Example
 ///
@@ -192,34 +210,41 @@ impl std::error::Error for SpecError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct ServeSpec {
-    mode: SpecMode,
-    replicas: u32,
-    policy: ReplicaPolicy,
-    retry: RetryPolicy,
-    faults: Option<FaultSchedule>,
-    sample_every_ms: f64,
-    window: usize,
-    batch_window_ms: Option<f64>,
-    max_in_flight: usize,
-    seed: u64,
+    pub(crate) mode: SpecMode,
+    pub(crate) replicas: u32,
+    pub(crate) policy: ReplicaPolicy,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) faults: Option<FaultSchedule>,
+    pub(crate) sample_every_ms: f64,
+    pub(crate) window: usize,
+    pub(crate) batch_window_ms: Option<f64>,
+    pub(crate) max_in_flight: usize,
+    pub(crate) seed: u64,
     threads: usize,
 }
 
 impl ServeSpec {
     fn new(mode: SpecMode) -> Self {
-        let serve = ServeConfig::default();
         ServeSpec {
             mode,
             replicas: 0,
             policy: ReplicaPolicy::PrimaryOnly,
             retry: RetryPolicy::default(),
             faults: None,
-            sample_every_ms: serve.sample_every_ms,
-            window: serve.window,
+            sample_every_ms: 0.0,
+            window: 1024,
             batch_window_ms: None,
             max_in_flight: 0,
             seed: DEFAULT_SPEC_SEED,
             threads: 1,
+        }
+    }
+
+    /// Closed clients of the run (0 for an open stream).
+    pub(crate) fn clients(&self) -> usize {
+        match self.mode {
+            SpecMode::Closed { clients } => clients,
+            SpecMode::Open { .. } => 0,
         }
     }
 
@@ -237,7 +262,8 @@ impl ServeSpec {
         ServeSpec::new(SpecMode::Open { rate_qps })
     }
 
-    /// Chain replicas per bucket (`r`); open-loop modes only.
+    /// Chain replicas per bucket (`r`): the copies the fault router and
+    /// the shared-scan window route reads over.
     #[must_use]
     pub fn replicas(mut self, replicas: u32) -> Self {
         self.replicas = replicas;
@@ -258,16 +284,17 @@ impl ServeSpec {
         self
     }
 
-    /// Run under a fault schedule (chained failover in closed mode, the
-    /// full degraded event loop in open mode).
+    /// Run under a fault schedule through the fault router. The
+    /// schedule's clock is milliseconds of simulated time, in closed and
+    /// open mode alike.
     #[must_use]
     pub fn faults(mut self, schedule: FaultSchedule) -> Self {
         self.faults = Some(schedule);
         self
     }
 
-    /// Sample mid-run state every `every_ms` of logical time (open-loop
-    /// modes; `0` disables sampling).
+    /// Sample mid-run state every `every_ms` of logical time (`0`
+    /// disables sampling).
     #[must_use]
     pub fn sampling(mut self, every_ms: f64) -> Self {
         self.sample_every_ms = every_ms;
@@ -291,8 +318,9 @@ impl ServeSpec {
         self
     }
 
-    /// Shed arrivals past `max_in_flight` in-flight requests (degraded
-    /// open mode only; `0` disables shedding).
+    /// Shed arrivals past `max_in_flight` in-flight requests (under a
+    /// fault schedule only; `0` disables shedding). A closed client whose
+    /// request is shed issues its next query at once.
     #[must_use]
     pub fn admission(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight;
@@ -335,9 +363,6 @@ impl ServeSpec {
                 if self.batch_window_ms.is_some() {
                     return Err(SpecError::SharingClosedLoop);
                 }
-                if self.replicas > 0 {
-                    return Err(SpecError::ReplicasClosedLoop);
-                }
             }
             SpecMode::Open { rate_qps } => {
                 if !(rate_qps.is_finite() && rate_qps > 0.0) {
@@ -370,6 +395,11 @@ impl ServeSpec {
         if self.max_in_flight > 0 && self.faults.is_none() {
             return Err(SpecError::AdmissionWithoutFaults);
         }
+        if self.retry.max_retries > u32::from(u16::MAX) {
+            return Err(SpecError::TooManyRetries {
+                max_retries: self.retry.max_retries,
+            });
+        }
         Ok(())
     }
 
@@ -390,13 +420,6 @@ impl ServeSpec {
         Ok(())
     }
 
-    fn serve_config(&self) -> ServeConfig {
-        ServeConfig {
-            sample_every_ms: self.sample_every_ms,
-            window: self.window,
-        }
-    }
-
     /// Runs the spec, generating the open-loop arrival stream (one
     /// arrival per query, Poisson at the spec's rate, from the spec's
     /// seed) when the mode needs one. Sweeps should prefer
@@ -415,7 +438,9 @@ impl ServeSpec {
         ls: &mut LoopScratch,
     ) -> crate::Result<ServeRun> {
         match self.mode {
-            SpecMode::Closed { .. } => self.dispatch(engine, params, queries, &[], obs, ls),
+            SpecMode::Closed { .. } => {
+                self.serve_rows(engine, Rows::Counts, params, queries, &[], obs, ls)
+            }
             SpecMode::Open { rate_qps } => {
                 self.validate(engine.num_disks()).map_err(SimError::Spec)?;
                 let arrivals = crate::events::sharded_arrivals(
@@ -425,7 +450,7 @@ impl ServeSpec {
                     self.threads,
                     obs,
                 );
-                self.dispatch(engine, params, queries, &arrivals, obs, ls)
+                self.serve_rows(engine, Rows::Counts, params, queries, &arrivals, obs, ls)
             }
         }
     }
@@ -451,7 +476,7 @@ impl ServeSpec {
         if matches!(self.mode, SpecMode::Closed { .. }) {
             return Err(SimError::Spec(SpecError::ClosedArrivals));
         }
-        self.dispatch(engine, params, queries, arrivals_ms, obs, ls)
+        self.serve_rows(engine, Rows::Counts, params, queries, arrivals_ms, obs, ls)
     }
 
     /// One-shot convenience: builds an engine and scratch for `dir` and
@@ -475,111 +500,45 @@ impl ServeSpec {
         )
     }
 
-    fn dispatch(
+    /// Validates the spec and its inputs against `engine`, then runs it
+    /// through the serving loop with `rows`-costed plan rows.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn serve_rows(
         &self,
         engine: &MultiUserEngine,
+        rows: Rows,
         params: &DiskParams,
         queries: &[BucketRegion],
         arrivals_ms: &[f64],
         obs: &Obs,
         ls: &mut LoopScratch,
     ) -> crate::Result<ServeRun> {
-        self.validate(engine.num_disks()).map_err(SimError::Spec)?;
-        if let SpecMode::Open { .. } = self.mode {
-            Self::check_open_inputs(queries, arrivals_ms).map_err(SimError::Spec)?;
-        }
-        let serving: &ServingEngine = engine.serving();
-        match (self.mode, &self.faults, self.batch_window_ms) {
-            (SpecMode::Closed { clients }, None, _) => {
-                let report = engine.closed_loop_obs(params, queries, clients, obs, ls);
-                Ok(ServeRun::from_closed(report))
+        let disks = engine.num_disks();
+        self.validate(disks)?;
+        let requests = match self.mode {
+            SpecMode::Closed { .. } => queries.len(),
+            SpecMode::Open { .. } => {
+                Self::check_open_inputs(queries, arrivals_ms)?;
+                arrivals_ms.len()
             }
-            (SpecMode::Closed { clients }, Some(schedule), _) => {
-                let dr = engine.degraded_obs(
-                    params,
-                    queries,
-                    clients,
-                    schedule,
-                    &self.retry,
-                    obs,
-                    ls,
-                )?;
-                let mut run = ServeRun::from_closed(dr.report);
-                run.availability = Some(AvailStats {
-                    served: dr.served as u64,
-                    shed: 0,
-                    lost: dr.unavailable as u64,
-                    retries: 0,
-                    timeouts: 0,
-                    failovers: dr.failover_batches as u64,
-                    transitions: 0,
+        };
+        if u32::try_from(requests).is_err() {
+            return Err(SpecError::TooManyRequests { requests }.into());
+        }
+        if let Some(schedule) = &self.faults {
+            if schedule.num_disks() as usize != disks {
+                return Err(SimError::ScheduleMismatch {
+                    schedule_disks: schedule.num_disks(),
+                    experiment_disks: disks as u32,
                 });
-                Ok(run)
-            }
-            (SpecMode::Open { .. }, None, None) => {
-                let sr =
-                    serving.serve_core(params, queries, arrivals_ms, &self.serve_config(), obs, ls);
-                Ok(ServeRun::from_serve(sr, None, None))
-            }
-            (SpecMode::Open { .. }, None, Some(batch_window_ms)) => {
-                let cfg = SharedServeConfig {
-                    serve: self.serve_config(),
-                    batch_window_ms,
-                    replicas: self.replicas,
-                    policy: self.policy,
-                };
-                let sr = serving.serve_shared_core(
-                    engine.directory(),
-                    params,
-                    queries,
-                    arrivals_ms,
-                    &cfg,
-                    obs,
-                    ls,
-                );
-                let sharing = ShareStats {
-                    windows: sr.windows,
-                    merged_queries: sr.merged_queries,
-                    pages_saved: sr.pages_saved,
-                };
-                Ok(ServeRun::from_serve(sr.serve, None, Some(sharing)))
-            }
-            (SpecMode::Open { .. }, Some(schedule), _) => {
-                let cfg = DegradedServeConfig {
-                    serve: self.serve_config(),
-                    max_in_flight: self.max_in_flight,
-                    retry: self.retry,
-                    seed: self.seed,
-                };
-                let dr = serving.serve_degraded_core(
-                    params,
-                    queries,
-                    arrivals_ms,
-                    schedule,
-                    self.replicas,
-                    self.policy,
-                    &cfg,
-                    obs,
-                    ls,
-                )?;
-                let avail = AvailStats {
-                    served: dr.served,
-                    shed: dr.shed,
-                    lost: dr.lost,
-                    retries: dr.retries,
-                    timeouts: dr.timeouts,
-                    failovers: dr.failovers,
-                    transitions: dr.transitions,
-                };
-                Ok(ServeRun::from_serve(dr.serve, Some(avail), None))
             }
         }
+        Ok(engine.serve(self, rows, params, queries, arrivals_ms, obs, ls))
     }
 }
 
-/// Availability accounting of a fault-injected run. Fields the closed
-/// degraded loop does not track (shedding, retries, timeouts,
-/// transitions) are zero there.
+/// Availability accounting of a fault-injected run. Every request is
+/// exactly one of served, shed, or lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AvailStats {
     /// Requests that completed.
@@ -621,56 +580,25 @@ pub struct ShareStats {
     pub pages_saved: u64,
 }
 
-/// The unified result of one [`ServeSpec`] run: the aggregate report
-/// every mode produces, the event-loop counters of the streaming modes
-/// (zero for closed loops), and the optional availability/sharing
-/// accounting of the modes that track them.
+/// The unified result of one [`ServeSpec`] run: the aggregate report,
+/// the event-loop counters, and the availability/sharing accounting of
+/// the runs that track them.
 #[derive(Clone, Debug)]
 pub struct ServeRun {
     /// Aggregate throughput/latency/utilization.
     pub report: MultiUserReport,
-    /// Events processed (0 for closed loops).
+    /// Events processed: every heap pop plus every open arrival.
     pub events: u64,
-    /// High-water mark of in-flight requests (0 for closed loops).
+    /// High-water mark of in-flight requests.
     pub peak_in_flight: usize,
-    /// Total pages fetched (0 for closed loops).
+    /// Total pages fetched (deduplicated under a shared-scan window).
     pub pages: u64,
-    /// Mid-run samples recorded into the scratch (0 for closed loops).
+    /// Mid-run samples recorded into the scratch.
     pub samples: usize,
     /// Fault accounting, present when the spec had a fault schedule.
     pub availability: Option<AvailStats>,
     /// Sharing accounting, present when the spec had a batch window.
     pub sharing: Option<ShareStats>,
-}
-
-impl ServeRun {
-    fn from_closed(report: MultiUserReport) -> Self {
-        ServeRun {
-            report,
-            events: 0,
-            peak_in_flight: 0,
-            pages: 0,
-            samples: 0,
-            availability: None,
-            sharing: None,
-        }
-    }
-
-    fn from_serve(
-        sr: crate::events::ServeReport,
-        availability: Option<AvailStats>,
-        sharing: Option<ShareStats>,
-    ) -> Self {
-        ServeRun {
-            report: sr.report,
-            events: sr.events,
-            peak_in_flight: sr.peak_in_flight,
-            pages: sr.pages,
-            samples: sr.samples,
-            availability,
-            sharing,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -725,12 +653,17 @@ mod tests {
                 SpecError::SharingClosedLoop,
             ),
             (
-                ServeSpec::closed(4).replicas(1),
-                SpecError::ReplicasClosedLoop,
-            ),
-            (
                 ServeSpec::open(100.0).admission(64),
                 SpecError::AdmissionWithoutFaults,
+            ),
+            (
+                ServeSpec::open(100.0).retry(RetryPolicy {
+                    timeout_units: 1,
+                    max_retries: 1 << 16,
+                }),
+                SpecError::TooManyRetries {
+                    max_retries: 1 << 16,
+                },
             ),
         ];
         for (spec, want) in cases {
@@ -822,106 +755,35 @@ mod tests {
     }
 
     #[test]
-    fn closed_spec_matches_engine_core_bitwise() {
+    fn closed_replicas_route_through_the_fault_router() {
         let (dir, queries, _) = fixture();
         let params = DiskParams::default();
-        let old = MultiUserEngine::new(&dir).closed_loop_obs(
-            &params,
-            &queries,
-            4,
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        );
-        let new = ServeSpec::closed(4)
+        let plain = ServeSpec::closed(4)
             .run_on(&dir, &params, &queries)
             .unwrap();
-        assert_eq!(old.makespan_ms.to_bits(), new.report.makespan_ms.to_bits());
-        assert_eq!(
-            old.throughput_qps.to_bits(),
-            new.report.throughput_qps.to_bits()
-        );
-        assert_eq!(old.utilization.to_bits(), new.report.utilization.to_bits());
-        assert_eq!(new.events, 0);
-        assert!(new.availability.is_none() && new.sharing.is_none());
-    }
-
-    #[test]
-    fn open_spec_matches_serve_core_bitwise() {
-        let (dir, queries, arrivals) = fixture();
-        let params = DiskParams::default();
-        let engine = MultiUserEngine::new(&dir);
-        let old = engine.serving().serve_core(
-            &params,
-            &queries,
-            &arrivals,
-            &ServeConfig::default(),
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        );
-        let new = ServeSpec::open(200.0)
-            .run_with_arrivals(
-                &engine,
-                &params,
-                &queries,
-                &arrivals,
-                &Obs::disabled(),
-                &mut LoopScratch::new(),
-            )
-            .unwrap();
-        assert_eq!(
-            old.report.makespan_ms.to_bits(),
-            new.report.makespan_ms.to_bits()
-        );
-        assert_eq!(old.events, new.events);
-        assert_eq!(old.pages, new.pages);
-        assert_eq!(old.peak_in_flight, new.peak_in_flight);
-    }
-
-    #[test]
-    fn degraded_spec_matches_degraded_core_bitwise() {
-        let (dir, queries, arrivals) = fixture();
-        let params = DiskParams::default();
-        let engine = MultiUserEngine::new(&dir);
-        let schedule = FaultSchedule::parse("fail:2@10", 8).unwrap();
-        let cfg = DegradedServeConfig {
-            seed: DEFAULT_SPEC_SEED,
-            ..DegradedServeConfig::default()
-        };
-        let old = engine
-            .serving()
-            .serve_degraded_core(
-                &params,
-                &queries,
-                &arrivals,
-                &schedule,
-                1,
-                ReplicaPolicy::NearestFreeQueue,
-                &cfg,
-                &Obs::disabled(),
-                &mut LoopScratch::new(),
-            )
-            .unwrap();
-        let new = ServeSpec::open(200.0)
+        assert_eq!(plain.events, 4 + queries.len() as u64);
+        assert_eq!(plain.peak_in_flight, 4);
+        assert!(plain.availability.is_none() && plain.sharing.is_none());
+        // Without a schedule, replicas change nothing; with one, the
+        // closed clients fail over along the chain.
+        let replicated = ServeSpec::closed(4)
             .replicas(1)
-            .policy(ReplicaPolicy::NearestFreeQueue)
-            .faults(schedule)
-            .run_with_arrivals(
-                &engine,
-                &params,
-                &queries,
-                &arrivals,
-                &Obs::disabled(),
-                &mut LoopScratch::new(),
-            )
+            .run_on(&dir, &params, &queries)
             .unwrap();
-        let avail = new.availability.expect("degraded run reports availability");
         assert_eq!(
-            old.serve.report.makespan_ms.to_bits(),
-            new.report.makespan_ms.to_bits()
+            plain.report.makespan_ms.to_bits(),
+            replicated.report.makespan_ms.to_bits()
         );
-        assert_eq!(old.served, avail.served);
-        assert_eq!(old.failovers, avail.failovers);
-        assert_eq!(old.transitions, avail.transitions);
+        let schedule = FaultSchedule::parse("fail:2@0", 8).unwrap();
+        let run = ServeSpec::closed(4)
+            .replicas(1)
+            .policy(ReplicaPolicy::FailoverOnly)
+            .faults(schedule)
+            .run_on(&dir, &params, &queries)
+            .unwrap();
+        let avail = run.availability.unwrap();
+        assert_eq!(avail.served, queries.len() as u64);
+        assert!(avail.failovers > 0);
     }
 
     #[test]
@@ -931,8 +793,8 @@ mod tests {
         // Cold: build the kernel, export it to a persist-v3 image.
         let cold = MultiUserEngine::new(&dir);
         let mut cache = decluster_methods::KernelCache::new();
-        let map = cold.serving().counts().allocation();
-        let kernel = cold.serving().counts().kernel().expect("kernel-backed");
+        let map = cold.counts().allocation();
+        let kernel = cold.counts().kernel().expect("kernel-backed");
         cache.insert("HCAM", map, kernel);
         // Warm: reload the image and adopt the stored kernel.
         let loaded = decluster_methods::KernelCache::from_bytes(&cache.to_bytes()).unwrap();

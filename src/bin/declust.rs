@@ -264,6 +264,7 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
         &regions,
         &rates,
         seed_of(flags),
+        1,
     )
     .map_err(|e| e.to_string())?;
     let table = TextTable {

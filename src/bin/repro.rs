@@ -26,7 +26,7 @@ use decluster::obs::{JsonLinesSink, MetricsRecorder, Obs};
 use decluster::prelude::*;
 use decluster::sim::workload::{all_partial_match_queries, InterArrival, ShapeSweep, SizeSweep};
 use decluster::sim::{
-    sharded_arrivals, simulate_rebuild_obs, AvailSweep, DbSizePoint, DiskParams, FaultEvent,
+    sharded_arrivals, simulate_rebuild, AvailSweep, DbSizePoint, DiskParams, FaultEvent,
     FaultReport, FaultSchedule, LoadPoint, LoopScratch, MultiUserEngine, ReplicaPolicy, Report,
     ReportFormat, RetryPolicy, ServeSpec, ServeSweep, ShareSweep, TextTable,
 };
@@ -1051,7 +1051,7 @@ fn rebuild_summary(opts: &Opts, schedule: &FaultSchedule) -> String {
     let queries: Vec<BucketRegion> = (0..n)
         .map(|_| random_region(&mut rng, &space, &[8, 8]).expect("8x8 fits the default grid"))
         .collect();
-    let r = simulate_rebuild_obs(&dir, &DiskParams::default(), failed, &queries, 8, &opts.obs)
+    let r = simulate_rebuild(&dir, &DiskParams::default(), failed, &queries, 8, &opts.obs)
         .expect("the schedule's disks are in range");
     format!(
         "Rebuild of disk {} from its chain replica (DM, {}x{} grid, {} queries, 8 clients):\n  \
@@ -1616,7 +1616,10 @@ fn bench_multiuser(opts: &Opts) -> String {
         assert!(engine.kernel_backed(), "paper scale admits a kernel");
 
         let t = Instant::now();
-        let report = engine.closed_loop_obs(&params, &regions, CLIENTS, &obs, &mut ls);
+        let report = ServeSpec::closed(CLIENTS)
+            .run(&engine, &params, &regions, &obs, &mut ls)
+            .expect("the bench spec is valid")
+            .report;
         let loop_ms = t.elapsed().as_secs_f64() * 1e3;
         let kernel_ms = build_ms + loop_ms;
 
@@ -2177,7 +2180,7 @@ fn bench_warm(opts: &Opts) -> String {
     let mut cache = KernelCache::new();
     let mut alloc_images: Vec<(String, Vec<u8>)> = Vec::with_capacity(dirs.len());
     for ((name, _), engine) in dirs.iter().zip(&cold_engines) {
-        let counts = engine.serving().counts();
+        let counts = engine.counts();
         if let Some(kernel) = counts.kernel() {
             cache.insert(name, counts.allocation(), kernel);
         }

@@ -52,12 +52,12 @@ pub mod prelude {
         ValueRangeQuery,
     };
     pub use decluster_methods::{
-        advise, tune_gdm_coefficients, AllocationMap, CurveAlloc, CurveKind, DeclusteringMethod,
-        DiskModulo, EccDecluster, FieldwiseXor, GeneralizedDiskModulo, Hcam, MethodKind,
-        MethodRegistry, RandomAlloc, RoundRobin,
+        advise, AllocationMap, CurveAlloc, CurveKind, DeclusteringMethod, DiskModulo, EccDecluster,
+        FieldwiseXor, GeneralizedDiskModulo, Hcam, MethodKind, MethodRegistry, RandomAlloc,
+        RoundRobin,
     };
     pub use decluster_sim::{
         deviation_from_optimal, optimal_response_time, response_time, DiskParams, Experiment,
-        IoSimulator, Quantiles, ServeConfig, ServeSweep, ServingEngine, SweepResult,
+        IoSimulator, MultiUserEngine, Quantiles, ServeSpec, ServeSweep, SweepResult,
     };
 }

@@ -116,7 +116,11 @@ fn warmed_loops_make_zero_heap_allocations() {
     // to the working-set size and compiles the kernel's per-shape corner
     // plans.
     let mut ls = LoopScratch::new();
-    let warm_closed = engine.closed_loop_obs(&params, &queries, 8, &obs, &mut ls);
+    let closed_spec = ServeSpec::closed(8);
+    let warm_closed = closed_spec
+        .run(&engine, &params, &queries, &obs, &mut ls)
+        .expect("the closed spec is valid")
+        .report;
     let warm_serve = serve_spec
         .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
         .expect("the serve spec is valid");
@@ -128,7 +132,10 @@ fn warmed_loops_make_zero_heap_allocations() {
         .expect("the shared spec is valid");
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let closed = engine.closed_loop_obs(&params, &queries, 8, &obs, &mut ls);
+    let closed = closed_spec
+        .run(&engine, &params, &queries, &obs, &mut ls)
+        .expect("the closed spec is valid")
+        .report;
     let serve = serve_spec
         .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
         .expect("the serve spec is valid");

@@ -1,10 +1,11 @@
 //! End-to-end equivalence tests for the kernel-backed multi-user engine:
-//! the closed, open (streaming serve), and degraded loops behind
-//! `ServeSpec` must produce bit-identical reports to independent
-//! reference loops that materialize each query's I/O plan and read
-//! counts off its group lengths — the pre-rewire data path. This pins
-//! the kernel and the per-run plan table as pure data-path
-//! optimizations: same queueing, same service model, same bytes.
+//! closed and open runs of the serving loop behind `ServeSpec` must
+//! produce bit-identical reports to independent reference loops that
+//! materialize each query's I/O plan and read counts off its group
+//! lengths — the pre-rewire data path. This pins the kernel and the
+//! per-run plan table as pure data-path optimizations: same queueing,
+//! same service model, same bytes. The closed fault router is checked
+//! for the availability it promises.
 
 use decluster::grid::{BucketRegion, GridDirectory, GridSpace, IoPlan};
 use decluster::prelude::*;
@@ -184,11 +185,17 @@ fn engine_scratch_reuse_across_workloads_changes_nothing() {
     // One scratch serving runs of different sizes, interleaved, must
     // reproduce fresh-scratch results bit for bit.
     let mut shared = LoopScratch::new();
-    let _warm = engine.closed_loop_obs(&params, &big, 8, &obs, &mut shared);
-    let small_shared = engine.closed_loop_obs(&params, &small, 2, &obs, &mut shared);
-    let big_shared = engine.closed_loop_obs(&params, &big, 8, &obs, &mut shared);
-    let small_fresh = engine.closed_loop_obs(&params, &small, 2, &obs, &mut LoopScratch::new());
-    let big_fresh = engine.closed_loop_obs(&params, &big, 8, &obs, &mut LoopScratch::new());
+    let closed = |queries: &[BucketRegion], clients, ls: &mut LoopScratch| {
+        ServeSpec::closed(clients)
+            .run(&engine, &params, queries, &obs, ls)
+            .expect("clients are positive")
+            .report
+    };
+    let _warm = closed(&big, 8, &mut shared);
+    let small_shared = closed(&small, 2, &mut shared);
+    let big_shared = closed(&big, 8, &mut shared);
+    let small_fresh = closed(&small, 2, &mut LoopScratch::new());
+    let big_fresh = closed(&big, 8, &mut LoopScratch::new());
     assert_eq!(
         small_shared.makespan_ms.to_bits(),
         small_fresh.makespan_ms.to_bits()
@@ -213,7 +220,7 @@ fn load_sweep_matches_individual_open_loop_runs() {
     let params = DiskParams::default();
     let queries = query_stream(&space, 120);
     let rates = [20.0, 150.0];
-    let points = load_sweep(&[("HCAM", &dir)], &params, &queries, &rates, 9).unwrap();
+    let points = load_sweep(&[("HCAM", &dir)], &params, &queries, &rates, 9, 1).unwrap();
     assert_eq!(points.len(), 2);
     let engine = MultiUserEngine::new(&dir);
     for (point, &rate) in points.iter().zip(&rates) {
@@ -234,101 +241,40 @@ fn load_sweep_matches_individual_open_loop_runs() {
     }
 }
 
-/// The pre-rewire degraded loop, reimplemented over materialized plans:
-/// same chained failover, same timeout charging, same floats. Pins the
-/// event-heap rewrite of the closed degraded loop
-/// (`ServeSpec::closed(..).faults(..)`).
+/// Closed clients through the fault router: with one chained replica
+/// and failover routing, a disk that fail-stops mid-run (on the
+/// millisecond clock) costs response time, not queries — every query is
+/// served, the dead disk's batches fail over along the chain, and each
+/// failover pays the detection timeout.
 #[test]
-fn degraded_loop_is_bit_identical_to_materialized_plan_loop() {
-    use decluster::sim::faults::{DiskState, FaultSchedule, RetryPolicy};
+fn closed_fault_router_fails_over_through_a_fail_stop() {
+    use decluster::sim::faults::{FaultSchedule, ReplicaPolicy};
     let (space, dir) = directory();
     let params = DiskParams::default();
     let queries = query_stream(&space, 250);
-    // Disk 2 dies, disk 5 grays out, and from t=100 disk 3 dies too —
-    // disk 2's chain successor — so late queries touching disk 2 are
-    // unavailable while disk-3-only batches fail over to disk 4.
-    let schedule = FaultSchedule::healthy(M)
-        .fail_stop(2, 40)
-        .unwrap()
-        .fail_stop(3, 100)
-        .unwrap()
-        .slow(5, 3.0, 20, 160)
-        .unwrap();
-    let policy = RetryPolicy::default();
-    let timeout_ms = policy.detection_units() as f64 * params.transfer_ms;
     let clients = 4;
-
-    // Reference loop: materialized plans, per-query fault-aware fan-out.
-    let loads = dir.load_vector();
-    let m = loads.len();
-    let mut plan = IoPlan::new();
-    let mut disk_free_at = vec![0.0f64; m];
-    let mut clients_ready = vec![0.0f64; clients];
-    let mut latencies = Vec::new();
-    let (mut unavailable, mut failover) = (0usize, 0usize);
-    let mut makespan = 0.0f64;
-    for (t, region) in queries.iter().enumerate() {
-        let (slot, _) = clients_ready
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        let issue_at = clients_ready[slot];
-        dir.io_plan_into(region, &mut plan);
-        let t = t as u64;
-        if (0..m).any(|d| !plan.disk_pages(d).is_empty() && schedule.chain_dead(d as u32, t)) {
-            unavailable += 1;
-            continue; // the client is ready again at issue_at
-        }
-        let mut completion = issue_at;
-        for d in 0..m {
-            let count = plan.disk_pages(d).len() as u64;
-            if count == 0 {
-                continue;
-            }
-            match schedule.state_at(d as u32, t) {
-                state @ (DiskState::Up | DiskState::Slow(_)) => {
-                    let start = issue_at.max(disk_free_at[d]);
-                    let service = params.batch_ms_counts(count, loads[d]) * state.latency_factor();
-                    disk_free_at[d] = start + service;
-                    completion = completion.max(start + service);
-                }
-                DiskState::Down => {
-                    let b = (d + 1) % m;
-                    let start = (issue_at + timeout_ms).max(disk_free_at[b]);
-                    let service = params.batch_ms_counts(count, loads[b])
-                        * schedule.state_at(b as u32, t).latency_factor();
-                    disk_free_at[b] = start + service;
-                    completion = completion.max(start + service);
-                    failover += 1;
-                }
-            }
-        }
-        latencies.push(completion - issue_at);
-        makespan = makespan.max(completion);
-        clients_ready[slot] = completion;
-    }
-
-    let run = ServeSpec::closed(clients)
-        .retry(policy)
-        .faults(schedule)
+    let healthy = ServeSpec::closed(clients)
         .run_on(&dir, &params, &queries)
         .unwrap();
-    let avail = run.availability.expect("degraded runs report availability");
-    assert!(
-        unavailable > 0 && failover > 0,
-        "schedule exercises both paths"
-    );
-    assert_eq!(avail.served, latencies.len() as u64);
-    assert_eq!(avail.lost, unavailable as u64);
-    assert_eq!(avail.failovers, failover as u64);
+    let fail_at = (healthy.report.makespan_ms / 3.0) as u64;
+    let run = ServeSpec::closed(clients)
+        .replicas(1)
+        .policy(ReplicaPolicy::FailoverOnly)
+        .faults(FaultSchedule::healthy(M).fail_stop(2, fail_at).unwrap())
+        .run_on(&dir, &params, &queries)
+        .unwrap();
+    let avail = run.availability.expect("fault runs report availability");
+    assert_eq!(avail.served, queries.len() as u64);
+    assert_eq!((avail.lost, avail.shed, avail.retries), (0, 0, 0));
+    assert!(avail.failovers > 0, "disk 2's batches move to disk 3");
     assert_eq!(
-        run.report.makespan_ms.to_bits(),
-        makespan.to_bits(),
-        "degraded makespan differs from the materialized-plan loop"
+        avail.timeouts, avail.failovers,
+        "one dead copy per failover"
     );
-    let ref_mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-    assert_eq!(run.report.latency.mean.to_bits(), ref_mean.to_bits());
+    assert_eq!(avail.transitions, 1);
+    assert_eq!(run.report.queries, queries.len());
+    assert!(run.report.makespan_ms >= healthy.report.makespan_ms);
+    assert_eq!(run.peak_in_flight, clients);
 }
 
 /// The serve loop over an arrival stream three times longer than its

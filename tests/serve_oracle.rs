@@ -1,13 +1,25 @@
-//! Oracle test of the open-loop serving paths: `ServeSpec::open(..)
-//! .run_with_arrivals` must equal, bit for bit, a reference simulator
-//! written only for clarity, both plain and through the fault router
-//! under a healthy schedule. The reference walks the arrivals in order,
-//! plans each one from scratch with the uncached
-//! `PlanCounts::counts_into`, and fans it out FCFS over per-disk queues
-//! — no event heap, no plan table, no cross-query plan cache. Cases
-//! cover small random grids and allocations, query pools shorter and
-//! longer than the arrival stream, pools with more distinct shapes than
-//! the `PlanCache` holds, pools of 1-bucket regions (one-entry plan
+//! Oracle tests of the serving loop: every `ServeSpec` source, router
+//! and batcher must equal, bit for bit, a reference simulator written
+//! only for clarity — no event heap, no plan table, no cross-query plan
+//! cache.
+//!
+//! * Open arrivals, plain and through the fault router under a healthy
+//!   schedule: the reference walks the arrivals in order, plans each
+//!   one from scratch with the uncached `PlanCounts::counts_into`, and
+//!   fans it out FCFS over per-disk queues.
+//! * Closed clients, plain and through the fault router: the reference
+//!   tracks each client's ready time, hands the next query to the
+//!   earliest-ready client (ties broken by issue order), and plans and
+//!   fans it out the same way.
+//! * The shared-scan window, unreplicated and spread over one replica:
+//!   the reference groups arrivals into windows by time alone, merges
+//!   each window's pages per disk through a `BTreeSet` of page
+//!   positions looked up bucket by bucket, and costs each disk's merged
+//!   count FCFS at the flush.
+//!
+//! Cases cover small random grids and allocations, query pools shorter
+//! and longer than the arrival stream, pools with more distinct shapes
+//! than the `PlanCache` holds, pools of 1-bucket regions (one-entry plan
 //! rows), pools led by the whole grid (an entry for every disk), tied
 //! arrival times, and sampling on and off.
 
@@ -16,11 +28,12 @@ use decluster::methods::{splitmix64, PlanCache, PlanCounts, Scratch};
 use decluster::obs::{MetricsRecorder, Obs};
 use decluster::sim::workload::random_region;
 use decluster::sim::{
-    DiskParams, FaultSchedule, LoopScratch, MultiUserEngine, ServeRun, ServeSpec,
+    DiskParams, FaultSchedule, LoopScratch, MultiUserEngine, ReplicaPolicy, ServeRun, ServeSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// What the reference simulator measures, in the serving report's terms.
@@ -45,6 +58,73 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.max(1) - 1]
 }
 
+/// The report figures of a finished reference run. Latencies are in
+/// issue order, so their sum adds the same floats in the same order as
+/// the serving report's mean.
+fn summarize(
+    mut latencies: Vec<f64>,
+    busy: &[f64],
+    makespan: f64,
+    pages: u64,
+    events: u64,
+) -> Reference {
+    let n = latencies.len();
+    let mean = if n == 0 {
+        0.0
+    } else {
+        latencies.iter().sum::<f64>() / n as f64
+    };
+    let utilization = if makespan > 0.0 {
+        busy.iter().sum::<f64>() / (makespan * busy.len() as f64)
+    } else {
+        0.0
+    };
+    latencies.sort_by(f64::total_cmp);
+    Reference {
+        makespan,
+        mean,
+        p50: nearest_rank(&latencies, 0.50),
+        p95: nearest_rank(&latencies, 0.95),
+        p99: nearest_rank(&latencies, 0.99),
+        utilization,
+        pages,
+        events,
+    }
+}
+
+/// Queues `service` ms on disk `d` at time `at` behind its earlier
+/// batches; returns the batch's end.
+fn fcfs(d: usize, at: f64, service: f64, free_at: &mut [f64], busy: &mut [f64]) -> f64 {
+    let start = at.max(free_at[d]);
+    free_at[d] = start + service;
+    busy[d] += service;
+    start + service
+}
+
+/// Plans `region` from scratch and queues one batch per touched disk at
+/// `at`; returns the query's pages and its completion.
+#[allow(clippy::too_many_arguments)]
+fn plan_and_fan_out(
+    counts: &PlanCounts,
+    loads: &[u64],
+    params: &DiskParams,
+    region: &BucketRegion,
+    at: f64,
+    hist: &mut Vec<u64>,
+    free_at: &mut [f64],
+    busy: &mut [f64],
+) -> (u64, f64) {
+    let pages = counts.counts_into(region, &mut Scratch::new(), hist);
+    let mut done = at;
+    for (d, &count) in hist.iter().enumerate() {
+        if count > 0 {
+            let service = params.batch_ms_counts(count, loads[d]);
+            done = done.max(fcfs(d, at, service, free_at, busy));
+        }
+    }
+    (pages, done)
+}
+
 /// Serves `arrivals[i]` with `pool[i % pool.len()]`, one arrival at a
 /// time: plan the query, then queue one batch per touched disk behind
 /// that disk's earlier batches. Completions never change disk state, so
@@ -58,73 +138,180 @@ fn reference_serve(
     let counts = PlanCounts::build(dir);
     let loads = dir.load_vector();
     let m = loads.len();
-    let mut scratch = Scratch::new();
     let mut hist = Vec::new();
-    let mut free_at = vec![0.0f64; m];
-    let mut busy = vec![0.0f64; m];
+    let (mut free_at, mut busy) = (vec![0.0f64; m], vec![0.0f64; m]);
     let mut latencies = Vec::with_capacity(arrivals.len());
-    let mut makespan = 0.0f64;
-    let mut pages = 0u64;
+    let (mut makespan, mut pages) = (0.0f64, 0u64);
     for (i, &at) in arrivals.iter().enumerate() {
-        pages += counts.counts_into(&pool[i % pool.len()], &mut scratch, &mut hist);
-        let mut done = at;
-        for (d, &count) in hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let start = at.max(free_at[d]);
-            let service = params.batch_ms_counts(count, loads[d]);
-            free_at[d] = start + service;
-            busy[d] += service;
-            done = done.max(start + service);
-        }
+        let region = &pool[i % pool.len()];
+        let (p, done) = plan_and_fan_out(
+            &counts,
+            &loads,
+            params,
+            region,
+            at,
+            &mut hist,
+            &mut free_at,
+            &mut busy,
+        );
+        pages += p;
         latencies.push(done - at);
         makespan = makespan.max(done);
     }
-    let n = latencies.len();
-    let mean = if n == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / n as f64
-    };
-    let utilization = if makespan > 0.0 {
-        busy.iter().sum::<f64>() / (makespan * m as f64)
-    } else {
-        0.0
-    };
-    latencies.sort_by(f64::total_cmp);
-    Reference {
-        makespan,
-        mean,
-        p50: nearest_rank(&latencies, 0.50),
-        p95: nearest_rank(&latencies, 0.95),
-        p99: nearest_rank(&latencies, 0.99),
-        utilization,
-        pages,
-        // One arrival and one completion per request.
-        events: 2 * n as u64,
-    }
+    // One arrival and one completion per request.
+    let events = 2 * arrivals.len() as u64;
+    summarize(latencies, &busy, makespan, pages, events)
 }
 
-/// Runs the spec with a live metrics recorder; returns the run and the
+/// Serves `pool` once, in order, with `clients` closed clients: each
+/// query goes to the client that is ready earliest, ties broken by the
+/// order in which the clients became ready (every client at time 0 in
+/// client order, then each in the order of the issue that freed it),
+/// and that client is ready again when the query completes.
+fn reference_closed(
+    dir: &GridDirectory,
+    params: &DiskParams,
+    pool: &[BucketRegion],
+    clients: usize,
+) -> Reference {
+    let counts = PlanCounts::build(dir);
+    let loads = dir.load_vector();
+    let m = loads.len();
+    let mut hist = Vec::new();
+    let (mut free_at, mut busy) = (vec![0.0f64; m], vec![0.0f64; m]);
+    // (ready time, tie key) per client.
+    let mut ready: Vec<(f64, usize)> = (0..clients).map(|k| (0.0, k)).collect();
+    let mut latencies = Vec::with_capacity(pool.len());
+    let (mut makespan, mut pages) = (0.0f64, 0u64);
+    for (i, region) in pool.iter().enumerate() {
+        let slot = (0..clients)
+            .min_by(|&a, &b| {
+                let (ta, ka) = ready[a];
+                let (tb, kb) = ready[b];
+                ta.total_cmp(&tb).then(ka.cmp(&kb))
+            })
+            .expect("at least one client");
+        let at = ready[slot].0;
+        let (p, done) = plan_and_fan_out(
+            &counts,
+            &loads,
+            params,
+            region,
+            at,
+            &mut hist,
+            &mut free_at,
+            &mut busy,
+        );
+        pages += p;
+        latencies.push(done - at);
+        makespan = makespan.max(done);
+        ready[slot] = (done, clients + i);
+    }
+    // One ready event per client and one completion per query.
+    let events = (clients + pool.len()) as u64;
+    summarize(latencies, &busy, makespan, pages, events)
+}
+
+/// The shared-scan accounting a reference window run produces.
+#[derive(Debug, PartialEq)]
+struct Sharing {
+    windows: u64,
+    merged_queries: u64,
+    pages_saved: u64,
+}
+
+/// Serves `arrivals` through shared-scan windows of `window_ms`: the
+/// first arrival opens a window, every arrival before `open +
+/// window_ms` joins it, and one at exactly `open + window_ms` opens the
+/// next. At the flush each disk's distinct member pages (looked up
+/// bucket by bucket into a `BTreeSet`) are read FCFS, split evenly over
+/// the primary and its `replicas` chain successors, in disk order then
+/// copy order; every member completes with the window.
+fn reference_shared(
+    dir: &GridDirectory,
+    params: &DiskParams,
+    pool: &[BucketRegion],
+    arrivals: &[f64],
+    window_ms: f64,
+    replicas: usize,
+) -> (Reference, Sharing) {
+    let loads = dir.load_vector();
+    let m = loads.len();
+    let copies = replicas as u64 + 1;
+    let (mut free_at, mut busy) = (vec![0.0f64; m], vec![0.0f64; m]);
+    let mut latencies = Vec::with_capacity(arrivals.len());
+    let (mut makespan, mut pages) = (0.0f64, 0u64);
+    let mut sharing = Sharing {
+        windows: 0,
+        merged_queries: 0,
+        pages_saved: 0,
+    };
+    let mut first = 0;
+    while first < arrivals.len() {
+        let flush = arrivals[first] + window_ms;
+        let end = (first..arrivals.len())
+            .find(|&i| arrivals[i] >= flush)
+            .unwrap_or(arrivals.len());
+        let mut merged = vec![BTreeSet::new(); m];
+        let mut own = 0u64;
+        for i in first..end {
+            for bucket in pool[i % pool.len()].iter() {
+                let at = dir.lookup(&bucket).expect("regions lie in the grid");
+                merged[at.disk.0 as usize].insert(at.page);
+                own += 1;
+            }
+        }
+        let fresh: u64 = merged.iter().map(|pages| pages.len() as u64).sum();
+        pages += fresh;
+        sharing.pages_saved += own - fresh;
+        sharing.windows += 1;
+        if end - first > 1 {
+            sharing.merged_queries += (end - first) as u64;
+        }
+        let mut done = flush;
+        for (d, disk_pages) in merged.iter().enumerate() {
+            let count = disk_pages.len() as u64;
+            for j in 0..copies {
+                let share = count / copies + u64::from(j < count % copies);
+                if share > 0 {
+                    let s = (d + j as usize) % m;
+                    let service = params.batch_ms_counts(share, loads[s]);
+                    done = done.max(fcfs(s, flush, service, &mut free_at, &mut busy));
+                }
+            }
+        }
+        latencies.extend(arrivals[first..end].iter().map(|&at| done - at));
+        makespan = makespan.max(done);
+        first = end;
+    }
+    // One arrival and one completion per request, one flush per window.
+    let events = 2 * arrivals.len() as u64 + sharing.windows;
+    (
+        summarize(latencies, &busy, makespan, pages, events),
+        sharing,
+    )
+}
+
+/// Runs the spec with a live metrics recorder (over `arrivals` when it
+/// is open, over `pool` once when it is closed); returns the run and the
 /// shape-cache `(hits, misses)` counters.
 fn serve(
     spec: &ServeSpec,
     engine: &MultiUserEngine,
     pool: &[BucketRegion],
-    arrivals: &[f64],
+    arrivals: Option<&[f64]>,
 ) -> (ServeRun, (u64, u64)) {
     let rec = Arc::new(MetricsRecorder::new());
-    let run = spec
-        .run_with_arrivals(
-            engine,
-            &DiskParams::default(),
-            pool,
-            arrivals,
-            &Obs::new(rec.clone()),
-            &mut LoopScratch::new(),
-        )
-        .expect("every generated spec and input is valid");
+    let (params, obs, mut ls) = (
+        DiskParams::default(),
+        Obs::new(rec.clone()),
+        LoopScratch::new(),
+    );
+    let run = match arrivals {
+        Some(arrivals) => spec.run_with_arrivals(engine, &params, pool, arrivals, &obs, &mut ls),
+        None => spec.run(engine, &params, pool, &obs, &mut ls),
+    }
+    .expect("every generated spec and input is valid");
     let snap = rec.registry().snapshot();
     let counter = |name| snap.counter(name).unwrap_or(0);
     let cache = (
@@ -136,7 +323,6 @@ fn serve(
 
 fn assert_matches(run: &ServeRun, want: &Reference, tag: &str) {
     let r = &run.report;
-    assert_eq!(r.queries as u64 * 2, want.events, "{tag}: queries");
     assert_eq!(
         r.makespan_ms.to_bits(),
         want.makespan.to_bits(),
@@ -305,9 +491,48 @@ fn plan_cache_thrash_matches_reference() {
         ServeSpec::open(100.0).sampling(32.0),
         ServeSpec::open(100.0).faults(FaultSchedule::healthy(m)),
     ] {
-        let (run, cache) = serve(&spec, &engine, &pool, &arrivals);
+        let (run, cache) = serve(&spec, &engine, &pool, Some(&arrivals));
         assert_matches(&run, &want, "thrash");
         assert_eq!(cache, (0, 200), "one miss per planned region");
+    }
+}
+
+/// Deterministic pin of the window boundary: with arrivals on a 1 ms
+/// grid and integer windows, arrivals land exactly at `open + w`, where
+/// each opens the next window instead of joining the closing one.
+#[test]
+fn shared_window_boundary_opens_the_next_window() {
+    let space = GridSpace::new_2d(16, 16).unwrap();
+    let m = 4u32;
+    let hcam = decluster::methods::Hcam::new(&space, m).unwrap();
+    let dir = GridDirectory::build(space.clone(), m, |b| {
+        decluster::methods::DeclusteringMethod::disk_of(&hcam, b.as_slice())
+    });
+    let engine = MultiUserEngine::new(&dir);
+    let mut rng = StdRng::seed_from_u64(5);
+    let pool: Vec<BucketRegion> = (0..6)
+        .map(|_| random_region(&mut rng, &space, &[3, 3]).unwrap())
+        .collect();
+    let arrivals: Vec<f64> = (0..40).map(f64::from).collect();
+    for window_ms in [1.0, 2.0, 3.0] {
+        for replicas in [0, 1] {
+            let (want, sharing) = reference_shared(
+                &dir,
+                &DiskParams::default(),
+                &pool,
+                &arrivals,
+                window_ms,
+                replicas,
+            );
+            assert_eq!(sharing.windows, (40.0 / window_ms).ceil() as u64);
+            let spec = ServeSpec::open(100.0)
+                .share(window_ms)
+                .replicas(replicas as u32)
+                .policy(ReplicaPolicy::Spread);
+            let (run, _) = serve(&spec, &engine, &pool, Some(&arrivals));
+            assert_matches(&run, &want, &format!("w={window_ms} r={replicas}"));
+            assert_eq!(run.sharing.unwrap().windows, sharing.windows);
+        }
     }
 }
 
@@ -340,11 +565,85 @@ proptest! {
         // replica policy and no admission cap, serves the same schedule.
         let faulted = spec.clone().faults(FaultSchedule::healthy(case.disks));
         for (spec, path) in [(spec, "plain"), (faulted, "faults")] {
-            let (run, (hits, misses)) = serve(&spec, &engine, &pool, &arrivals);
+            let (run, (hits, misses)) = serve(&spec, &engine, &pool, Some(&arrivals));
+            assert_eq!(run.report.queries, arrivals.len(), "{path}: queries");
             assert_matches(&run, &want, &format!("{path} {case:?}"));
             // The plan table probes the shape cache once per region the
             // run issues.
             prop_assert_eq!(hits + misses, pool.len().min(arrivals.len()) as u64);
+        }
+    }
+
+    #[test]
+    fn closed_serve_matches_reference_simulator(case in case()) {
+        let (dir, pool) = build(&case);
+        let engine = MultiUserEngine::new(&dir);
+        prop_assume!(engine.kernel_backed());
+        for clients in [1, 2, 7, pool.len() + 3] {
+            let want = reference_closed(&dir, &DiskParams::default(), &pool, clients);
+            let mut spec = ServeSpec::closed(clients);
+            if let Some(every_ms) = case.sampling {
+                spec = spec.sampling(every_ms);
+            }
+            // The fault router under a healthy schedule serves the same
+            // schedule for closed clients too.
+            let faulted = spec.clone().faults(FaultSchedule::healthy(case.disks));
+            for (spec, path) in [(spec, "closed"), (faulted, "closed faults")] {
+                let (run, (hits, misses)) = serve(&spec, &engine, &pool, None);
+                let tag = format!("{path} c={clients} {case:?}");
+                prop_assert_eq!(run.report.queries, pool.len(), "{}", tag);
+                assert_matches(&run, &want, &tag);
+                prop_assert_eq!(run.peak_in_flight, clients.min(pool.len()));
+                // A closed run plans each query once, in issue order.
+                prop_assert_eq!(hits + misses, pool.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_window_matches_reference_simulator(case in case(), window_ms in 0.5f64..20.0) {
+        let (dir, pool) = build(&case);
+        let engine = MultiUserEngine::new(&dir);
+        let mut t = 0.0f64;
+        let arrivals: Vec<f64> = case
+            .gaps
+            .iter()
+            .map(|g| {
+                t += g;
+                t
+            })
+            .collect();
+        for replicas in [0, 1] {
+            let (want, sharing) = reference_shared(
+                &dir,
+                &DiskParams::default(),
+                &pool,
+                &arrivals,
+                window_ms,
+                replicas,
+            );
+            let mut spec = ServeSpec::open(100.0)
+                .share(window_ms)
+                .replicas(replicas as u32)
+                .policy(ReplicaPolicy::Spread);
+            if let Some(every_ms) = case.sampling {
+                spec = spec.sampling(every_ms);
+            }
+            let (run, cache) = serve(&spec, &engine, &pool, Some(&arrivals));
+            let tag = format!("r={replicas} w={window_ms} {case:?}");
+            prop_assert_eq!(run.report.queries, arrivals.len(), "{}", tag);
+            assert_matches(&run, &want, &tag);
+            let got = run.sharing.expect("shared runs report sharing");
+            prop_assert_eq!(
+                Sharing {
+                    windows: got.windows,
+                    merged_queries: got.merged_queries,
+                    pages_saved: got.pages_saved,
+                },
+                sharing
+            );
+            // The window merges page lists; it plans no count rows.
+            prop_assert_eq!(cache, (0, 0));
         }
     }
 }

@@ -59,7 +59,7 @@ fn warm_start_compiles_nothing_and_matches_cold_bit_for_bit() {
     let mut cache = KernelCache::new();
     let mut alloc_images: Vec<(String, Vec<u8>)> = Vec::new();
     for (name, _, engine) in &cold {
-        let counts = engine.serving().counts();
+        let counts = engine.counts();
         let kernel = counts.kernel().expect("cold engines are kernel-backed");
         cache.insert(name, counts.allocation(), kernel);
         alloc_images.push((name.clone(), counts.allocation().to_bytes().to_vec()));
@@ -137,7 +137,7 @@ fn warm_start_compiles_nothing_and_matches_cold_bit_for_bit() {
     // A stale image (different allocation) must miss, never misread:
     // lookup against a shifted allocation returns None.
     let (name, _, engine) = &cold[0];
-    let counts = engine.serving().counts();
+    let counts = engine.counts();
     let mut shifted = counts.allocation().table().to_vec();
     shifted[0] = (shifted[0] + 1) % m;
     let shifted_map = AllocationMap::from_table(&space, m, shifted).unwrap();
