@@ -8,10 +8,9 @@
 //! [`decluster_methods::Scratch`]). The acceptance target for the v2
 //! path is ≥ 2× over v1 on this workload.
 //!
-//! Construction: serial vs parallel per-method kernel build of an
-//! [`EvalContext`], which dominates small sweeps.
+//! Construction: the per-method kernel build of an [`EvalContext`].
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use decluster_grid::{BucketRegion, GridSpace};
 use decluster_methods::{AllocationMap, DiskCounts, MethodRegistry, Scratch};
 use decluster_sim::EvalContext;
@@ -136,8 +135,8 @@ fn bench_scoring(c: &mut Criterion) {
 }
 
 fn bench_build(c: &mut Criterion) {
-    // A larger grid than the scoring bench so the build cost is worth
-    // parallelizing (the paper's E6 tops out at 128 partitions/side).
+    // A larger grid than the scoring bench (the paper's E6 tops out at
+    // 128 partitions/side).
     let space = GridSpace::new_2d(128, 128).expect("grid");
     let registry = MethodRegistry::default();
     let maps: Vec<AllocationMap> = registry
@@ -148,22 +147,12 @@ fn bench_build(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernel2_build_128x128_m16");
     group.sample_size(20);
-    group.bench_function("serial_from_maps", |b| {
+    group.bench_function("from_maps", |b| {
         b.iter_with_setup(
             || maps.clone(),
             |maps| black_box(EvalContext::from_maps(16, maps).kernel_coverage()),
         )
     });
-    for threads in [2usize, 4] {
-        group.bench_function(BenchmarkId::new("parallel_from_maps", threads), |b| {
-            b.iter_with_setup(
-                || maps.clone(),
-                |maps| {
-                    black_box(EvalContext::from_maps_parallel(16, maps, threads).kernel_coverage())
-                },
-            )
-        });
-    }
     group.finish();
 }
 

@@ -34,7 +34,7 @@ impl AllocationMap {
             }
         })?;
         let mut disks = Vec::with_capacity(total);
-        for bucket in space.iter() {
+        space.for_each_bucket(|bucket| {
             let d = method.disk_of(bucket.as_slice());
             assert!(
                 d.0 < m,
@@ -42,7 +42,7 @@ impl AllocationMap {
                 method.name()
             );
             disks.push(d.0);
-        }
+        });
         Ok(AllocationMap {
             space: space.clone(),
             m,
@@ -359,6 +359,29 @@ mod tests {
         }
     }
 
+    /// A broken method: every bucket on disk `num_disks()`.
+    struct OutOfRange;
+
+    impl DeclusteringMethod for OutOfRange {
+        fn name(&self) -> &'static str {
+            "BROKEN"
+        }
+
+        fn num_disks(&self) -> u32 {
+            2
+        }
+
+        fn disk_of(&self, _bucket: &[u32]) -> DiskId {
+            DiskId(2)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "BROKEN returned disk2 with only 2 disks")]
+    fn from_method_panics_on_out_of_range_disk() {
+        let _ = AllocationMap::from_method(&grid8(), &OutOfRange);
+    }
+
     #[test]
     fn full_grid_response_time_equals_max_load() {
         let g = grid8();
@@ -366,5 +389,56 @@ mod tests {
         let map = AllocationMap::from_method(&g, &dm).unwrap();
         let full = BucketRegion::full(&g);
         assert_eq!(map.response_time(&full), map.load_stats().max);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::{MethodKind, MethodRegistry};
+    use decluster_grid::GridDirectory;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both materializations against a per-bucket `disk_of` walk over
+        /// `space.iter()`, for every method that constructs on the grid.
+        #[test]
+        fn materializations_match_a_per_bucket_walk(
+            sides in prop::collection::vec(1u32..=12, 1..5),
+            m in 1u32..=20,
+            seed in any::<u64>(),
+        ) {
+            let space = GridSpace::new(sides).unwrap();
+            let registry = MethodRegistry::with_seed(seed);
+            for kind in MethodKind::ALL {
+                let Ok(method) = registry.build(kind, &space, m) else {
+                    continue;
+                };
+                let walked: Vec<u32> = space
+                    .iter()
+                    .map(|b| method.disk_of(b.as_slice()).0)
+                    .collect();
+                let map = AllocationMap::from_method(&space, method.as_ref()).unwrap();
+                prop_assert_eq!(map.table(), walked.as_slice(), "{:?}", kind);
+
+                let built =
+                    GridDirectory::build(space.clone(), m, |b| method.disk_of(b.as_slice()));
+                let restored = GridDirectory::from_table(space.clone(), m, &walked).unwrap();
+                prop_assert_eq!(&built, &restored, "{:?}", kind);
+                // Pages count up per disk in linear bucket order.
+                let mut per_disk = vec![Vec::new(); m as usize];
+                for (id, &d) in walked.iter().enumerate() {
+                    let page = built.lookup_linear(id as u64).unwrap();
+                    prop_assert_eq!(page.disk, DiskId(d));
+                    prop_assert_eq!(page.page, per_disk[d as usize].len() as u64);
+                    per_disk[d as usize].push(id as u64);
+                }
+                for (d, ids) in per_disk.iter().enumerate() {
+                    prop_assert_eq!(built.buckets_on_disk(DiskId(d as u32)), ids.as_slice());
+                }
+            }
+        }
     }
 }

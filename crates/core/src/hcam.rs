@@ -1,6 +1,6 @@
 use crate::{DeclusteringMethod, MethodError, Result};
 use decluster_grid::{DiskId, GridSpace};
-use decluster_hilbert::HilbertCurve;
+use decluster_hilbert::{HilbertCurve, BLOCK_RANKS};
 
 /// Hilbert Curve Allocation Method (HCAM), Faloutsos & Bhagwat (PDIS
 /// 1993).
@@ -42,17 +42,38 @@ impl Hcam {
                 reason: "grid too large to materialize".into(),
             })?;
         let mut table = vec![0u32; total];
-        let mut rank_in_grid: u64 = 0;
-        for point in curve.iter() {
-            let inside = point.iter().zip(space.dims()).all(|(&c, &d)| c < d);
-            if !inside {
-                continue;
+        // Deal disks round-robin over in-grid points: `disk` is the
+        // in-grid rank mod `m`.
+        let mut disk = 0u32;
+        let mut dealt = 0usize;
+        let mut walk = curve.blocks();
+        let mut ids = [0u64; BLOCK_RANKS];
+        let mut inside = [false; BLOCK_RANKS];
+        while let Some(block) = walk.next_block() {
+            let lanes = block.len();
+            ids[..lanes].fill(0);
+            inside[..lanes].fill(true);
+            // Row-major ids by Horner's rule, one axis at a time. Ids of
+            // points outside the grid may wrap; they are never used.
+            for (axis, &side) in space.dims().iter().enumerate() {
+                let side_u64 = u64::from(side);
+                for ((id, ok), &c) in ids.iter_mut().zip(inside.iter_mut()).zip(block.axis(axis)) {
+                    *ok &= c < side;
+                    *id = id.wrapping_mul(side_u64).wrapping_add(u64::from(c));
+                }
             }
-            let id = space.linearize_unchecked(&point);
-            table[id as usize] = (rank_in_grid % u64::from(m)) as u32;
-            rank_in_grid += 1;
+            for (&id, &ok) in ids[..lanes].iter().zip(&inside[..lanes]) {
+                if ok {
+                    table[id as usize] = disk;
+                    disk += 1;
+                    if disk == m {
+                        disk = 0;
+                    }
+                    dealt += 1;
+                }
+            }
         }
-        debug_assert_eq!(rank_in_grid, space.num_buckets());
+        debug_assert_eq!(dealt, total);
         Ok(Hcam {
             m,
             space: space.clone(),
@@ -85,6 +106,41 @@ impl DeclusteringMethod for Hcam {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The table as the point-at-a-time walk over `curve.iter()` deals
+    /// it: the reference for the block walk in [`Hcam::new`].
+    fn reference_table(space: &GridSpace, m: u32) -> Vec<u32> {
+        let curve = HilbertCurve::covering(space.dims()).unwrap();
+        let mut table = vec![0u32; space.num_buckets() as usize];
+        let mut rank_in_grid: u64 = 0;
+        for point in curve.iter() {
+            if point.iter().zip(space.dims()).all(|(&c, &d)| c < d) {
+                let id = space.linearize_unchecked(&point);
+                table[id as usize] = (rank_in_grid % u64::from(m)) as u32;
+                rank_in_grid += 1;
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn block_walk_deals_the_reference_table() {
+        for dims in [
+            vec![3u32, 5],
+            vec![6, 10],
+            vec![7, 1],
+            vec![1, 1],
+            vec![5, 9, 3],
+        ] {
+            let g = GridSpace::new(dims.clone()).unwrap();
+            for m in [1u32, 3, 16, 64] {
+                let h = Hcam::new(&g, m).unwrap();
+                assert_eq!(h.table, reference_table(&g, m), "{dims:?} m={m}");
+            }
+        }
+        let g = GridSpace::new_cube(4, 16).unwrap();
+        assert_eq!(Hcam::new(&g, 64).unwrap().table, reference_table(&g, 64));
+    }
 
     #[test]
     fn rejects_zero_disks() {

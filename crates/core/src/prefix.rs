@@ -138,11 +138,11 @@ impl Lane for u32 {
 /// the box `[0, coord]`.
 ///
 /// For axis `a`, cells sharing every coordinate before `a` form
-/// contiguous blocks of `dims[a] · strides[a]` rows; within a block the
-/// first `strides[a]` rows carry the axis's zero coordinate (nothing to
-/// add), and every later lane adds the lane one row-stride back. The v1
-/// pass re-derived the same structure per cell with a division and a
-/// modulo; the nested loop form needs neither.
+/// contiguous blocks of `dims[a]` slices of `strides[a]` rows each; the
+/// first slice carries the axis's zero coordinate (nothing to add), and
+/// every later slice adds the slice before it. The two slices come from
+/// one `split_at_mut`, so each add runs over contiguous lanes with no
+/// runtime-stride indexing, and vectorizes.
 fn build_table<T: Lane>(
     map: &AllocationMap,
     lanes: usize,
@@ -151,19 +151,19 @@ fn build_table<T: Lane>(
 ) -> Vec<T> {
     let total = map.table().len();
     let mut table = vec![T::default(); total * lanes];
-    for (cell, &disk) in map.table().iter().enumerate() {
-        table[cell * lanes + disk as usize] = T::ONE;
+    for (row, &disk) in table.chunks_exact_mut(lanes).zip(map.table()) {
+        row[disk as usize] = T::ONE;
     }
     for (axis, &d) in dims.iter().enumerate() {
         let stride = strides[axis] * lanes;
-        let block = stride * d as usize;
-        let mut base = 0;
-        while base < table.len() {
-            for i in base + stride..base + block {
-                let prev = table[i - stride];
-                table[i] += prev;
+        for block in table.chunks_exact_mut(stride * d as usize) {
+            for r in 1..d as usize {
+                let (before, from_r) = block.split_at_mut(r * stride);
+                let prev = &before[(r - 1) * stride..];
+                for (v, &p) in from_r[..stride].iter_mut().zip(prev) {
+                    *v += p;
+                }
             }
-            base += block;
         }
     }
     table

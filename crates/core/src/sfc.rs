@@ -68,14 +68,14 @@ impl CurveAlloc {
         match kind {
             CurveKind::Morton => {
                 let order = MortonOrder::covering(space.dims())?;
-                for rank in 0..order.num_points() {
+                for rank in 0..=order.last_rank() {
                     visit(&order.decode(rank).expect("rank in range"));
                 }
             }
             CurveKind::Gray => {
                 let m_order = MortonOrder::covering(space.dims())?;
                 let order = GrayOrder::new(space.k(), m_order.bits())?;
-                for rank in 0..order.num_points() {
+                for rank in 0..=order.last_rank() {
                     visit(&order.decode(rank).expect("rank in range"));
                 }
             }

@@ -20,7 +20,7 @@ pub struct BucketPage {
 /// The directory is built once from an assignment function (a declustering
 /// method) and thereafter answers placement lookups in O(1) and
 /// disk-content queries in O(buckets-on-disk).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GridDirectory {
     space: GridSpace,
     /// Placement per linear bucket id.
@@ -31,7 +31,8 @@ pub struct GridDirectory {
 
 impl GridDirectory {
     /// Builds a directory by evaluating `assign` on every bucket of
-    /// `space`, laying buckets out on their disks in row-major order.
+    /// `space` in row-major order, then laying the resulting table out as
+    /// [`GridDirectory::from_table`] does.
     ///
     /// `num_disks` fixes the directory width; any assignment ≥ `num_disks`
     /// is a bug in the method and panics (methods guarantee
@@ -47,24 +48,16 @@ impl GridDirectory {
     ) -> Self {
         let total = usize::try_from(space.num_buckets())
             .expect("grid too large to materialize a directory");
-        let mut pages = Vec::with_capacity(total);
-        let mut per_disk: Vec<Vec<u64>> = vec![Vec::new(); num_disks as usize];
-        for bucket in space.iter() {
-            let disk = assign(&bucket);
+        let mut table = Vec::with_capacity(total);
+        space.for_each_bucket(|bucket| {
+            let disk = assign(bucket);
             assert!(
                 disk.0 < num_disks,
                 "declustering method assigned {disk} but only {num_disks} disks exist"
             );
-            let page = per_disk[disk.index()].len() as u64;
-            let id = space.linearize_unchecked(bucket.as_slice());
-            per_disk[disk.index()].push(id);
-            pages.push(BucketPage { disk, page });
-        }
-        GridDirectory {
-            space,
-            pages,
-            per_disk,
-        }
+            table.push(disk.0);
+        });
+        Self::from_table(space, num_disks, &table).expect("one checked disk per bucket")
     }
 
     /// Builds a directory directly from a disk-assignment table in
@@ -74,11 +67,11 @@ impl GridDirectory {
     /// This is the warm-start constructor: a persisted allocation image
     /// already holds the table, so rebuilding the directory needs no
     /// method evaluation and no per-bucket coordinate materialization.
-    /// Two flat passes (count per disk, then scatter with pre-sized
-    /// buffers) make it an order of magnitude cheaper than
-    /// [`GridDirectory::build`] with a table-lookup closure, and it
-    /// produces a bit-identical directory: page numbers are assigned in
-    /// ascending linear order per disk either way.
+    /// It lays the table out in two flat passes (count per disk, then
+    /// scatter with pre-sized buffers), assigning page numbers in
+    /// ascending linear order per disk. [`GridDirectory::build`] ends
+    /// here too, so a directory built from a method and one restored from
+    /// that method's table are bit-identical.
     ///
     /// # Errors
     /// [`crate::GridError::DimensionMismatch`] if the table length does
@@ -531,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "assigned")]
+    #[should_panic(expected = "declustering method assigned disk7 but only 2 disks exist")]
     fn build_panics_on_out_of_range_disk() {
         let space = GridSpace::new_2d(2, 2).unwrap();
         let _ = GridDirectory::build(space, 2, |_| DiskId(7));

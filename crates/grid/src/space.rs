@@ -162,6 +162,36 @@ impl GridSpace {
         Ok(coord)
     }
 
+    /// Calls `f` on every bucket in row-major order (the order of
+    /// [`GridSpace::iter`] and of linear ids), advancing one coordinate
+    /// in place: unlike the iterator, the walk clones no coordinate per
+    /// bucket.
+    pub fn for_each_bucket(&self, mut f: impl FnMut(&BucketCoord)) {
+        let last = self.dims.len() - 1;
+        let mut coord = BucketCoord::origin(self.dims.len());
+        loop {
+            for c in 0..self.dims[last] {
+                coord.as_mut_slice()[last] = c;
+                f(&coord);
+            }
+            // Carry into the dimensions before the last.
+            let coords = coord.as_mut_slice();
+            coords[last] = 0;
+            let mut i = last;
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                coords[i] += 1;
+                if coords[i] < self.dims[i] {
+                    break;
+                }
+                coords[i] = 0;
+            }
+        }
+    }
+
     /// Iterates over every bucket in the grid in row-major order.
     pub fn iter(&self) -> SpaceIter<'_> {
         SpaceIter {
@@ -297,6 +327,22 @@ mod tests {
         assert_eq!(all.len(), 6);
         let expected: Vec<BucketCoord> = (0..6).map(|i| g.delinearize(i).unwrap()).collect();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn for_each_bucket_walks_the_iterator_order() {
+        for dims in [
+            vec![1],
+            vec![5],
+            vec![2, 3],
+            vec![3, 1, 4],
+            vec![2, 2, 1, 3],
+        ] {
+            let g = GridSpace::new(dims).unwrap();
+            let mut walked = Vec::new();
+            g.for_each_bucket(|b| walked.push(b.clone()));
+            assert_eq!(walked, g.iter().collect::<Vec<_>>(), "{:?}", g.dims());
+        }
     }
 
     #[test]

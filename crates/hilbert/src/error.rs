@@ -7,6 +7,11 @@ pub enum HilbertError {
     ZeroDimensions,
     /// The curve must have at least one bit of resolution per dimension.
     ZeroBits,
+    /// `bits` must fit in the 32-bit coordinate type.
+    CoordOverflow {
+        /// Requested bits per dimension.
+        bits: u32,
+    },
     /// `dims * bits` must fit in the 128-bit rank type.
     RankOverflow {
         /// Requested dimensions.
@@ -30,7 +35,7 @@ pub enum HilbertError {
         /// Bits of resolution per dimension.
         bits: u32,
     },
-    /// A rank is outside the curve (`rank >= 2^(dims*bits)`).
+    /// A rank is outside the curve (`rank > 2^(dims*bits) - 1`).
     RankOutOfRange,
 }
 
@@ -39,6 +44,9 @@ impl fmt::Display for HilbertError {
         match self {
             HilbertError::ZeroDimensions => write!(f, "curve must have at least one dimension"),
             HilbertError::ZeroBits => write!(f, "curve must have at least one bit per dimension"),
+            HilbertError::CoordOverflow { bits } => {
+                write!(f, "{bits} bits per dimension exceed 32-bit coordinates")
+            }
             HilbertError::RankOverflow { dims, bits } => {
                 write!(
                     f,

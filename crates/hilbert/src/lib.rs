@@ -34,7 +34,7 @@ mod error;
 mod gray;
 mod morton;
 
-pub use curve::{CurveIter, HilbertCurve};
+pub use curve::{BlockWalk, CurveIter, HilbertCurve, PointBlock, BLOCK_RANKS};
 pub use error::HilbertError;
 pub use gray::{gray_decode, gray_encode};
 pub use morton::{GrayOrder, MortonOrder};

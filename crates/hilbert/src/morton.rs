@@ -7,6 +7,7 @@
 //! curve-allocation variants over all three orders so the claim is
 //! measurable here.
 
+use crate::curve::{check_shape, last_rank};
 use crate::{HilbertError, Result};
 
 /// The Z-order (Morton) linearization of a `dims`-dimensional grid with
@@ -24,15 +25,7 @@ impl MortonOrder {
     /// # Errors
     /// Same shape constraints as [`crate::HilbertCurve::new`].
     pub fn new(dims: usize, bits: u32) -> Result<Self> {
-        if dims == 0 {
-            return Err(HilbertError::ZeroDimensions);
-        }
-        if bits == 0 {
-            return Err(HilbertError::ZeroBits);
-        }
-        if (dims as u128) * u128::from(bits) > 128 {
-            return Err(HilbertError::RankOverflow { dims, bits });
-        }
+        check_shape(dims, bits)?;
         Ok(MortonOrder { dims, bits })
     }
 
@@ -67,9 +60,15 @@ impl MortonOrder {
         self.bits
     }
 
-    /// Total points (`2^(dims·bits)`).
-    pub fn num_points(&self) -> u128 {
-        1u128 << (self.dims as u32 * self.bits)
+    /// Total points (`2^(dims·bits)`), or `None` for a 128-bit order,
+    /// whose count does not fit a `u128`.
+    pub fn num_points(&self) -> Option<u128> {
+        1u128.checked_shl(self.dims as u32 * self.bits)
+    }
+
+    /// The highest rank (`2^(dims·bits) - 1`), defined for every order.
+    pub fn last_rank(&self) -> u128 {
+        last_rank(self.dims, self.bits)
     }
 
     /// Morton rank of a point: bit `q` of coordinate `i` lands at rank
@@ -111,7 +110,7 @@ impl MortonOrder {
     /// # Errors
     /// [`HilbertError::RankOutOfRange`] for ranks beyond the grid.
     pub fn decode(&self, rank: u128) -> Result<Vec<u32>> {
-        if rank >= self.num_points() {
+        if rank > self.last_rank() {
             return Err(HilbertError::RankOutOfRange);
         }
         let mut coords = vec![0u32; self.dims];
@@ -148,9 +147,15 @@ impl GrayOrder {
         })
     }
 
-    /// Total points.
-    pub fn num_points(&self) -> u128 {
-        1u128 << (self.dims as u32 * self.bits)
+    /// Total points, or `None` for a 128-bit order (cf.
+    /// [`MortonOrder::num_points`]).
+    pub fn num_points(&self) -> Option<u128> {
+        1u128.checked_shl(self.dims as u32 * self.bits)
+    }
+
+    /// The highest rank, defined for every order.
+    pub fn last_rank(&self) -> u128 {
+        last_rank(self.dims, self.bits)
     }
 
     /// Rank of a point: Gray-decode of its bit-concatenated index.
@@ -188,7 +193,7 @@ impl GrayOrder {
     /// # Errors
     /// [`HilbertError::RankOutOfRange`] for ranks beyond the grid.
     pub fn decode(&self, rank: u128) -> Result<Vec<u32>> {
-        if rank >= self.num_points() {
+        if rank > self.last_rank() {
             return Err(HilbertError::RankOutOfRange);
         }
         let word = crate::gray_encode(rank);
@@ -216,7 +221,7 @@ mod tests {
     fn morton_roundtrip_exhaustive() {
         for (dims, bits) in [(2usize, 3u32), (3, 2), (1, 5)] {
             let m = MortonOrder::new(dims, bits).unwrap();
-            for rank in 0..m.num_points() {
+            for rank in 0..=m.last_rank() {
                 let c = m.decode(rank).unwrap();
                 assert_eq!(m.encode(&c).unwrap(), rank);
             }
@@ -235,6 +240,29 @@ mod tests {
     }
 
     #[test]
+    fn morton_full_128_bit_order() {
+        let m = MortonOrder::new(4, 32).unwrap();
+        assert_eq!(m.num_points(), None);
+        assert_eq!(m.last_rank(), u128::MAX);
+        assert_eq!(m.decode(u128::MAX).unwrap(), vec![u32::MAX; 4]);
+        for rank in [1, u128::MAX] {
+            assert_eq!(m.encode(&m.decode(rank).unwrap()).unwrap(), rank);
+        }
+        assert!(MortonOrder::new(1, 33).is_err());
+    }
+
+    #[test]
+    fn gray_full_128_bit_order() {
+        let g = GrayOrder::new(4, 32).unwrap();
+        assert_eq!(g.num_points(), None);
+        assert_eq!(g.last_rank(), u128::MAX);
+        for rank in [1, u128::MAX] {
+            assert_eq!(g.encode(&g.decode(rank).unwrap()).unwrap(), rank);
+        }
+        assert_eq!(GrayOrder::new(2, 3).unwrap().num_points(), Some(64));
+    }
+
+    #[test]
     fn morton_covering_matches_hilbert_covering() {
         let m = MortonOrder::covering(&[48, 64]).unwrap();
         assert_eq!(m.bits(), 6);
@@ -245,7 +273,7 @@ mod tests {
     #[test]
     fn gray_roundtrip_exhaustive() {
         let g = GrayOrder::new(2, 3).unwrap();
-        for rank in 0..g.num_points() {
+        for rank in 0..=g.last_rank() {
             let c = g.decode(rank).unwrap();
             assert_eq!(g.encode(&c).unwrap(), rank);
         }
@@ -254,7 +282,7 @@ mod tests {
     #[test]
     fn gray_successive_ranks_differ_in_one_index_bit() {
         let g = GrayOrder::new(2, 3).unwrap();
-        for rank in 0..g.num_points() - 1 {
+        for rank in 0..g.last_rank() {
             let a = g.decode(rank).unwrap();
             let b = g.decode(rank + 1).unwrap();
             let word = |c: &[u32]| u64::from(c[0]) | (u64::from(c[1]) << 3);

@@ -53,44 +53,6 @@ impl EvalContext {
         Self::from_maps(m, maps)
     }
 
-    /// As [`EvalContext::materialize`], but materializing the methods and
-    /// building their kernels on up to `threads` worker threads (the
-    /// deterministic index-order executor behind the sweep engine, so the
-    /// resulting context is identical to the serial one). Kernel build is
-    /// `O(k · N · M)` per method and dominates small sweeps; the methods
-    /// are independent, so a sweep-level context parallelizes cleanly.
-    pub fn build_parallel(
-        registry: &MethodRegistry,
-        space: &GridSpace,
-        m: u32,
-        baselines: bool,
-        threads: usize,
-    ) -> Self {
-        let methods = if baselines {
-            registry.with_baselines(space, m)
-        } else {
-            registry.paper_methods(space, m)
-        };
-        let built = crate::exec::run_indexed(threads, methods.len(), &Obs::disabled(), |i| {
-            let map = AllocationMap::from_method(space, methods[i].as_ref())
-                .expect("experiment grids are materializable");
-            let kernel = map.disk_counts().ok();
-            (map, kernel)
-        });
-        let mut maps = Vec::with_capacity(built.len());
-        let mut kernels = Vec::with_capacity(built.len());
-        for (map, kernel) in built {
-            maps.push(map);
-            kernels.push(kernel);
-        }
-        EvalContext {
-            m,
-            maps,
-            kernels,
-            obs: Obs::disabled(),
-        }
-    }
-
     /// Wraps already-materialized allocations, building each kernel.
     pub fn from_maps(m: u32, maps: Vec<AllocationMap>) -> Self {
         let kernels = maps.iter().map(|map| map.disk_counts().ok()).collect();
@@ -140,21 +102,6 @@ impl EvalContext {
             if let Some(k) = kernel {
                 cache.insert(map.name(), map, k);
             }
-        }
-    }
-
-    /// As [`EvalContext::from_maps`], building the per-method kernels on
-    /// up to `threads` worker threads. Bit-identical to the serial
-    /// constructor for any thread count.
-    pub fn from_maps_parallel(m: u32, maps: Vec<AllocationMap>, threads: usize) -> Self {
-        let kernels = crate::exec::run_indexed(threads, maps.len(), &Obs::disabled(), |i| {
-            maps[i].disk_counts().ok()
-        });
-        EvalContext {
-            m,
-            maps,
-            kernels,
-            obs: Obs::disabled(),
         }
     }
 
@@ -597,22 +544,6 @@ mod tests {
         let (empty, opt0) = ctx.score(&[]);
         assert_eq!(empty.len(), ctx.maps().len());
         assert_eq!(opt0, 0.0);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let g = GridSpace::new_2d(8, 8).unwrap();
-        let registry = MethodRegistry::with_seed(1);
-        let serial = EvalContext::materialize(&registry, &g, 4, true);
-        for threads in [1, 2, 8] {
-            let parallel = EvalContext::build_parallel(&registry, &g, 4, true, threads);
-            assert_eq!(parallel.maps(), serial.maps(), "threads = {threads}");
-            assert_eq!(parallel.kernel_coverage(), serial.kernel_coverage());
-            let maps = serial.maps().to_vec();
-            let from_maps = EvalContext::from_maps_parallel(4, maps, threads);
-            assert_eq!(from_maps.maps(), serial.maps());
-            assert_eq!(from_maps.kernel_coverage(), serial.kernel_coverage());
-        }
     }
 
     #[test]

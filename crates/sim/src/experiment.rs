@@ -431,10 +431,9 @@ impl Experiment {
     }
 
     /// Materializes the method set (and RT kernels) for one grid and
-    /// disk count, serially. This is the per-point constructor for
-    /// sweeps whose grid or `M` varies: those build contexts *inside*
-    /// executor workers, where spawning further build threads would
-    /// oversubscribe the machine.
+    /// disk count, serially. Sweeps whose grid or `M` varies build one
+    /// per point inside executor workers; the others build one per sweep
+    /// through [`Experiment::sweep_context`].
     fn context_for(&self, space: &GridSpace, m: u32) -> EvalContext {
         let registry = MethodRegistry::with_seed(self.seed);
         match &self.kernel_cache {
@@ -468,34 +467,13 @@ impl Experiment {
             .collect()
     }
 
-    /// As [`Experiment::context_for`], materializing methods and
-    /// building kernels on the experiment's worker threads — used for
-    /// the per-sweep shared context, where kernel build is the dominant
-    /// serial section. The context is identical to the serial one; the
-    /// build wall time lands in the `kernel.build_ms` phase (wall-clock
-    /// section, outside the deterministic contract).
-    fn context_for_parallel(&self, space: &GridSpace, m: u32) -> EvalContext {
+    /// The one context a sweep over the experiment's own grid and `M`
+    /// shares across its points. Build wall time lands in the
+    /// `kernel.build_ms` phase (wall-clock section, outside the
+    /// deterministic contract).
+    fn sweep_context(&self) -> EvalContext {
         let _build = self.obs.time_phase("kernel.build_ms");
-        let registry = MethodRegistry::with_seed(self.seed);
-        match &self.kernel_cache {
-            // With a kernel cache attached, every stored kernel is
-            // adopted without any build work, so the (serial) cached
-            // constructor beats the parallel builder on the warm path;
-            // on a cold path it additionally populates the cache.
-            Some(cache) => {
-                let maps = Self::materialize_maps(&registry, space, m, self.include_baselines);
-                let mut guard = cache.lock().expect("kernel cache lock");
-                EvalContext::from_maps_cached(m, maps, &mut guard)
-            }
-            None => EvalContext::build_parallel(
-                &registry,
-                space,
-                m,
-                self.include_baselines,
-                self.effective_threads(),
-            ),
-        }
-        .with_obs(self.obs.clone())
+        self.context_for(&self.space, self.m)
     }
 
     /// Evaluates `total` sweep points through the parallel executor,
@@ -612,7 +590,7 @@ impl Experiment {
                 })
             })
             .collect::<Result<_>>()?;
-        let ctx = self.context_for_parallel(&self.space, self.m);
+        let ctx = self.sweep_context();
         let points = self.run_points(sweep.areas().len(), |i, rng, scratch| {
             let regions: Vec<BucketRegion> = (0..self.queries_per_point)
                 .map(|_| random_region(rng, &self.space, &sides[i]))
@@ -646,7 +624,7 @@ impl Experiment {
         if sweep.powers().is_empty() {
             return Err(SimError::EmptySweep);
         }
-        let ctx = self.context_for_parallel(&self.space, self.m);
+        let ctx = self.sweep_context();
         let points = self.run_points(sweep.powers().len(), |i, rng, scratch| {
             let p = sweep.powers()[i];
             let (a, b) = ShapeSweep::sides_for(sweep.area(), p).expect("sweep admitted this power");
@@ -756,7 +734,7 @@ impl Experiment {
         if mixes.is_empty() {
             return Err(SimError::EmptySweep);
         }
-        let ctx = self.context_for_parallel(&self.space, self.m);
+        let ctx = self.sweep_context();
         let points = self.run_points(mixes.len(), |i, rng, scratch| {
             let regions = mixes[i].generate(rng, &self.space, self.queries_per_point)?;
             Ok(Self::score_point(&ctx, i as f64, &regions, scratch))
@@ -827,7 +805,7 @@ impl Experiment {
         let regions: Vec<BucketRegion> = (0..self.queries_per_point)
             .map(|_| random_region(&mut rng, &self.space, &sides))
             .collect::<Result<_>>()?;
-        let ctx = self.context_for_parallel(&self.space, self.m);
+        let ctx = self.sweep_context();
         let dctx =
             DegradedContext::new(&ctx, schedule, *policy)?.with_replication(replicas, selection);
         let variants = ctx.maps().len() * 2;
@@ -1490,7 +1468,7 @@ impl Experiment {
     /// # Errors
     /// Construction errors as above.
     pub fn run_partial_match(&self) -> Result<SweepResult> {
-        let ctx = self.context_for_parallel(&self.space, self.m);
+        let ctx = self.sweep_context();
         let k = self.space.k();
         let points = self.run_points(k, |unspec, rng, scratch| {
             let queries =
