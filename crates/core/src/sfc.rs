@@ -31,7 +31,7 @@ impl CurveKind {
 /// round-robin — exactly HCAM's recipe with the curve swapped out.
 ///
 /// Exists to measure how much of HCAM's small-query advantage is the
-/// Hilbert curve itself (see `benches/ablation.rs`); [`crate::Hcam`]
+/// Hilbert curve itself (see `repro abl`); [`crate::Hcam`]
 /// remains the paper's method.
 #[derive(Clone, Debug)]
 pub struct CurveAlloc {

@@ -46,7 +46,7 @@
 //! byte-identity. Build wall time is scheduling-dependent anyway and
 //! lands in the `walls` section (`kernel.build_ms`); logical build
 //! counts are exposed process-wide by
-//! `decluster_methods::kernel_build_count` for tests and benches.
+//! `decluster_methods::kernel_build_count` for tests and `perfbench/`.
 //!
 //! # Example
 //!

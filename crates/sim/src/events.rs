@@ -67,7 +67,7 @@ use rand::SeedableRng;
 /// One scheduled event: its logical time, the sequence number assigned at
 /// push (the deterministic tie-breaker), and a payload.
 #[derive(Clone, Copy, Debug)]
-pub struct Event<T> {
+pub(crate) struct Event<T> {
     /// Logical time of the event, ms.
     pub time: f64,
     /// Monotone insertion index; equal-time events pop in this order.
@@ -103,14 +103,11 @@ impl<T> Event<T> {
 ///
 /// The heap is a flat `Vec` that retains capacity across
 /// [`EventHeap::clear`], so warmed serving loops push and pop without
-/// touching the allocator. It also tracks its high-water mark
-/// ([`EventHeap::peak_len`]) for the bounded-memory accounting of large
-/// open-loop runs.
+/// touching the allocator.
 #[derive(Clone, Debug)]
-pub struct EventHeap<T> {
+pub(crate) struct EventHeap<T> {
     entries: Vec<Event<T>>,
     next_seq: u64,
-    peak: usize,
 }
 
 impl<T> Default for EventHeap<T> {
@@ -118,39 +115,16 @@ impl<T> Default for EventHeap<T> {
         EventHeap {
             entries: Vec::new(),
             next_seq: 0,
-            peak: 0,
         }
     }
 }
 
 impl<T> EventHeap<T> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scheduled events.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Largest number of events ever scheduled at once since the last
-    /// [`EventHeap::clear`].
-    pub fn peak_len(&self) -> usize {
-        self.peak
-    }
-
-    /// Removes all events and resets the sequence counter and peak,
-    /// keeping the allocation.
+    /// Removes all events and resets the sequence counter, keeping the
+    /// allocation.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.next_seq = 0;
-        self.peak = 0;
     }
 
     /// Schedules `payload` at `time` and returns the assigned sequence
@@ -160,7 +134,6 @@ impl<T> EventHeap<T> {
         self.next_seq += 1;
         self.entries.push(Event { time, seq, payload });
         self.sift_up(self.entries.len() - 1);
-        self.peak = self.peak.max(self.entries.len());
         seq
     }
 
@@ -1143,7 +1116,7 @@ mod tests {
 
     #[test]
     fn heap_pops_in_time_order() {
-        let mut h = EventHeap::new();
+        let mut h = EventHeap::default();
         for (t, p) in [(5.0, 'a'), (1.0, 'b'), (3.0, 'c'), (2.0, 'd'), (4.0, 'e')] {
             h.push(t, p);
         }
@@ -1153,7 +1126,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut h = EventHeap::new();
+        let mut h = EventHeap::default();
         for i in 0..10 {
             h.push(7.0, i);
         }
@@ -1163,23 +1136,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_sequence_and_peak_but_keeps_capacity() {
-        let mut h = EventHeap::new();
+    fn clear_resets_sequence_but_keeps_capacity() {
+        let mut h = EventHeap::default();
         for i in 0..100 {
             h.push(i as f64, ());
         }
-        assert_eq!(h.peak_len(), 100);
         let cap = h.entries.capacity();
         h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.peak_len(), 0);
+        assert!(h.entries.is_empty());
         assert_eq!(h.entries.capacity(), cap);
         assert_eq!(h.push(3.0, ()), 0, "sequence restarts after clear");
     }
 
     #[test]
     fn peek_matches_pop() {
-        let mut h = EventHeap::new();
+        let mut h = EventHeap::default();
         assert_eq!(h.peek_time(), None);
         h.push(2.0, ());
         h.push(1.0, ());
@@ -1188,26 +1159,13 @@ mod tests {
         assert_eq!(h.peek_time(), Some(2.0));
     }
 
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut h = EventHeap::new();
-        h.push(1.0, ());
-        h.push(2.0, ());
-        h.pop();
-        h.push(3.0, ());
-        h.pop();
-        h.pop();
-        assert_eq!(h.peak_len(), 2);
-        assert!(h.is_empty());
-    }
-
     proptest! {
         /// Pop order equals a stable sort of the pushed events by time:
         /// the deterministic tie-breaking contract under random mixes
         /// with duplicate timestamps.
         #[test]
         fn pop_order_is_stable_sort_by_time(times in prop::collection::vec(0u32..16, 0..200)) {
-            let mut h = EventHeap::new();
+            let mut h = EventHeap::default();
             for (i, &t) in times.iter().enumerate() {
                 h.push(f64::from(t), i);
             }
@@ -1226,7 +1184,7 @@ mod tests {
         /// pops that happen after a given push set.
         #[test]
         fn interleaved_ops_stay_ordered(ops in prop::collection::vec(prop::option::of(0u32..8), 1..200)) {
-            let mut h = EventHeap::new();
+            let mut h = EventHeap::default();
             let mut last_popped: Option<(f64, u64)> = None;
             for op in ops {
                 match op {
@@ -1315,7 +1273,10 @@ mod tests {
         );
         assert_eq!(r.report.queries, 200);
         assert_eq!(r.events, 400, "one arrival + one completion per request");
-        assert!(ls.events.is_empty(), "heap drains by the end of the run");
+        assert!(
+            ls.events.entries.is_empty(),
+            "heap drains by the end of the run"
+        );
         assert!(r.peak_in_flight >= 1);
         assert!(r.pages > 0);
         assert_eq!(r.samples, 0, "sampling disabled by default");
@@ -1346,7 +1307,7 @@ mod tests {
         );
         assert_eq!(r.pages, 64 * 16, "every 4x4 query reads 16 pages");
         assert_eq!(r.peak_in_flight, 3);
-        assert!(ls.events.is_empty());
+        assert!(ls.events.entries.is_empty());
     }
 
     #[test]

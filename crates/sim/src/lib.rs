@@ -52,7 +52,7 @@ pub mod workload;
 
 pub use disk::{DiskParams, IoSimulator};
 pub use eval::{DegradedContext, EvalContext};
-pub use events::{sharded_arrivals, Event, EventHeap, LoopScratch, ServeSample};
+pub use events::{sharded_arrivals, LoopScratch, ServeSample};
 pub use experiment::{
     AvailPoint, AvailSweep, DbSizePoint, Experiment, MethodSeries, ServeCurve, ServePoint,
     ServeSweep, SharePoint, ShareSweep, SweepResult,
@@ -65,10 +65,7 @@ pub use multiuser::{
     load_sweep, poisson_arrivals, LoadPoint, LoadPointMethod, MultiUserEngine, MultiUserReport,
 };
 pub use report::{Report, ReportFormat, TextTable};
-pub use rt::{
-    deviation_from_optimal, masked_response_time, masked_response_time_with, optimal_response_time,
-    response_time, response_time_batched, response_time_batched_with,
-};
+pub use rt::{deviation_from_optimal, optimal_response_time, response_time};
 pub use spec::{AvailStats, ServeRun, ServeSpec, ShareStats, SpecError, DEFAULT_SPEC_SEED};
 pub use stats::{Quantiles, Summary};
 

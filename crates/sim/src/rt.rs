@@ -1,5 +1,5 @@
 use decluster_grid::BucketRegion;
-use decluster_methods::{DeclusteringMethod, DiskCounts, Scratch};
+use decluster_methods::DeclusteringMethod;
 
 /// Response time of a query under a declustering method, in bucket
 /// retrievals: the maximum number of the query's buckets that land on any
@@ -10,58 +10,16 @@ use decluster_methods::{DeclusteringMethod, DiskCounts, Scratch};
 /// reference implementation, and the only choice for an arbitrary
 /// [`DeclusteringMethod`] trait object. When the same allocation is
 /// queried repeatedly, materialize it and use
-/// [`response_time_batched`], which answers each rectangular query in
-/// `O(M · 2^k)` via the [`DiskCounts`] prefix-sum kernel.
+/// [`DiskCounts::response_time`](decluster_methods::DiskCounts::response_time),
+/// which answers each rectangular query in `O(M · 2^k)` through the
+/// prefix-sum kernel (built once per allocation with
+/// [`decluster_methods::AllocationMap::disk_counts`]).
 pub fn response_time(method: &dyn DeclusteringMethod, region: &BucketRegion) -> u64 {
     let mut per_disk = vec![0u64; method.num_disks() as usize];
     for bucket in region.iter() {
         per_disk[method.disk_of(bucket.as_slice()).index()] += 1;
     }
     per_disk.into_iter().max().unwrap_or(0)
-}
-
-/// The batched path: response time through a prebuilt [`DiskCounts`]
-/// kernel — `O(M · 2^k)` per query, independent of the query's area, and
-/// exactly equal to [`response_time`] on the kernel's allocation (proven
-/// by property tests in `decluster-methods`). Build the kernel once per
-/// allocation with [`decluster_methods::AllocationMap::disk_counts`].
-pub fn response_time_batched(kernel: &DiskCounts, region: &BucketRegion) -> u64 {
-    kernel.response_time(region)
-}
-
-/// The kernel-v2 hot path: [`response_time_batched`] through a
-/// caller-owned [`Scratch`], whose cached shape-compiled plan amortizes
-/// the `2^k` corner derivation over every placement of one query shape.
-/// Equal to [`response_time_batched`] on every input.
-pub fn response_time_batched_with(
-    kernel: &DiskCounts,
-    region: &BucketRegion,
-    scratch: &mut Scratch,
-) -> u64 {
-    kernel.response_time_with(region, scratch)
-}
-
-/// Degraded-mode response time restricted to live disks: the max
-/// per-disk count over the disks marked live, through the prefix-sum
-/// kernel — still `O(M · 2^k)`, so fault-injection sweeps keep the
-/// batched engine's cost profile. What happens to the *dead* disks'
-/// buckets (chained failover or unavailability) is the fault executor's
-/// business ([`crate::faults::degraded_outcome`]); this is the surviving
-/// load it builds on.
-pub fn masked_response_time(kernel: &DiskCounts, region: &BucketRegion, live: &[bool]) -> u64 {
-    kernel.masked_response_time(region, live)
-}
-
-/// [`masked_response_time`] through a caller-owned [`Scratch`] — the
-/// degraded-mode analogue of [`response_time_batched_with`], for fault
-/// sweeps that mask the same query shape at many placements/times.
-pub fn masked_response_time_with(
-    kernel: &DiskCounts,
-    region: &BucketRegion,
-    live: &[bool],
-    scratch: &mut Scratch,
-) -> u64 {
-    kernel.masked_response_time_with(region, live, scratch)
 }
 
 /// The unbeatable lower bound on response time: `ceil(|Q| / M)` for a
@@ -98,29 +56,7 @@ mod tests {
             ([0, 0], [15, 15]),
         ] {
             let r = RangeQuery::new(lo, hi).unwrap().region(&g).unwrap();
-            assert_eq!(response_time_batched(&kernel, &r), response_time(&dm, &r));
-        }
-    }
-
-    #[test]
-    fn scratch_wrappers_match_their_plain_forms() {
-        let g = GridSpace::new_2d(16, 16).unwrap();
-        let fx = FieldwiseXor::new(&g, 5).unwrap();
-        let map = AllocationMap::from_method(&g, &fx).unwrap();
-        let kernel = map.disk_counts().unwrap();
-        let mut scratch = Scratch::new();
-        let mut live = [true; 5];
-        live[2] = false;
-        for (lo, hi) in [([0u32, 0u32], [3u32, 3u32]), ([2, 5], [9, 14])] {
-            let r = RangeQuery::new(lo, hi).unwrap().region(&g).unwrap();
-            assert_eq!(
-                response_time_batched_with(&kernel, &r, &mut scratch),
-                response_time_batched(&kernel, &r)
-            );
-            assert_eq!(
-                masked_response_time_with(&kernel, &r, &live, &mut scratch),
-                masked_response_time(&kernel, &r, &live)
-            );
+            assert_eq!(kernel.response_time(&r), response_time(&dm, &r));
         }
     }
 
@@ -135,16 +71,16 @@ mod tests {
             .region(&g)
             .unwrap();
         assert_eq!(
-            masked_response_time(&kernel, &r, &[true; 5]),
-            response_time_batched(&kernel, &r)
+            kernel.masked_response_time(&r, &[true; 5]),
+            kernel.response_time(&r)
         );
         // Masking out the busiest disk can only lower the survivors' max.
         for dead in 0..5usize {
             let mut live = [true; 5];
             live[dead] = false;
-            assert!(masked_response_time(&kernel, &r, &live) <= response_time_batched(&kernel, &r));
+            assert!(kernel.masked_response_time(&r, &live) <= kernel.response_time(&r));
         }
-        assert_eq!(masked_response_time(&kernel, &r, &[false; 5]), 0);
+        assert_eq!(kernel.masked_response_time(&r, &[false; 5]), 0);
     }
 
     #[test]

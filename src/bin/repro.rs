@@ -20,15 +20,14 @@
 //! stored kernels and reach their first scored query with zero
 //! build-phase work — outputs are byte-identical either way.
 
-use decluster::grid::{GridDirectory, IoPlan};
+use decluster::grid::GridDirectory;
 use decluster::methods::KernelCache;
 use decluster::obs::{JsonLinesSink, MetricsRecorder, Obs};
 use decluster::prelude::*;
-use decluster::sim::workload::{all_partial_match_queries, InterArrival, ShapeSweep, SizeSweep};
+use decluster::sim::workload::{all_partial_match_queries, ShapeSweep, SizeSweep};
 use decluster::sim::{
-    sharded_arrivals, simulate_rebuild, AvailSweep, DbSizePoint, DiskParams, FaultEvent,
-    FaultReport, FaultSchedule, LoadPoint, LoopScratch, MultiUserEngine, ReplicaPolicy, Report,
-    ReportFormat, RetryPolicy, ServeSpec, ServeSweep, ShareSweep, TextTable,
+    simulate_rebuild, AvailSweep, DbSizePoint, DiskParams, FaultEvent, FaultReport, FaultSchedule,
+    LoadPoint, ReplicaPolicy, Report, ReportFormat, RetryPolicy, ServeSweep, ShareSweep, TextTable,
 };
 use decluster::theory::{impossibility, partial_match};
 use std::io::Write as _;
@@ -135,25 +134,14 @@ const EXPERIMENTS: &[ExperimentSpec] = &[
     },
     ExperimentSpec {
         name: "share",
-        describe: "shared-scan batching: shared vs unshared serving across overlap x replicas (extension)",
+        describe:
+            "shared-scan batching: shared vs unshared serving across overlap x replicas (extension)",
         engine: true,
     },
     ExperimentSpec {
         name: "all",
-        describe: "everything above (bench stays opt-in)",
+        describe: "everything above",
         engine: true,
-    },
-    ExperimentSpec {
-        name: "bench",
-        describe:
-            "timing snapshots: RT kernel, multi-user engine, serve core, shared scans (writes BENCH_*.json)",
-        engine: false,
-    },
-    ExperimentSpec {
-        name: "bench_warm",
-        describe:
-            "warm-start timing: cold vs kernel-cache startup-to-first-query (writes BENCH_warm.json)",
-        engine: false,
     },
 ];
 
@@ -576,21 +564,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        ran_any = true;
-    }
-    // The timing snapshots are opt-in only: their numbers are wall-clock
-    // and so not deterministic, unlike everything `all` emits.
-    if experiment == "bench" {
-        println!("{}", bench(&opts));
-        println!("{}", bench_multiuser(&opts));
-        println!("{}", bench_serve(&opts));
-        println!("{}", bench_avail(&opts));
-        println!("{}", bench_share(&opts));
-        println!("{}", bench_warm(&opts));
-        ran_any = true;
-    }
-    if experiment == "bench_warm" {
-        println!("{}", bench_warm(&opts));
         ran_any = true;
     }
     if !ran_any {
@@ -1392,933 +1365,6 @@ fn ecc_code_analysis() -> String {
             dmin,
             radius
         ));
-    }
-    out
-}
-
-/// Timing snapshot: the E1-style population (64×64 grid, M=16, 1000
-/// placements, all paper methods) evaluated once through the naive
-/// per-bucket walk and once through the `DiskCounts` prefix-sum kernel,
-/// with the kernel side split into its two stages — table construction
-/// (`build_ms`) and planned scoring through a reused `Scratch`
-/// (`score_ms`); `kernel_ms` stays their sum so older snapshots remain
-/// comparable. Writes `BENCH_rt.json` next to the working directory so
-/// later revisions can track the trajectory.
-fn bench(opts: &Opts) -> String {
-    use decluster::methods::{AllocationMap, Scratch};
-    use decluster::sim::workload::{random_region, rect_sides_for_area};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    const PLACEMENTS: usize = 1000;
-    let space = grid_2d();
-    let registry = MethodRegistry::with_seed(SEED);
-    let maps: Vec<AllocationMap> = registry
-        .paper_methods(&space, DISKS)
-        .iter()
-        .map(|m| AllocationMap::from_method(&space, m.as_ref()).expect("materializes"))
-        .collect();
-
-    // The E1 area ladder, cycled over the placement budget.
-    let areas = [
-        1u64, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024,
-    ];
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let regions: Vec<BucketRegion> = (0..PLACEMENTS)
-        .map(|i| {
-            let sides =
-                rect_sides_for_area(areas[i % areas.len()], space.dims()).expect("area fits");
-            random_region(&mut rng, &space, &sides).expect("placement fits")
-        })
-        .collect();
-
-    let mut out = format!(
-        "RT bench: {} placements (E1 areas) on {}x{}, M={}\n\
-         {:<6} {:>12} {:>10} {:>10} {:>12} {:>9}\n",
-        PLACEMENTS,
-        GRID_SIDE,
-        GRID_SIDE,
-        DISKS,
-        "method",
-        "naive ms",
-        "build ms",
-        "score ms",
-        "kernel ms",
-        "speedup"
-    );
-    let mut per_method = Vec::new();
-    let mut naive_total = 0.0f64;
-    let mut build_total = 0.0f64;
-    let mut score_total = 0.0f64;
-    let mut scratch = Scratch::new();
-    let mut lane_bits = 0u32;
-    for map in &maps {
-        let t = Instant::now();
-        let naive_sum: u64 = regions.iter().map(|r| map.response_time(r)).sum();
-        let naive_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let kernel = map.disk_counts().expect("default grid admits a kernel");
-        let build_ms = t.elapsed().as_secs_f64() * 1e3;
-        lane_bits = kernel.lane_bits();
-
-        let t = Instant::now();
-        let kernel_sum: u64 = regions
-            .iter()
-            .map(|r| kernel.response_time_with(r, &mut scratch))
-            .sum();
-        let score_ms = t.elapsed().as_secs_f64() * 1e3;
-        let kernel_ms = build_ms + score_ms;
-
-        assert_eq!(naive_sum, kernel_sum, "kernel disagrees with naive walk");
-        let speedup = naive_ms / kernel_ms.max(1e-9);
-        out.push_str(&format!(
-            "{:<6} {:>12.3} {:>10.3} {:>10.3} {:>12.3} {:>8.1}x\n",
-            map.name(),
-            naive_ms,
-            build_ms,
-            score_ms,
-            kernel_ms,
-            speedup
-        ));
-        per_method.push(format!(
-            "    {{\"method\": \"{}\", \"naive_ms\": {naive_ms:.3}, \"build_ms\": {build_ms:.3}, \
-             \"score_ms\": {score_ms:.3}, \"kernel_ms\": {kernel_ms:.3}, \"speedup\": {speedup:.2}}}",
-            map.name()
-        ));
-        naive_total += naive_ms;
-        build_total += build_ms;
-        score_total += score_ms;
-    }
-    let kernel_total = build_total + score_total;
-    let speedup = naive_total / kernel_total.max(1e-9);
-    out.push_str(&format!(
-        "{:<6} {:>12.3} {:>10.3} {:>10.3} {:>12.3} {:>8.1}x\n",
-        "TOTAL", naive_total, build_total, score_total, kernel_total, speedup
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"rt_kernel_vs_naive\",\n  \"grid\": [{GRID_SIDE}, {GRID_SIDE}],\n  \
-         \"disks\": {DISKS},\n  \"placements\": {PLACEMENTS},\n  \"lane_bits\": {lane_bits},\n  \
-         \"naive_ms\": {naive_total:.3},\n  \"build_ms\": {build_total:.3},\n  \
-         \"score_ms\": {score_total:.3},\n  \"kernel_ms\": {kernel_total:.3},\n  \
-         \"speedup\": {speedup:.2},\n  \"per_method\": [\n{}\n  ]\n}}\n",
-        per_method.join(",\n")
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_rt.json")
-        }
-        None => "BENCH_rt.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-/// Timing snapshot of the multi-user rewire: the closed loop at paper
-/// scale (64×64 grid, M=16, 1000 queries on the E1 area ladder, 8
-/// clients) run once through the pre-rewire data path — one nested
-/// `io_plan` materialization per query, counts taken as group lengths —
-/// and once through the kernel-backed [`MultiUserEngine`]. Both paths
-/// compute the identical service model, so their makespans are asserted
-/// bit-identical and the speedup is a pure data-path win. The kernel
-/// side is split into engine construction (`build_ms`, one grid walk +
-/// prefix-sum table) and the allocation-free loop (`loop_ms`). Writes
-/// `BENCH_multiuser.json` beside `BENCH_rt.json`.
-fn bench_multiuser(opts: &Opts) -> String {
-    use decluster::sim::workload::{random_region, rect_sides_for_area};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    const QUERIES: usize = 1000;
-    const CLIENTS: usize = 8;
-    let space = grid_2d();
-    let params = DiskParams::default();
-    let registry = MethodRegistry::with_seed(SEED);
-    let methods = registry.paper_methods(&space, DISKS);
-
-    let areas = [
-        1u64, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024,
-    ];
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let regions: Vec<BucketRegion> = (0..QUERIES)
-        .map(|i| {
-            let sides =
-                rect_sides_for_area(areas[i % areas.len()], space.dims()).expect("area fits");
-            random_region(&mut rng, &space, &sides).expect("placement fits")
-        })
-        .collect();
-
-    // The pre-rewire hot loop: one nested Vec<Vec<u64>> plan materialized
-    // per query (rebuilt from the flat arena, preserving the per-query
-    // allocation cost being benchmarked), counts read off as group
-    // lengths. Same queueing and service model as the engine, so the
-    // outputs must match exactly.
-    let naive_closed_loop = |dir: &GridDirectory| -> f64 {
-        let loads = dir.load_vector();
-        let mut flat = IoPlan::new();
-        let mut disk_free_at = vec![0.0f64; DISKS as usize];
-        let mut clients_ready = [0.0f64; CLIENTS];
-        let mut makespan = 0.0f64;
-        for region in &regions {
-            let (slot, _) = clients_ready
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-                .expect("clients > 0");
-            let issue_at = clients_ready[slot];
-            dir.io_plan_into(region, &mut flat);
-            let plan: Vec<Vec<u64>> = flat.iter().map(<[u64]>::to_vec).collect();
-            let mut completion = issue_at;
-            for (d, pages) in plan.iter().enumerate() {
-                if pages.is_empty() {
-                    continue;
-                }
-                let start = issue_at.max(disk_free_at[d]);
-                let service = params.batch_ms_counts(pages.len() as u64, loads[d]);
-                disk_free_at[d] = start + service;
-                completion = completion.max(start + service);
-            }
-            makespan = makespan.max(completion);
-            clients_ready[slot] = completion;
-        }
-        makespan
-    };
-
-    let mut out = format!(
-        "Multi-user bench: closed loop, {QUERIES} queries (E1 areas) on {GRID_SIDE}x{GRID_SIDE}, \
-         M={DISKS}, {CLIENTS} clients\n\
-         {:<6} {:>12} {:>10} {:>10} {:>12} {:>9}\n",
-        "method", "naive ms", "build ms", "loop ms", "kernel ms", "speedup"
-    );
-    let mut per_method = Vec::new();
-    let (mut naive_total, mut build_total, mut loop_total) = (0.0f64, 0.0f64, 0.0f64);
-    let obs = Obs::disabled();
-    let mut ls = LoopScratch::new();
-    for method in &methods {
-        let dir = GridDirectory::build(space.clone(), DISKS, |b| method.disk_of(b.as_slice()));
-
-        let t = Instant::now();
-        let naive_makespan = naive_closed_loop(&dir);
-        let naive_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let engine = MultiUserEngine::new(&dir);
-        let build_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert!(engine.kernel_backed(), "paper scale admits a kernel");
-
-        let t = Instant::now();
-        let report = ServeSpec::closed(CLIENTS)
-            .run(&engine, &params, &regions, &obs, &mut ls)
-            .expect("the bench spec is valid")
-            .report;
-        let loop_ms = t.elapsed().as_secs_f64() * 1e3;
-        let kernel_ms = build_ms + loop_ms;
-
-        assert_eq!(
-            naive_makespan.to_bits(),
-            report.makespan_ms.to_bits(),
-            "engine disagrees with the materialized-plan loop"
-        );
-        let speedup = naive_ms / kernel_ms.max(1e-9);
-        out.push_str(&format!(
-            "{:<6} {:>12.3} {:>10.3} {:>10.3} {:>12.3} {:>8.1}x\n",
-            method.name(),
-            naive_ms,
-            build_ms,
-            loop_ms,
-            kernel_ms,
-            speedup
-        ));
-        per_method.push(format!(
-            "    {{\"method\": \"{}\", \"naive_ms\": {naive_ms:.3}, \"build_ms\": {build_ms:.3}, \
-             \"loop_ms\": {loop_ms:.3}, \"kernel_ms\": {kernel_ms:.3}, \"speedup\": {speedup:.2}}}",
-            method.name()
-        ));
-        naive_total += naive_ms;
-        build_total += build_ms;
-        loop_total += loop_ms;
-    }
-    let kernel_total = build_total + loop_total;
-    let speedup = naive_total / kernel_total.max(1e-9);
-    out.push_str(&format!(
-        "{:<6} {:>12.3} {:>10.3} {:>10.3} {:>12.3} {:>8.1}x\n",
-        "TOTAL", naive_total, build_total, loop_total, kernel_total, speedup
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"multiuser_closed_loop\",\n  \"grid\": [{GRID_SIDE}, {GRID_SIDE}],\n  \
-         \"disks\": {DISKS},\n  \"queries\": {QUERIES},\n  \"clients\": {CLIENTS},\n  \
-         \"naive_ms\": {naive_total:.3},\n  \"build_ms\": {build_total:.3},\n  \
-         \"loop_ms\": {loop_total:.3},\n  \"kernel_ms\": {kernel_total:.3},\n  \
-         \"speedup\": {speedup:.2},\n  \"per_method\": [\n{}\n  ]\n}}\n",
-        per_method.join(",\n")
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_multiuser.json")
-        }
-        None => "BENCH_multiuser.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-/// Timing snapshot of the event-driven serving core: for each paper
-/// method, the serve rate ladder around the default base rate streams
-/// 20,000 Poisson arrivals per rate through the serving engine
-/// (sampling off) and is timed as one batch. Reports sustained
-/// events/sec, the event heap's peak occupancy, and the measured
-/// saturation knee per method; writes `BENCH_serve.json` beside the
-/// other snapshots.
-fn bench_serve(opts: &Opts) -> String {
-    use decluster::sim::workload::{random_region, rect_sides_for_area};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    const ARRIVALS: usize = 20_000;
-    let space = grid_2d();
-    let params = DiskParams::default();
-    let registry = MethodRegistry::with_seed(SEED);
-    let methods = registry.paper_methods(&space, DISKS);
-    let sides = rect_sides_for_area(MULTIUSER_AREA, space.dims()).expect("area fits");
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let regions: Vec<BucketRegion> = (0..1000)
-        .map(|_| random_region(&mut rng, &space, &sides).expect("placement fits"))
-        .collect();
-    let obs = Obs::disabled();
-    let rates: Vec<f64> = SERVE_FRACTIONS.iter().map(|f| f * opts.rate).collect();
-    let arrivals: Vec<Vec<f64>> = rates
-        .iter()
-        .map(|&r| {
-            sharded_arrivals(
-                SEED,
-                ARRIVALS,
-                InterArrival::Poisson { rate_qps: r },
-                opts.threads,
-                &obs,
-            )
-        })
-        .collect();
-
-    let mut out = format!(
-        "Serve bench: {} arrivals per rate, {} rates around {:.1} q/s, area-{MULTIUSER_AREA} \
-         queries on {GRID_SIDE}x{GRID_SIDE}, M={DISKS}\n\
-         {:<6} {:>10} {:>10} {:>13} {:>10} {:>10}\n",
-        ARRIVALS,
-        rates.len(),
-        opts.rate,
-        "method",
-        "events",
-        "loop ms",
-        "events/sec",
-        "peak heap",
-        "knee q/s"
-    );
-    let mut per_method = Vec::new();
-    let mut ls = LoopScratch::new();
-    let (mut events_total, mut secs_total) = (0u64, 0.0f64);
-    for method in &methods {
-        let dir = GridDirectory::build(space.clone(), DISKS, |b| method.disk_of(b.as_slice()));
-        let engine = MultiUserEngine::new(&dir);
-        let (mut events, mut peak, mut knee) = (0u64, 0usize, 0.0f64);
-        let t = Instant::now();
-        for (ri, &rate) in rates.iter().enumerate() {
-            let rep = ServeSpec::open(rate)
-                .seed(SEED)
-                .run_with_arrivals(&engine, &params, &regions, &arrivals[ri], &obs, &mut ls)
-                .expect("the bench serve spec is valid");
-            events += rep.events;
-            peak = peak.max(rep.peak_in_flight);
-            if rep.report.throughput_qps >= 0.95 * rate {
-                knee = knee.max(rate);
-            }
-        }
-        let secs = t.elapsed().as_secs_f64();
-        let events_per_sec = events as f64 / secs.max(1e-9);
-        out.push_str(&format!(
-            "{:<6} {:>10} {:>10.3} {:>13.0} {:>10} {:>10.2}\n",
-            method.name(),
-            events,
-            secs * 1e3,
-            events_per_sec,
-            peak,
-            knee
-        ));
-        per_method.push(format!(
-            "    {{\"method\": \"{}\", \"events\": {events}, \"loop_ms\": {:.3}, \
-             \"events_per_sec\": {events_per_sec:.0}, \"peak_heap\": {peak}, \
-             \"knee_qps\": {knee:.3}}}",
-            method.name(),
-            secs * 1e3
-        ));
-        events_total += events;
-        secs_total += secs;
-    }
-    let total_eps = events_total as f64 / secs_total.max(1e-9);
-    out.push_str(&format!(
-        "{:<6} {:>10} {:>10.3} {:>13.0}\n",
-        "TOTAL",
-        events_total,
-        secs_total * 1e3,
-        total_eps
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"serve_core\",\n  \"grid\": [{GRID_SIDE}, {GRID_SIDE}],\n  \
-         \"disks\": {DISKS},\n  \"arrivals_per_rate\": {ARRIVALS},\n  \
-         \"base_rate_qps\": {:.3},\n  \"events\": {events_total},\n  \
-         \"loop_ms\": {:.3},\n  \"events_per_sec\": {total_eps:.0},\n  \
-         \"per_method\": [\n{}\n  ]\n}}\n",
-        opts.rate,
-        secs_total * 1e3,
-        per_method.join(",\n")
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_serve.json")
-        }
-        None => "BENCH_serve.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-/// Timing snapshot of the fault-injected serving path: 20,000 Poisson
-/// arrivals at the base rate stream through HCAM's serving engine under
-/// a mid-run fail-stop plus a transient outage, once per replica
-/// policy at chain depth r = 2. Reports sustained events/sec, the
-/// availability each policy holds, and its failover volume; writes
-/// `BENCH_avail.json` beside the other snapshots.
-fn bench_avail(opts: &Opts) -> String {
-    use decluster::sim::workload::{random_region, rect_sides_for_area};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    const ARRIVALS: usize = 20_000;
-    const REPLICAS: u32 = 2;
-    let space = grid_2d();
-    let params = DiskParams::default();
-    let method = Hcam::new(&space, DISKS).expect("HCAM applies to the default grid");
-    let dir = GridDirectory::build(space.clone(), DISKS, |b| method.disk_of(b.as_slice()));
-    let engine = MultiUserEngine::new(&dir);
-    let sides = rect_sides_for_area(MULTIUSER_AREA, space.dims()).expect("area fits");
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let regions: Vec<BucketRegion> = (0..1000)
-        .map(|_| random_region(&mut rng, &space, &sides).expect("placement fits"))
-        .collect();
-    let obs = Obs::disabled();
-    let arrivals = sharded_arrivals(
-        SEED,
-        ARRIVALS,
-        InterArrival::Poisson {
-            rate_qps: opts.rate,
-        },
-        opts.threads,
-        &obs,
-    );
-    let span = (ARRIVALS as f64 * 1000.0 / opts.rate) as u64;
-    let schedule = FaultSchedule::healthy(DISKS)
-        .fail_stop(3, span / 3)
-        .and_then(|s| s.transient(7, span / 2, 3 * span / 4))
-        .expect("the bench schedule is valid");
-
-    let mut out = format!(
-        "Avail bench: {ARRIVALS} arrivals at {:.1} q/s through HCAM, r={REPLICAS}, \
-         faults: {} ({GRID_SIDE}x{GRID_SIDE}, M={DISKS})\n\
-         {:<10} {:>10} {:>10} {:>13} {:>8} {:>9}\n",
-        opts.rate,
-        schedule.describe(),
-        "policy",
-        "events",
-        "loop ms",
-        "events/sec",
-        "avail %",
-        "failovers"
-    );
-    let mut per_policy = Vec::new();
-    let mut ls = LoopScratch::new();
-    let (mut events_total, mut secs_total) = (0u64, 0.0f64);
-    for policy in ReplicaPolicy::ALL {
-        let t = Instant::now();
-        let rep = ServeSpec::open(opts.rate)
-            .replicas(REPLICAS)
-            .policy(policy)
-            .faults(schedule.clone())
-            .seed(SEED)
-            .run_with_arrivals(&engine, &params, &regions, &arrivals, &obs, &mut ls)
-            .expect("the bench schedule covers the default array");
-        let secs = t.elapsed().as_secs_f64();
-        let stats = rep.availability.expect("degraded run reports availability");
-        let events_per_sec = rep.events as f64 / secs.max(1e-9);
-        let avail = stats.availability();
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>10.3} {:>13.0} {:>8.2} {:>9}\n",
-            policy.name(),
-            rep.events,
-            secs * 1e3,
-            events_per_sec,
-            avail * 100.0,
-            stats.failovers
-        ));
-        per_policy.push(format!(
-            "    {{\"policy\": \"{}\", \"events\": {}, \"loop_ms\": {:.3}, \
-             \"events_per_sec\": {events_per_sec:.0}, \"availability\": {avail:.6}, \
-             \"failovers\": {}, \"retries\": {}, \"lost\": {}}}",
-            policy.name(),
-            rep.events,
-            secs * 1e3,
-            stats.failovers,
-            stats.retries,
-            stats.lost
-        ));
-        events_total += rep.events;
-        secs_total += secs;
-    }
-    let total_eps = events_total as f64 / secs_total.max(1e-9);
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>10.3} {:>13.0}\n",
-        "TOTAL",
-        events_total,
-        secs_total * 1e3,
-        total_eps
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"avail_degraded_serve\",\n  \"grid\": [{GRID_SIDE}, {GRID_SIDE}],\n  \
-         \"disks\": {DISKS},\n  \"arrivals\": {ARRIVALS},\n  \"replicas\": {REPLICAS},\n  \
-         \"base_rate_qps\": {:.3},\n  \"schedule\": \"{}\",\n  \"events\": {events_total},\n  \
-         \"loop_ms\": {:.3},\n  \"events_per_sec\": {total_eps:.0},\n  \
-         \"per_policy\": [\n{}\n  ]\n}}\n",
-        opts.rate,
-        schedule.describe(),
-        secs_total * 1e3,
-        per_policy.join(",\n")
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_avail.json")
-        }
-        None => "BENCH_avail.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-/// Timing snapshot of the shared-scan serving path: a high-overlap
-/// stream (90% of arrivals hit one hot scan) runs through HCAM's engine
-/// twice per rate — once plain, once with an 8-arrival batch window
-/// spread over r = 1 chain replicas — over the same rate ladder as the
-/// serve bench. Reports shared vs unshared events/sec, the effective
-/// saturation knee each side holds, and the achieved throughput of both
-/// at the top of the ladder; writes `BENCH_share.json` beside the other
-/// snapshots.
-fn bench_share(opts: &Opts) -> String {
-    use decluster::sim::workload::{random_region, rect_sides_for_area};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    const ARRIVALS: usize = 20_000;
-    const OVERLAP_PCT: usize = 90;
-    const REPLICAS: u32 = 1;
-    let space = grid_2d();
-    let params = DiskParams::default();
-    let method = Hcam::new(&space, DISKS).expect("HCAM applies to the default grid");
-    let dir = GridDirectory::build(space.clone(), DISKS, |b| method.disk_of(b.as_slice()));
-    let engine = MultiUserEngine::new(&dir);
-    let sides = rect_sides_for_area(MULTIUSER_AREA, space.dims()).expect("area fits");
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let base: Vec<BucketRegion> = (0..1000)
-        .map(|_| random_region(&mut rng, &space, &sides).expect("placement fits"))
-        .collect();
-    // Redirect OVERLAP_PCT% of the stream onto one hot scan so merged
-    // windows actually dedup pages (a uniform stream shares almost none).
-    let hot = base[0].clone();
-    let regions: Vec<BucketRegion> = base
-        .iter()
-        .enumerate()
-        .map(|(i, region)| {
-            if i % 100 < OVERLAP_PCT {
-                hot.clone()
-            } else {
-                region.clone()
-            }
-        })
-        .collect();
-    let obs = Obs::disabled();
-    let rates: Vec<f64> = SERVE_FRACTIONS.iter().map(|f| f * opts.rate).collect();
-    let arrivals: Vec<Vec<f64>> = rates
-        .iter()
-        .map(|&r| {
-            sharded_arrivals(
-                SEED,
-                ARRIVALS,
-                InterArrival::Poisson { rate_qps: r },
-                opts.threads,
-                &obs,
-            )
-        })
-        .collect();
-
-    let mut out = format!(
-        "Share bench: {ARRIVALS} arrivals per rate through HCAM, {OVERLAP_PCT}% hot overlap, \
-         r={REPLICAS} spread ({GRID_SIDE}x{GRID_SIDE}, M={DISKS})\n\
-         {:<9} {:>12} {:>12} {:>14} {:>14} {:>12}\n",
-        "rate q/s", "unshared q/s", "shared q/s", "unshared ev/s", "shared ev/s", "pages saved"
-    );
-    let mut per_rate = Vec::new();
-    let mut ls = LoopScratch::new();
-    let (mut un_events, mut un_secs, mut un_knee) = (0u64, 0.0f64, 0.0f64);
-    let (mut sh_events, mut sh_secs, mut sh_knee) = (0u64, 0.0f64, 0.0f64);
-    let (mut saved_total, mut last_un_qps, mut last_sh_qps) = (0u64, 0.0f64, 0.0f64);
-    for (ri, &rate) in rates.iter().enumerate() {
-        let t = Instant::now();
-        let plain = ServeSpec::open(rate)
-            .seed(SEED)
-            .run_with_arrivals(&engine, &params, &regions, &arrivals[ri], &obs, &mut ls)
-            .expect("the bench share spec is valid");
-        let plain_secs = t.elapsed().as_secs_f64();
-        let window_ms = 8.0 * 1000.0 / rate;
-        let t = Instant::now();
-        let shared = ServeSpec::open(rate)
-            .seed(SEED)
-            .share(window_ms)
-            .replicas(REPLICAS)
-            .policy(ReplicaPolicy::Spread)
-            .run_with_arrivals(&engine, &params, &regions, &arrivals[ri], &obs, &mut ls)
-            .expect("the bench share spec is valid");
-        let shared_secs = t.elapsed().as_secs_f64();
-        let sharing = shared.sharing.expect("shared run reports sharing stats");
-        let (un_eps, sh_eps) = (
-            plain.events as f64 / plain_secs.max(1e-9),
-            shared.events as f64 / shared_secs.max(1e-9),
-        );
-        if plain.report.throughput_qps >= 0.95 * rate {
-            un_knee = un_knee.max(rate);
-        }
-        if shared.report.throughput_qps >= 0.95 * rate {
-            sh_knee = sh_knee.max(rate);
-        }
-        out.push_str(&format!(
-            "{:<9.2} {:>12.3} {:>12.3} {:>14.0} {:>14.0} {:>12}\n",
-            rate,
-            plain.report.throughput_qps,
-            shared.report.throughput_qps,
-            un_eps,
-            sh_eps,
-            sharing.pages_saved
-        ));
-        per_rate.push(format!(
-            "    {{\"rate_qps\": {rate:.3}, \"unshared_qps\": {:.6}, \"shared_qps\": {:.6}, \
-             \"unshared_events_per_sec\": {un_eps:.0}, \"shared_events_per_sec\": {sh_eps:.0}, \
-             \"windows\": {}, \"merged_queries\": {}, \"pages_saved\": {}}}",
-            plain.report.throughput_qps,
-            shared.report.throughput_qps,
-            sharing.windows,
-            sharing.merged_queries,
-            sharing.pages_saved
-        ));
-        un_events += plain.events;
-        un_secs += plain_secs;
-        sh_events += shared.events;
-        sh_secs += shared_secs;
-        saved_total += sharing.pages_saved;
-        last_un_qps = plain.report.throughput_qps;
-        last_sh_qps = shared.report.throughput_qps;
-    }
-    let (un_eps, sh_eps) = (
-        un_events as f64 / un_secs.max(1e-9),
-        sh_events as f64 / sh_secs.max(1e-9),
-    );
-    out.push_str(&format!(
-        "knee: unshared {un_knee:.2} q/s, shared {sh_knee:.2} q/s; at the top rate shared \
-         serves {last_sh_qps:.3} q/s vs {last_un_qps:.3} unshared ({saved_total} pages saved)\n"
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"shared_scan_serve\",\n  \"grid\": [{GRID_SIDE}, {GRID_SIDE}],\n  \
-         \"disks\": {DISKS},\n  \"arrivals_per_rate\": {ARRIVALS},\n  \
-         \"hot_overlap\": 0.{OVERLAP_PCT},\n  \"replicas\": {REPLICAS},\n  \
-         \"base_rate_qps\": {:.3},\n  \
-         \"unshared\": {{\"events\": {un_events}, \"loop_ms\": {:.3}, \
-         \"events_per_sec\": {un_eps:.0}, \"knee_qps\": {un_knee:.3}, \
-         \"qps_at_peak\": {last_un_qps:.6}}},\n  \
-         \"shared\": {{\"events\": {sh_events}, \"loop_ms\": {:.3}, \
-         \"events_per_sec\": {sh_eps:.0}, \"knee_qps\": {sh_knee:.3}, \
-         \"qps_at_peak\": {last_sh_qps:.6}, \"pages_saved\": {saved_total}}},\n  \
-         \"shared_over_unshared_at_peak\": {:.6},\n  \
-         \"per_rate\": [\n{}\n  ]\n}}\n",
-        opts.rate,
-        un_secs * 1e3,
-        sh_secs * 1e3,
-        last_sh_qps / last_un_qps.max(1e-9),
-        per_rate.join(",\n")
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_share.json")
-        }
-        None => "BENCH_share.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
-    }
-    out
-}
-
-/// Warm-start timing: builds the paper-method serving engines cold
-/// (running every declustering method and compiling every count
-/// kernel), persists the allocations as v2 images and the compiled
-/// kernels as one persist-v3 image, then starts again warm from those
-/// images alone — the directories are reconstructed by table lookup and
-/// every kernel is adopted after identity revalidation, so the warm
-/// path does zero method evaluation and zero kernel compilation.
-/// Reports startup-to-first-scored-query latency for both paths, the
-/// kernel build counts (zero on the warm path), the image sizes, the
-/// serve loop's cross-query shape-cache hit rate, and cold-vs-warm
-/// report byte-identity. Writes `BENCH_warm.json`.
-fn bench_warm(opts: &Opts) -> String {
-    use decluster::methods::kernel_build_count;
-    use decluster::obs::Recorder;
-    use decluster::sim::workload::{random_region, rect_sides_for_area};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::time::Instant;
-
-    let arrivals_n: usize = if opts.quick { 2_000 } else { 20_000 };
-    let space = grid_2d();
-    let params = DiskParams::default();
-    let registry = MethodRegistry::with_seed(SEED);
-    let methods = registry.paper_methods(&space, DISKS);
-    let sides = rect_sides_for_area(MULTIUSER_AREA, space.dims()).expect("area fits");
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let regions: Vec<BucketRegion> = (0..1000)
-        .map(|_| random_region(&mut rng, &space, &sides).expect("placement fits"))
-        .collect();
-    let obs = Obs::disabled();
-    let arrivals = sharded_arrivals(
-        SEED,
-        arrivals_n,
-        InterArrival::Poisson {
-            rate_qps: opts.rate,
-        },
-        1,
-        &obs,
-    );
-    let first_query = &regions[..1];
-    let first_arrival = [0.0];
-    let build_dirs = || -> Vec<(String, GridDirectory)> {
-        methods
-            .iter()
-            .map(|m| {
-                let dir = GridDirectory::build(space.clone(), DISKS, |b| m.disk_of(b.as_slice()));
-                (m.name().to_owned(), dir)
-            })
-            .collect()
-    };
-
-    // Cold start: directory + kernel build for every method, then the
-    // first scored query.
-    let builds_before = kernel_build_count();
-    let t = Instant::now();
-    let dirs = build_dirs();
-    let cold_engines: Vec<MultiUserEngine> =
-        dirs.iter().map(|(_, d)| MultiUserEngine::new(d)).collect();
-    let cold_build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let mut ls = LoopScratch::new();
-    let t = Instant::now();
-    let _ = ServeSpec::open(opts.rate)
-        .seed(SEED)
-        .run_with_arrivals(
-            &cold_engines[0],
-            &params,
-            first_query,
-            &first_arrival,
-            &obs,
-            &mut ls,
-        )
-        .expect("the warm bench spec is valid");
-    let cold_first_ms = cold_build_ms + t.elapsed().as_secs_f64() * 1e3;
-    let cold_builds = kernel_build_count() - builds_before;
-
-    // Persist the full warm-start state: every allocation as a v2
-    // image, every compiled kernel in one v3 image.
-    let t = Instant::now();
-    let mut cache = KernelCache::new();
-    let mut alloc_images: Vec<(String, Vec<u8>)> = Vec::with_capacity(dirs.len());
-    for ((name, _), engine) in dirs.iter().zip(&cold_engines) {
-        let counts = engine.counts();
-        if let Some(kernel) = counts.kernel() {
-            cache.insert(name, counts.allocation(), kernel);
-        }
-        alloc_images.push((name.clone(), counts.allocation().to_bytes().to_vec()));
-    }
-    let image = cache.to_bytes();
-    let alloc_bytes: usize = alloc_images.iter().map(|(_, b)| b.len()).sum();
-    let save_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Warm start from the images alone: allocations are reloaded, each
-    // directory is rebuilt by table lookup (no method evaluation), and
-    // every kernel is adopted after identity revalidation.
-    let builds_before = kernel_build_count();
-    let t = Instant::now();
-    let loaded = KernelCache::from_bytes(&image).expect("a just-written image loads");
-    let warm_engines: Vec<MultiUserEngine> = alloc_images
-        .iter()
-        .map(|(name, bytes)| {
-            let map = AllocationMap::from_bytes(bytes).expect("a just-written image loads");
-            let dir = GridDirectory::from_table(space.clone(), DISKS, map.table())
-                .expect("a persisted allocation is grid-shaped");
-            MultiUserEngine::with_kernel(&dir, loaded.lookup(name, &map))
-        })
-        .collect();
-    let warm_build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let _ = ServeSpec::open(opts.rate)
-        .seed(SEED)
-        .run_with_arrivals(
-            &warm_engines[0],
-            &params,
-            first_query,
-            &first_arrival,
-            &obs,
-            &mut ls,
-        )
-        .expect("the warm bench spec is valid");
-    let warm_first_ms = warm_build_ms + t.elapsed().as_secs_f64() * 1e3;
-    let warm_builds = kernel_build_count() - builds_before;
-
-    // Full serve run on both paths: throughput, cold-vs-warm
-    // byte-identity, and the shape-cache hit rate (via the metrics
-    // recorder — the counters are deterministic, see decluster-obs).
-    let rec = Arc::new(MetricsRecorder::new());
-    let obs_metrics = Obs::new(rec.clone());
-    let run = |engine: &MultiUserEngine, obs: &Obs, ls: &mut LoopScratch| {
-        ServeSpec::open(opts.rate)
-            .seed(SEED)
-            .run_with_arrivals(engine, &params, &regions, &arrivals, obs, ls)
-            .expect("the warm bench spec is valid")
-    };
-    let t = Instant::now();
-    let cold_run = run(&cold_engines[0], &obs_metrics, &mut ls);
-    let cold_loop_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let warm_run = run(&warm_engines[0], &obs, &mut ls);
-    let warm_loop_ms = t.elapsed().as_secs_f64() * 1e3;
-    let identical = cold_run.report.makespan_ms.to_bits() == warm_run.report.makespan_ms.to_bits()
-        && cold_run.report.throughput_qps.to_bits() == warm_run.report.throughput_qps.to_bits()
-        && cold_run.pages == warm_run.pages
-        && cold_run.events == warm_run.events;
-    let snap = rec.snapshot();
-    let get = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    let (hits, misses) = (
-        get("kernel.shape_cache_hits"),
-        get("kernel.shape_cache_misses"),
-    );
-    let hit_rate = hits as f64 / ((hits + misses) as f64).max(1.0);
-    let speedup = cold_first_ms / warm_first_ms.max(1e-9);
-
-    let mut out = format!(
-        "Warm-start bench: {} paper methods, {arrivals_n} arrivals through HCAM \
-         ({GRID_SIDE}x{GRID_SIDE}, M={DISKS})\n\
-         {:<22} {:>12} {:>12}\n",
-        methods.len(),
-        "",
-        "cold",
-        "warm"
-    );
-    out.push_str(&format!(
-        "{:<22} {:>12.3} {:>12.3}\n",
-        "build phase ms", cold_build_ms, warm_build_ms
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>12.3} {:>12.3}\n",
-        "first query ms", cold_first_ms, warm_first_ms
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>12}\n",
-        "kernel builds", cold_builds, warm_builds
-    ));
-    out.push_str(&format!(
-        "{:<22} {:>12.3} {:>12.3}\n",
-        "serve loop ms", cold_loop_ms, warm_loop_ms
-    ));
-    out.push_str(&format!(
-        "images: {} kernel + {alloc_bytes} allocation bytes ({save_ms:.3} ms to serialize); \
-         startup speedup {speedup:.2}x; \
-         shape cache {hits} hits / {misses} misses ({:.1}% hit rate); \
-         cold-vs-warm reports identical: {identical}\n",
-        image.len(),
-        hit_rate * 100.0
-    ));
-
-    let json = format!(
-        "{{\n  \"name\": \"warm_start_serve\",\n  \"grid\": [{GRID_SIDE}, {GRID_SIDE}],\n  \
-         \"disks\": {DISKS},\n  \"methods\": {},\n  \"arrivals\": {arrivals_n},\n  \
-         \"kernel_image_bytes\": {},\n  \"alloc_image_bytes\": {alloc_bytes},\n  \
-         \"image_save_ms\": {save_ms:.3},\n  \
-         \"cold\": {{\"build_ms\": {cold_build_ms:.3}, \"first_query_ms\": {cold_first_ms:.3}, \
-         \"kernel_builds\": {cold_builds}, \"serve_loop_ms\": {cold_loop_ms:.3}}},\n  \
-         \"warm\": {{\"build_ms\": {warm_build_ms:.3}, \"first_query_ms\": {warm_first_ms:.3}, \
-         \"kernel_builds\": {warm_builds}, \"serve_loop_ms\": {warm_loop_ms:.3}}},\n  \
-         \"startup_speedup\": {speedup:.3},\n  \
-         \"shape_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
-         \"hit_rate\": {hit_rate:.6}}},\n  \
-         \"cold_warm_reports_identical\": {identical}\n}}\n",
-        methods.len(),
-        image.len()
-    );
-    let path = match opts.csv_dir.as_deref() {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                out.push_str(&format!("\ncould not create {dir}: {e}\n"));
-            }
-            format!("{dir}/BENCH_warm.json")
-        }
-        None => "BENCH_warm.json".into(),
-    };
-    match std::fs::write(&path, json) {
-        Ok(()) => out.push_str(&format!("\nsnapshot written to {path}\n")),
-        Err(e) => out.push_str(&format!("\ncould not write {path}: {e}\n")),
     }
     out
 }

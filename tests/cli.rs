@@ -118,9 +118,13 @@ fn repro_quick_t1_runs() {
 
 #[test]
 fn repro_rejects_unknown_experiment() {
-    let (ok, _, stderr) = run(REPRO, &["e99"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown"));
+    // `bench` and `bench_warm` must stay unknown: perfbench/ is the
+    // only timing harness.
+    for exp in ["e99", "bench", "bench_warm"] {
+        let (ok, _, stderr) = run(REPRO, &[exp]);
+        assert!(!ok, "{exp} should be rejected");
+        assert!(stderr.contains("unknown experiment"), "{stderr}");
+    }
 }
 
 #[test]

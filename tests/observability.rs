@@ -143,7 +143,7 @@ fn repro_trace_lines_are_json_with_required_keys() {
 fn repro_rejects_metrics_on_non_engine_experiments() {
     // `avail` left this list in PR 7: its serving sweep runs the engine,
     // so --metrics/--trace now apply.
-    for exp in ["t1", "t3", "abl", "thm", "bench"] {
+    for exp in ["t1", "t3", "abl", "thm"] {
         let (ok, _, err) = repro(&[exp, "--metrics", "-"]);
         assert!(!ok, "{exp} should reject --metrics");
         assert!(err.contains("--metrics/--trace do not apply"), "{err}");
