@@ -39,8 +39,19 @@
 //! different grid or table — misses and the caller recompiles, it never
 //! misreads. The strides are stored and revalidated against
 //! recomputation from the dims, and the lane tag keeps the image
-//! width-aware, so a loaded kernel is bit-identical to a rebuilt one.
+//! width-aware, so a loaded kernel answers exactly as a rebuilt one.
+//! A kernel is written at the width it was built with — 16-bit lanes
+//! whenever no disk holds more than 65,535 buckets — and either width
+//! loads: a 32-bit image of a grid that now builds 16-bit lanes (every
+//! grid past 65,535 buckets was written that way before the lane rule
+//! looked at disk loads) keeps its width and re-serializes byte for
+//! byte. The table is decoded straight into the kernel's shared slice,
+//! so [`KernelCache::lookup`] hands out the table without copying it.
 //! AllocationMap images remain at version 2 and load unchanged.
+//!
+//! Every image is checksummed with the module's slicing-by-16 CRC-32,
+//! which folds long inputs in four interleaved streams and joins them
+//! exactly.
 
 use crate::prefix::CountLane;
 use crate::{AllocationMap, DeclusteringMethod, DiskCounts, MethodError, MethodKind, Result};
@@ -57,65 +68,155 @@ const KERNEL_MAGIC: &[u8; 4] = b"DCLK";
 /// Kernel-image format version.
 const KERNEL_VERSION: u16 = 3;
 
-/// IEEE CRC-32 (the polynomial used by zip/zlib/Ethernet), slicing-by-16
-/// table-driven: sixteen bytes are folded per step, so checksumming a
-/// multi-hundred-KiB kernel image costs a fraction of the byte-at-a-time
-/// loop it replaces (the value is unchanged — pinned by the known-vector
-/// test and every persisted-image test). Implemented here so
-/// persistence stays dependency-free.
-fn crc32(data: &[u8]) -> u32 {
-    static TABLES: [[u32; 256]; 16] = {
-        let mut tables = [[0u32; 256]; 16];
+/// The IEEE CRC-32 polynomial (zip/zlib/Ethernet), bit-reflected.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 tables: `TABLES[t][b]` is byte `b` followed by `t`
+/// zero bytes through the CRC register.
+static TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut j = 0;
+        while j < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            j += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut j = 0;
-            while j < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                j += 1;
-            }
-            tables[0][i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        let mut t = 1;
-        while t < 16 {
-            let mut i = 0;
-            while i < 256 {
-                let prev = tables[t - 1][i];
-                tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-                i += 1;
-            }
-            t += 1;
+        t += 1;
+    }
+    tables
+};
+
+/// `a · b mod P` over GF(2), in the reflected bit order of the CRC
+/// register (bit 31 holds `x^0`).
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (0x8000_0000 >> bit) != 0 {
+            p ^= b;
         }
-        tables
-    };
-    #[inline(always)]
-    fn fold4(word: u32, tables: &[[u32; 256]; 16], base: usize) -> u32 {
-        tables[base + 3][(word & 0xFF) as usize]
-            ^ tables[base + 2][((word >> 8) & 0xFF) as usize]
-            ^ tables[base + 1][((word >> 16) & 0xFF) as usize]
-            ^ tables[base][(word >> 24) as usize]
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit += 1;
     }
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(16);
-    for c in &mut chunks {
-        let w0 = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let w1 = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        let w2 = u32::from_le_bytes([c[8], c[9], c[10], c[11]]);
-        let w3 = u32::from_le_bytes([c[12], c[13], c[14], c[15]]);
-        crc = fold4(w0, &TABLES, 12)
-            ^ fold4(w1, &TABLES, 8)
-            ^ fold4(w2, &TABLES, 4)
-            ^ fold4(w3, &TABLES, 0);
+    p
+}
+
+/// `X2N[n] = x^(2^n) mod P`: the squaring ladder behind [`zero_shift`].
+static X2N: [u32; 64] = {
+    let mut table = [0u32; 64];
+    let mut p = 0x4000_0000; // x^1
+    let mut n = 0;
+    while n < 64 {
+        table[n] = p;
+        p = gf2_mul(p, p);
+        n += 1;
     }
-    for &b in chunks.remainder() {
-        crc = TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    table
+};
+
+/// `x^(8 · bytes) mod P`: multiplying a CRC register by it runs the
+/// register over `bytes` zero bytes (zlib's `crc32_combine` method).
+/// `bytes` is one stream's length, below `2^61`, so the ladder index
+/// stays below 64.
+fn zero_shift(bytes: usize) -> u32 {
+    let mut p = 0x8000_0000; // x^0
+    let mut n = bytes as u64;
+    let mut k = 3; // x^(8n) = x^(n · 2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            p = gf2_mul(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
     }
-    !crc
+    p
+}
+
+/// Four slicing-by-16 lookups folding one little-endian word, its
+/// lowest byte the furthest from the block's end.
+#[inline(always)]
+fn fold4(word: u32, base: usize) -> u32 {
+    TABLES[base + 3][(word & 0xFF) as usize]
+        ^ TABLES[base + 2][((word >> 8) & 0xFF) as usize]
+        ^ TABLES[base + 1][((word >> 16) & 0xFF) as usize]
+        ^ TABLES[base][(word >> 24) as usize]
+}
+
+/// Runs the CRC register over one 16-byte block.
+#[inline(always)]
+fn fold_block(reg: u32, b: &[u8]) -> u32 {
+    let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+    fold4(reg ^ word(0), 12) ^ fold4(word(4), 8) ^ fold4(word(8), 4) ^ fold4(word(12), 0)
+}
+
+/// Interleaved streams of a long input.
+const STREAMS: usize = 4;
+/// Bytes each stream needs before splitting beats folding serially:
+/// joining the streams costs a few dozen GF(2) products.
+const STREAM_MIN: usize = 256;
+
+/// Runs the (inverted) CRC register over `data`. A long input is cut
+/// into four equal runs of whole 16-byte blocks, folded in one
+/// interleaved loop as independent registers — the first starting from
+/// `reg`, the others from zero — then joined by shifting each partial
+/// result over the runs after it; the bytes left over fold serially.
+fn crc_update(mut reg: u32, data: &[u8]) -> u32 {
+    let stream = data.len() / (16 * STREAMS) * 16;
+    let mut rest = data;
+    if stream >= STREAM_MIN {
+        let (s0, tail) = data.split_at(stream);
+        let (s1, tail) = tail.split_at(stream);
+        let (s2, tail) = tail.split_at(stream);
+        let (s3, tail) = tail.split_at(stream);
+        let mut r = [reg, 0, 0, 0];
+        for (((b0, b1), b2), b3) in s0
+            .chunks_exact(16)
+            .zip(s1.chunks_exact(16))
+            .zip(s2.chunks_exact(16))
+            .zip(s3.chunks_exact(16))
+        {
+            r[0] = fold_block(r[0], b0);
+            r[1] = fold_block(r[1], b1);
+            r[2] = fold_block(r[2], b2);
+            r[3] = fold_block(r[3], b3);
+        }
+        let shift = zero_shift(stream);
+        reg = r[1..]
+            .iter()
+            .fold(r[0], |acc, &next| gf2_mul(shift, acc) ^ next);
+        rest = tail;
+    }
+    let mut blocks = rest.chunks_exact(16);
+    for b in &mut blocks {
+        reg = fold_block(reg, b);
+    }
+    blocks.remainder().iter().fold(reg, |reg, &b| {
+        TABLES[0][((reg ^ u32::from(b)) & 0xFF) as usize] ^ (reg >> 8)
+    })
+}
+
+/// IEEE CRC-32 of `data`: slicing-by-16 (sixteen bytes folded per step),
+/// in four interleaved streams once the input is long enough, so the
+/// lookups of one stream overlap the others' instead of waiting on a
+/// single register. The value is the plain CRC-32 — pinned by the
+/// known-vector test, a bytewise reference at every short length and
+/// across every stream boundary, and every persisted-image test.
+/// Implemented here so persistence stays dependency-free.
+fn crc32(data: &[u8]) -> u32 {
+    !crc_update(!0, data)
 }
 
 impl AllocationMap {
@@ -204,7 +305,7 @@ impl AllocationMap {
         }
         let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
             .map_err(|_| corrupt("name not UTF-8"))?;
-        let space = GridSpace::new(dims).map_err(MethodError::from)?;
+        let space = GridSpace::new(dims).map_err(|_| corrupt("impossible grid shape"))?;
         let total = usize::try_from(space.num_buckets()).map_err(|_| corrupt("grid too large"))?;
         let cell = if m <= 256 { 1 } else { 4 };
         let expected = total
@@ -217,16 +318,17 @@ impl AllocationMap {
                 "truncated table"
             }));
         }
-        let table: Vec<u32> = (0..total)
-            .map(|_| {
-                if m <= 256 {
-                    u32::from(buf.get_u8())
-                } else {
-                    buf.get_u32_le()
-                }
-            })
-            .collect();
-        let map = AllocationMap::from_table(&space, m, table)?;
+        // Bulk-decode the table straight off the input slice (exactly
+        // `expected` bytes remain) instead of a `Buf` call per cell.
+        let table: Vec<u32> = if m <= 256 {
+            buf.iter().map(|&d| u32::from(d)).collect()
+        } else {
+            buf.chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect()
+        };
+        let map = AllocationMap::from_table(&space, m, table)
+            .map_err(|_| corrupt("disk out of range"))?;
         // Restore the stable method name when it is one we know.
         Ok(match MethodKind::parse(&name) {
             Ok(kind) => map.renamed(kind.name()),
@@ -238,23 +340,28 @@ impl AllocationMap {
 /// CRC-32 fingerprint of an allocation's identity — dims, disk count,
 /// and the full disk table — used to revalidate a persisted kernel
 /// image against the live grid before adopting it.
+///
+/// The fingerprint is the CRC-32 of `k u16 | dims[k] u32 | M u32 |
+/// table u32 per bucket`, all little-endian. Identity runs on every
+/// warm-start lookup and insert, so the table is encoded and checksummed
+/// a stack buffer at a time rather than staged whole.
 fn alloc_identity(map: &AllocationMap) -> u32 {
+    const CELLS: usize = 1024;
     let space = map.space();
-    let table = map.table();
-    let mut buf = BytesMut::with_capacity(2 + 4 * space.k() + 4 + 4 * table.len());
-    buf.put_u16_le(space.k() as u16);
+    let mut reg = crc_update(!0, &(space.k() as u16).to_le_bytes());
     for &d in space.dims() {
-        buf.put_u32_le(d);
+        reg = crc_update(reg, &d.to_le_bytes());
     }
-    buf.put_u32_le(map.num_disks());
-    // Bulk-encode the table: identity runs on every warm-start lookup,
-    // so a put call per cell would dominate the revalidation cost.
-    let mut raw = vec![0u8; table.len() * 4];
-    for (dst, &d) in raw.chunks_exact_mut(4).zip(table) {
-        dst.copy_from_slice(&d.to_le_bytes());
+    reg = crc_update(reg, &map.num_disks().to_le_bytes());
+    let mut buf = [0u8; 4 * CELLS];
+    for cells in map.table().chunks(CELLS) {
+        let bytes = &mut buf[..4 * cells.len()];
+        for (dst, &d) in bytes.chunks_exact_mut(4).zip(cells) {
+            dst.copy_from_slice(&d.to_le_bytes());
+        }
+        reg = crc_update(reg, bytes);
     }
-    buf.put_slice(&raw);
-    crc32(&buf)
+    !reg
 }
 
 /// Row strides implied by `dims` (row-major, innermost stride 1) — the
@@ -395,7 +502,7 @@ impl KernelCache {
                 CountLane::U16(t) => {
                     buf.put_u8(16);
                     let mut raw = vec![0u8; t.len() * 2];
-                    for (dst, &v) in raw.chunks_exact_mut(2).zip(t) {
+                    for (dst, &v) in raw.chunks_exact_mut(2).zip(t.iter()) {
                         dst.copy_from_slice(&v.to_le_bytes());
                     }
                     buf.put_slice(&raw);
@@ -403,7 +510,7 @@ impl KernelCache {
                 CountLane::U32(t) => {
                     buf.put_u8(32);
                     let mut raw = vec![0u8; t.len() * 4];
-                    for (dst, &v) in raw.chunks_exact_mut(4).zip(t) {
+                    for (dst, &v) in raw.chunks_exact_mut(4).zip(t.iter()) {
                         dst.copy_from_slice(&v.to_le_bytes());
                     }
                     buf.put_slice(&raw);
@@ -507,10 +614,9 @@ impl KernelCache {
             if buf.remaining() < need {
                 return Err(corrupt("truncated kernel table"));
             }
-            // Bulk-decode the table lane straight off the input slice:
-            // one bounds check for the whole table instead of a Buf call
-            // per cell keeps warm-start image loads cheaper than a cold
-            // kernel build.
+            // Bulk-decode the table lane straight off the input slice
+            // into the shared table the kernel keeps: one allocation, one
+            // pass, no Buf call per cell.
             let (raw, rest) = buf.split_at(need);
             buf = rest;
             let table = if lane == 16 {
@@ -563,6 +669,111 @@ mod tests {
         // The standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Runs an IEEE CRC-32 register over `data` a byte at a time,
+    /// through a 256-entry table built here bit by bit: a reference that
+    /// shares nothing with the code under test.
+    fn reference_register(mut reg: u32, data: &[u8]) -> u32 {
+        let table: Vec<u32> = (0..256u32)
+            .map(|i| {
+                (0..8).fold(i, |c, _| {
+                    if c & 1 != 0 {
+                        (c >> 1) ^ 0xEDB8_8320
+                    } else {
+                        c >> 1
+                    }
+                })
+            })
+            .collect();
+        for &b in data {
+            reg = table[((reg ^ u32::from(b)) & 0xFF) as usize] ^ (reg >> 8);
+        }
+        reg
+    }
+
+    fn reference_crc32(data: &[u8]) -> u32 {
+        !reference_register(!0, data)
+    }
+
+    /// Deterministic pseudo-random bytes (a 64-bit LCG's high bytes).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_reference_at_every_short_length() {
+        let data = noise(1_100, 1);
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                reference_crc32(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_reference_across_stream_boundaries() {
+        // A 1 MiB input splits into four streams of 256 KiB; disturbing
+        // any byte near a stream's start or end must move the checksum
+        // exactly as the reference moves.
+        let mut data = noise(1 << 20, 2);
+        let stream = data.len() / STREAMS;
+        assert_eq!(crc32(&data), reference_crc32(&data));
+        for boundary in (0..=STREAMS).map(|s| s * stream) {
+            let lo = boundary.saturating_sub(17);
+            let head = reference_register(!0, &data[..lo]);
+            for at in lo..(boundary + 18).min(data.len()) {
+                data[at] ^= 0x5A;
+                let expect = !reference_register(head, &data[lo..]);
+                assert_eq!(crc32(&data), expect, "byte {at}");
+                data[at] ^= 0x5A;
+            }
+        }
+    }
+
+    #[test]
+    fn alloc_identity_is_pinned() {
+        // Identities are stored in kernel images: the values are those
+        // of the encoding `k u16 | dims u32 | M u32 | table u32`, staged
+        // as bytes and checksummed whole.
+        let staged = |map: &AllocationMap| {
+            let mut bytes = (map.space().k() as u16).to_le_bytes().to_vec();
+            for &d in map.space().dims() {
+                bytes.extend_from_slice(&d.to_le_bytes());
+            }
+            bytes.extend_from_slice(&map.num_disks().to_le_bytes());
+            for &d in map.table() {
+                bytes.extend_from_slice(&d.to_le_bytes());
+            }
+            reference_crc32(&bytes)
+        };
+        // The three tables end on a partial chunk of the identity
+        // buffer, on a whole one, and past a whole one.
+        let small = sample_map();
+        let space = GridSpace::new(vec![16, 16, 16]).unwrap();
+        let table = (0..4096u32).map(|i| (i * 7 + 5) % 64).collect();
+        let whole = AllocationMap::from_table(&space, 64, table).unwrap();
+        let space = GridSpace::new(vec![16, 16, 17]).unwrap();
+        let table = (0..4352u32).map(|i| (i * 13 + 1) % 64).collect();
+        let past = AllocationMap::from_table(&space, 64, table).unwrap();
+        for (map, pinned) in [
+            (&small, 0x5C0A_2815),
+            (&whole, 0xD97D_03AE),
+            (&past, 0x10F5_CD39),
+        ] {
+            assert_eq!(alloc_identity(map), pinned);
+            assert_eq!(alloc_identity(map), staged(map));
+        }
     }
 
     #[test]
@@ -766,6 +977,38 @@ mod tests {
     }
 
     #[test]
+    fn wide_images_of_narrow_grids_still_load() {
+        // 256x256 DM over 4 disks: 65_536 buckets, 16_384 per disk. The
+        // kernel builds with 16-bit lanes; images written with 32-bit
+        // ones (every image of a grid past 65_535 buckets used them)
+        // keep loading at their own width and answer alike.
+        let space = GridSpace::new_2d(256, 256).unwrap();
+        let map = AllocationMap::from_method(&space, &DiskModulo::new(&space, 4).unwrap()).unwrap();
+        let narrow = map.disk_counts().unwrap();
+        assert_eq!(narrow.lane_bits(), 16);
+        let mut cache = KernelCache::new();
+        cache.insert("DM", &map, &DiskCounts::build_wide(&map).unwrap());
+        let image = cache.to_bytes();
+        let loaded = KernelCache::from_bytes(&image).unwrap();
+        assert_eq!(loaded.to_bytes(), image, "re-serializes byte for byte");
+        let warm = loaded.lookup("DM", &map).expect("identity revalidates");
+        assert_eq!(warm.lane_bits(), 32);
+        let mut scratch = crate::Scratch::new();
+        for (lo, hi) in [
+            ([0u32, 0u32], [255u32, 255u32]),
+            ([3, 200], [250, 255]),
+            ([9, 9], [9, 12]),
+        ] {
+            let r = decluster_grid::BucketRegion::new(&space, lo.into(), hi.into()).unwrap();
+            assert_eq!(warm.access_histogram(&r), narrow.access_histogram(&r));
+            assert_eq!(
+                warm.response_time_with(&r, &mut scratch),
+                narrow.response_time(&r)
+            );
+        }
+    }
+
+    #[test]
     fn stale_images_miss_instead_of_misreading() {
         let space = GridSpace::new_2d(8, 8).unwrap();
         let map = table_map(&space, 4, 0);
@@ -835,6 +1078,63 @@ mod tests {
         assert!(KernelCache::from_bytes(&bad).is_err());
         // Empty input.
         assert!(KernelCache::from_bytes(&[]).is_err());
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(result: Result<T>, what: &str) {
+        match result {
+            Err(MethodError::CorruptImage { .. }) => {}
+            other => panic!("{what}: expected CorruptImage, got {other:?}"),
+        }
+    }
+
+    /// Every truncation and every single-bit flip of `image` is a typed
+    /// `CorruptImage` (a panic fails the test outright).
+    fn every_disturbance_is_corrupt<T: std::fmt::Debug>(
+        image: &[u8],
+        parse: fn(&[u8]) -> Result<T>,
+    ) {
+        for cut in 0..image.len() {
+            assert_corrupt(parse(&image[..cut]), &format!("cut at {cut}"));
+        }
+        let mut bad = image.to_vec();
+        for at in 0..bad.len() {
+            for bit in 0..8 {
+                bad[at] ^= 1 << bit;
+                assert_corrupt(parse(&bad), &format!("bit {bit} of byte {at}"));
+                bad[at] ^= 1 << bit;
+            }
+        }
+    }
+
+    /// The persist fuzz corpus: a two-entry kernel image (one 16-bit and
+    /// one 32-bit kernel, long enough that all four checksum streams
+    /// carry data) and an allocation image with `u32` cells (`M > 256`).
+    #[test]
+    fn fuzz_corpus_images_reject_every_truncation_and_bit_flip() {
+        let narrow_map = table_map(&GridSpace::new_2d(8, 8).unwrap(), 5, 0);
+        let wide_map = table_map(&GridSpace::new_2d(6, 6).unwrap(), 7, 3);
+        let mut cache = KernelCache::new();
+        cache.insert("NARROW", &narrow_map, &narrow_map.disk_counts().unwrap());
+        cache.insert(
+            "WIDE",
+            &wide_map,
+            &DiskCounts::build_wide(&wide_map).unwrap(),
+        );
+        let kernels = cache.to_bytes();
+        assert!(kernels.len() - 4 >= STREAMS * STREAM_MIN);
+        let loaded = KernelCache::from_bytes(&kernels).unwrap();
+        assert_eq!(
+            loaded.lookup("NARROW", &narrow_map).unwrap().lane_bits(),
+            16
+        );
+        assert_eq!(loaded.lookup("WIDE", &wide_map).unwrap().lane_bits(), 32);
+        every_disturbance_is_corrupt(&kernels, KernelCache::from_bytes);
+
+        let space = GridSpace::new_2d(16, 16).unwrap();
+        let alloc = table_map(&space, 300, 11).to_bytes();
+        assert!(alloc.len() - 4 >= STREAMS * STREAM_MIN);
+        assert_eq!(AllocationMap::from_bytes(&alloc).unwrap().num_disks(), 300);
+        every_disturbance_is_corrupt(&alloc, AllocationMap::from_bytes);
     }
 }
 

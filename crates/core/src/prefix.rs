@@ -2,6 +2,7 @@ use crate::{AllocationMap, DeclusteringMethod, MethodError, Result};
 use decluster_grid::BucketRegion;
 use smallvec::SmallVec;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-wide count of kernel table builds (every [`DiskCounts`]
 /// construction that walks the grid, including a cache miss recompiling
@@ -41,10 +42,12 @@ pub fn kernel_build_count() -> u64 {
 /// Three refinements on top of the v1 corner walk, all bit-identical to
 /// it (and to the naive walk — property-tested):
 ///
-/// * **Adaptive count width.** Counts are capped by the bucket total, so
-///   grids with at most `u16::MAX` buckets (every paper grid) store the
-///   table as `u16` lanes — half the bytes, half the memory traffic of
-///   the `u32` layout, which remains the fallback for larger grids.
+/// * **Adaptive count width.** Every count on disk `d` is capped by the
+///   number of buckets `d` holds, so a table whose heaviest disk holds at
+///   most `u16::MAX` buckets (every paper grid, and the 16^4 grid at
+///   `M = 64`) stores `u16` lanes — half the bytes, half the memory
+///   traffic of the `u32` layout, which remains the fallback when one
+///   disk holds more.
 /// * **Shape-compiled plans** ([`CornerPlan`]). The paper's sweeps score
 ///   thousands of *placements of the same query shape*. The `2^k` signed
 ///   corner row-offsets depend only on the shape (its per-dimension
@@ -71,16 +74,21 @@ pub struct DiskCounts {
 }
 
 /// The prefix-sum table at its adaptive lane width: `u16` when every
-/// count fits (bucket total ≤ `u16::MAX`), `u32` otherwise. Both paths
-/// run the same monomorphized build and scoring code and produce
-/// identical counts; only the bytes moved differ.
+/// count fits (the heaviest disk holds ≤ `u16::MAX` buckets), `u32`
+/// otherwise. Both paths run the same monomorphized build and scoring
+/// code and produce identical counts; only the bytes moved differ.
+///
+/// The table is immutable once built and shared: cloning a kernel (a
+/// [`crate::KernelCache`] insert or lookup, an engine or context clone)
+/// bumps a reference count instead of copying the table.
 ///
 /// Crate-visible so `persist` can serialize the table at its native
-/// width (the v3 kernel image is lane-width-aware).
+/// width (the v3 kernel image is lane-width-aware) and decode an image
+/// straight into it.
 #[derive(Clone, Debug)]
 pub(crate) enum CountLane {
-    U16(Vec<u16>),
-    U32(Vec<u32>),
+    U16(Arc<[u16]>),
+    U32(Arc<[u32]>),
 }
 
 impl CountLane {
@@ -143,14 +151,18 @@ impl Lane for u32 {
 /// every later slice adds the slice before it. The two slices come from
 /// one `split_at_mut`, so each add runs over contiguous lanes with no
 /// runtime-stride indexing, and vectorizes.
+///
+/// The table is allocated once, as the shared slice the kernel keeps,
+/// and filled in place: no second allocation and no copy into the `Arc`.
 fn build_table<T: Lane>(
     map: &AllocationMap,
     lanes: usize,
     dims: &[u32],
     strides: &[usize],
-) -> Vec<T> {
+) -> Arc<[T]> {
     let total = map.table().len();
-    let mut table = vec![T::default(); total * lanes];
+    let mut shared: Arc<[T]> = std::iter::repeat_n(T::default(), total * lanes).collect();
+    let table = Arc::get_mut(&mut shared).expect("a fresh table has one owner");
     for (row, &disk) in table.chunks_exact_mut(lanes).zip(map.table()) {
         row[disk as usize] = T::ONE;
     }
@@ -166,7 +178,7 @@ fn build_table<T: Lane>(
             }
         }
     }
-    table
+    shared
 }
 
 /// Sums `corners` (sign, table row) into `acc`, one `i64` per disk lane.
@@ -650,7 +662,8 @@ impl Default for PlanCache {
 
 impl DiskCounts {
     /// Builds the per-disk prefix-sum table for `map`, choosing the
-    /// narrow (`u16`) count lane whenever the bucket total fits.
+    /// narrow (`u16`) count lane whenever the heaviest disk's bucket
+    /// count fits it.
     ///
     /// # Errors
     /// [`MethodError::UnsupportedGrid`] if the `buckets × disks` table
@@ -660,11 +673,11 @@ impl DiskCounts {
         Self::build_inner(map, false)
     }
 
-    /// Builds the kernel with `u32` count lanes regardless of grid size —
-    /// the v1 layout. A testing/benchmark hook for comparing lane
-    /// widths; [`DiskCounts::build`] picks the narrow lane automatically
-    /// whenever it fits and the two produce identical counts
-    /// (property-tested below).
+    /// Builds the kernel with `u32` count lanes regardless of the disk
+    /// loads — the v1 layout. A testing hook for comparing lane widths;
+    /// [`DiskCounts::build`] picks the narrow lane automatically whenever
+    /// it fits and the two produce identical counts (property-tested
+    /// below).
     ///
     /// # Errors
     /// As [`DiskCounts::build`].
@@ -679,14 +692,17 @@ impl DiskCounts {
             method: "DiskCounts",
             reason: "buckets x disks table too large to materialize".into(),
         };
-        // The largest possible count is the bucket total, so the total
-        // itself must fit the widest lane; `2^k` corner enumeration
+        // A count on disk `d` is at most the number of buckets `d` holds,
+        // so the bucket total must fit the widest lane and the heaviest
+        // disk must fit the narrow one (the load walk runs only when the
+        // total alone does not settle it); `2^k` corner enumeration
         // additionally needs `k` to stay a sane bit-mask width.
         let total = usize::try_from(space.num_buckets()).map_err(|_| too_large())?;
         if space.num_buckets() > u64::from(u32::MAX) || space.dims().len() > 24 {
             return Err(too_large());
         }
-        let narrow = !force_wide && total <= usize::from(u16::MAX);
+        let narrow = !force_wide
+            && (total <= usize::from(u16::MAX) || map.load_stats().max <= u64::from(u16::MAX));
         let lane_bytes = if narrow { 2 } else { 4 };
         let cells = total.checked_mul(m as usize).ok_or_else(too_large)?;
         // Cap the table at ~1 GiB so a huge grid degrades to the naive
@@ -757,8 +773,9 @@ impl DiskCounts {
         self.m
     }
 
-    /// Bits per stored count: 16 on paper-sized grids, 32 on grids with
-    /// more than `u16::MAX` buckets (and under [`DiskCounts::build_wide`]).
+    /// Bits per stored count: 16 when no disk holds more than `u16::MAX`
+    /// buckets (every paper grid), 32 when one does (and under
+    /// [`DiskCounts::build_wide`]).
     pub fn lane_bits(&self) -> u32 {
         match self.table {
             CountLane::U16(_) => u16::BITS,
@@ -1370,14 +1387,17 @@ mod tests {
     }
 
     #[test]
-    fn large_grids_pick_the_wide_lane_automatically() {
-        // 300x300 = 90_000 buckets > u16::MAX: counts need u32 lanes.
+    fn large_grids_with_light_disks_keep_the_narrow_lane() {
+        // 300x300 = 90_000 buckets > u16::MAX, but DM over 3 disks puts
+        // 30_000 on each: every count fits u16 lanes.
         let g = GridSpace::new_2d(300, 300).unwrap();
         let dm = DiskModulo::new(&g, 3).unwrap();
         let (map, dc) = kernel_for(&g, &dm);
-        assert_eq!(dc.lane_bits(), 32);
+        assert_eq!(map.load_stats().max, 30_000);
+        assert_eq!(dc.lane_bits(), 16);
         let full = BucketRegion::full(&g);
         assert_eq!(dc.response_time(&full), map.load_stats().max);
+        assert_eq!(dc.response_time(&full), map.response_time(&full));
         let r = BucketRegion::new(&g, [17, 250].into(), [140, 299].into()).unwrap();
         assert_eq!(dc.response_time(&r), map.response_time(&r));
         let mut scratch = Scratch::new();
@@ -1385,6 +1405,71 @@ mod tests {
             dc.response_time_with(&r, &mut scratch),
             map.response_time(&r)
         );
+    }
+
+    /// A 256x257 grid (65_792 buckets, past `u16::MAX`) over four disks
+    /// whose disk 0 holds exactly `heavy` buckets, scattered by a
+    /// stride permutation; the rest cycle over disks 1..=3.
+    fn skewed_map(heavy: usize) -> AllocationMap {
+        let g = GridSpace::new_2d(256, 257).unwrap();
+        let total = g.num_buckets() as usize;
+        let table = (0..total)
+            .map(|i| {
+                if i * 7919 % total < heavy {
+                    0
+                } else {
+                    1 + (i % 3) as u32
+                }
+            })
+            .collect();
+        AllocationMap::from_table(&g, 4, table).unwrap()
+    }
+
+    #[test]
+    fn the_heaviest_disk_picks_the_lane_width() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(65_535);
+        for (heavy, bits) in [(65_535, 16), (65_536, 32)] {
+            let map = skewed_map(heavy);
+            assert_eq!(map.load_stats().max, heavy as u64);
+            let dc = map.disk_counts().unwrap();
+            let wide = DiskCounts::build_wide(&map).unwrap();
+            assert_eq!(dc.lane_bits(), bits, "heaviest disk holds {heavy}");
+            let g = map.space();
+            let full = BucketRegion::full(g);
+            assert_eq!(dc.response_time(&full), heavy as u64);
+            assert_eq!(dc.access_histogram(&full), wide.access_histogram(&full));
+            let mut scratch = Scratch::new();
+            let mut hist = Vec::new();
+            for _ in 0..40 {
+                let (y0, y1) = (rng.gen_range(0..256u32), rng.gen_range(0..256u32));
+                let (x0, x1) = (rng.gen_range(0..257u32), rng.gen_range(0..257u32));
+                let r = BucketRegion::new(
+                    g,
+                    [y0.min(y1), x0.min(x1)].into(),
+                    [y0.max(y1), x0.max(x1)].into(),
+                )
+                .unwrap();
+                let live: Vec<bool> = (0..4).map(|_| rng.gen_range(0..2u32) == 1).collect();
+                let expect = wide.access_histogram(&r);
+                assert_eq!(dc.access_histogram(&r), expect);
+                dc.access_histogram_with(&r, &mut scratch, &mut hist);
+                assert_eq!(hist, expect);
+                assert_eq!(dc.response_time(&r), wide.response_time(&r));
+                assert_eq!(
+                    dc.response_time_with(&r, &mut scratch),
+                    wide.response_time(&r)
+                );
+                assert_eq!(
+                    dc.masked_response_time(&r, &live),
+                    wide.masked_response_time(&r, &live)
+                );
+                assert_eq!(
+                    dc.masked_response_time_with(&r, &live, &mut scratch),
+                    wide.masked_response_time(&r, &live)
+                );
+            }
+        }
     }
 
     #[test]
