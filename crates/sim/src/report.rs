@@ -1,24 +1,24 @@
 //! The report sink API: every tabular artifact — sweep tables, serve
 //! curves, fault tables, metrics snapshots — renders through one
-//! [`Report`] trait and a [`ReportFormat`] selector, instead of a
-//! parallel free function per (type, format) pair.
+//! [`Report`] trait and a [`ReportFormat`] selector. The fault, serve,
+//! availability and share reports each declare their columns once, in
+//! one `Column` list that renders the table, the CSV and the JSON.
 
-use crate::experiment::{AvailSweep, ServeSweep, ShareSweep};
-use crate::faults::FaultReport;
+use crate::experiment::{
+    AvailPoint, AvailSweep, ServeCurve, ServePoint, ServeSweep, SharePoint, ShareSweep,
+};
+use crate::faults::{FaultMethodStats, FaultReport};
 use crate::SweepResult;
 use decluster_obs::json::JsonValue;
 use decluster_obs::MetricsSnapshot;
 use std::fmt::Write as _;
+use Cell::{Int, Num, Percent, Text};
 
 /// Output format selector for [`Report::render`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReportFormat {
     /// Aligned plain-text table.
     Table,
-    /// Plain-text table with every mean annotated by its ~95%
-    /// confidence half-width. Reports without per-cell sampling
-    /// distributions fall back to [`ReportFormat::Table`].
-    TableWithCi,
     /// Comma-separated values with a header row.
     Csv,
     /// One JSON document (trailing newline included).
@@ -26,8 +26,9 @@ pub enum ReportFormat {
 }
 
 /// A renderable report. Implemented by [`SweepResult`], [`FaultReport`],
-/// and the observability [`MetricsSnapshot`], so binaries emit every
-/// artifact through the same sink call.
+/// [`ServeSweep`], [`AvailSweep`], [`ShareSweep`] and the observability
+/// [`MetricsSnapshot`], so binaries emit every artifact through the same
+/// sink call.
 pub trait Report {
     /// Renders this report in `format`.
     fn render(&self, format: ReportFormat) -> String;
@@ -37,9 +38,8 @@ pub trait Report {
 /// right-aligned header row, an optional dashed separator, and
 /// right-aligned data rows (columns joined by two spaces).
 ///
-/// This is the one rendering engine behind every `Table` /
-/// `TableWithCi` output in the workspace; its layout is pinned byte for
-/// byte by the tests below.
+/// This is the one rendering engine behind every `Table` output in the
+/// workspace; its layout is pinned byte for byte by the tests below.
 #[derive(Clone, Debug, Default)]
 pub struct TextTable {
     /// Title printed on its own line (skipped when empty).
@@ -107,45 +107,24 @@ fn fmt_cell(v: f64) -> String {
 }
 
 impl SweepResult {
-    fn column_headers(&self) -> Vec<String> {
+    fn text_table(&self) -> TextTable {
         let mut headers: Vec<String> = vec![self.xlabel.clone()];
         headers.extend(self.series.iter().map(|s| s.name.clone()));
         headers.push("OPT".to_owned());
-        headers
-    }
-
-    fn text_table(&self, with_ci: bool) -> TextTable {
         let mut rows: Vec<Vec<String>> = Vec::with_capacity(self.xs.len());
         for (i, &x) in self.xs.iter().enumerate() {
             let mut row = vec![format!("{x}")];
             for s in &self.series {
-                if with_ci {
-                    if s.means[i].is_nan() {
-                        row.push("-".to_owned());
-                    } else {
-                        row.push(format!(
-                            "{:.3} ±{:.3}",
-                            s.means[i],
-                            s.summaries[i].ci95_half_width()
-                        ));
-                    }
-                } else {
-                    row.push(fmt_cell(s.means[i]));
-                }
+                row.push(fmt_cell(s.means[i]));
             }
             row.push(fmt_cell(self.optimal[i]));
             rows.push(row);
         }
         TextTable {
-            title: if with_ci {
-                format!("{} (means ±95% CI)", self.title)
-            } else {
-                self.title.clone()
-            },
-            headers: self.column_headers(),
+            title: self.title.clone(),
+            headers,
             rows,
-            // The CI variant historically prints no separator line.
-            separator: !with_ci,
+            separator: true,
         }
     }
 
@@ -206,539 +185,265 @@ impl SweepResult {
 impl Report for SweepResult {
     fn render(&self, format: ReportFormat) -> String {
         match format {
-            ReportFormat::Table => self.text_table(false).render(),
-            ReportFormat::TableWithCi => self.text_table(true).render(),
+            ReportFormat::Table => self.text_table().render(),
             ReportFormat::Csv => self.csv(),
             ReportFormat::Json => format!("{}\n", self.json()),
         }
     }
 }
 
-impl FaultReport {
-    fn text_table(&self) -> TextTable {
-        let headers = [
-            "method",
-            "healthy RT",
-            "degraded RT",
-            "worst RT",
-            "avail %",
-            "served",
-            "lost",
-            "failover",
-        ];
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    format!("{:.3}", r.healthy.mean),
-                    format!("{:.3}", r.degraded.mean),
-                    format!("{:.0}", r.degraded.max),
-                    format!("{:.1}", r.availability * 100.0),
-                    format!("{}", r.served),
-                    format!("{}", r.unavailable),
-                    format!("{}", r.failover_buckets),
-                ]
-            })
-            .collect();
-        TextTable {
-            title: self.title.clone(),
-            headers: headers.iter().map(|h| (*h).to_owned()).collect(),
-            rows,
-            separator: true,
+/// One typed cell of a column-list report.
+enum Cell {
+    /// Free text; the CSV swaps its commas for semicolons.
+    Text(String),
+    /// An exact count.
+    Int(u64),
+    /// A measurement the table prints with this many decimals.
+    Num(f64, usize),
+    /// A fraction the table prints as a percentage with this many
+    /// decimals.
+    Percent(f64, usize),
+}
+
+impl Cell {
+    fn table(&self) -> String {
+        match self {
+            Text(s) => s.clone(),
+            Int(n) => n.to_string(),
+            Num(v, prec) => format!("{v:.prec$}"),
+            Percent(v, prec) => format!("{:.prec$}", v * 100.0),
         }
     }
 
+    /// The full value, unrounded.
     fn csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "method,healthy_mean_rt,degraded_mean_rt,degraded_max_rt,availability,served,unavailable,failover_buckets"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{}",
-                r.name.replace(',', ";"),
-                r.healthy.mean,
-                r.degraded.mean,
-                r.degraded.max,
-                r.availability,
-                r.served,
-                r.unavailable,
-                r.failover_buckets
-            );
+        match self {
+            Text(s) => s.replace(',', ";"),
+            Int(n) => n.to_string(),
+            Num(v, _) | Percent(v, _) => v.to_string(),
         }
-        out
     }
 
-    fn json(&self) -> JsonValue {
-        let rows = JsonValue::Array(
-            self.rows
-                .iter()
-                .map(|r| {
-                    JsonValue::Object(vec![
-                        ("name".into(), JsonValue::String(r.name.clone())),
-                        ("healthy_mean_rt".into(), JsonValue::Number(r.healthy.mean)),
-                        (
-                            "degraded_mean_rt".into(),
-                            JsonValue::Number(r.degraded.mean),
-                        ),
-                        ("degraded_max_rt".into(), JsonValue::Number(r.degraded.max)),
-                        ("availability".into(), JsonValue::Number(r.availability)),
-                        ("served".into(), JsonValue::Number(r.served as f64)),
-                        (
-                            "unavailable".into(),
-                            JsonValue::Number(r.unavailable as f64),
-                        ),
-                        (
-                            "failover_buckets".into(),
-                            JsonValue::Number(r.failover_buckets as f64),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        JsonValue::Object(vec![
-            ("title".into(), JsonValue::String(self.title.clone())),
-            ("schedule".into(), JsonValue::String(self.schedule.clone())),
-            ("rows".into(), rows),
-        ])
+    fn json(self) -> JsonValue {
+        match self {
+            Text(s) => JsonValue::String(s),
+            Int(n) => JsonValue::Number(n as f64),
+            Num(v, _) | Percent(v, _) => JsonValue::Number(v),
+        }
     }
 }
+
+/// One column over rows of type `R`: its table header (`None` for a
+/// column only the CSV and the JSON carry), its CSV and JSON key, and
+/// the accessor that reads its cell off a row.
+struct Column<R> {
+    header: Option<&'static str>,
+    key: &'static str,
+    cell: fn(&R) -> Cell,
+}
+
+/// A column of the table, the CSV and the JSON.
+const fn col<R>(header: &'static str, key: &'static str, cell: fn(&R) -> Cell) -> Column<R> {
+    Column {
+        header: Some(header),
+        key,
+        cell,
+    }
+}
+
+/// A column of the CSV and the JSON only.
+const fn csv_col<R>(key: &'static str, cell: fn(&R) -> Cell) -> Column<R> {
+    Column {
+        header: None,
+        key,
+        cell,
+    }
+}
+
+/// Renders `rows` through `columns`. The table shows the columns that
+/// have a header; the CSV has one line per row under a line of keys;
+/// the JSON is `{"title", "rows": [{key: value}]}`.
+fn render_columns<R>(
+    title: &str,
+    columns: &[Column<R>],
+    rows: &[R],
+    format: ReportFormat,
+) -> String {
+    match format {
+        ReportFormat::Table => {
+            let shown = || columns.iter().filter(|c| c.header.is_some());
+            TextTable {
+                title: title.to_owned(),
+                headers: shown()
+                    .filter_map(|c| c.header.map(str::to_owned))
+                    .collect(),
+                rows: rows
+                    .iter()
+                    .map(|r| shown().map(|c| (c.cell)(r).table()).collect())
+                    .collect(),
+                separator: true,
+            }
+            .render()
+        }
+        ReportFormat::Csv => {
+            let keys: Vec<&str> = columns.iter().map(|c| c.key).collect();
+            let mut out = format!("{}\n", keys.join(","));
+            for r in rows {
+                let cells: Vec<String> = columns.iter().map(|c| (c.cell)(r).csv()).collect();
+                let _ = writeln!(out, "{}", cells.join(","));
+            }
+            out
+        }
+        ReportFormat::Json => {
+            let rows = rows
+                .iter()
+                .map(|r| {
+                    let fields = columns
+                        .iter()
+                        .map(|c| (c.key.to_owned(), (c.cell)(r).json()));
+                    JsonValue::Object(fields.collect())
+                })
+                .collect();
+            let doc = JsonValue::Object(vec![
+                ("title".into(), JsonValue::String(title.to_owned())),
+                ("rows".into(), JsonValue::Array(rows)),
+            ]);
+            format!("{doc}\n")
+        }
+    }
+}
+
+const FAULT_COLUMNS: &[Column<FaultMethodStats>] = &[
+    col("method", "method", |r| Text(r.name.clone())),
+    col("healthy RT", "healthy_mean_rt", |r| Num(r.healthy.mean, 3)),
+    col("degraded RT", "degraded_mean_rt", |r| {
+        Num(r.degraded.mean, 3)
+    }),
+    col("worst RT", "degraded_max_rt", |r| Num(r.degraded.max, 0)),
+    col("avail %", "availability", |r| Percent(r.availability, 1)),
+    col("served", "served", |r| Int(r.served as u64)),
+    col("lost", "unavailable", |r| Int(r.unavailable as u64)),
+    col("failover", "failover_buckets", |r| Int(r.failover_buckets)),
+];
 
 impl Report for FaultReport {
     fn render(&self, format: ReportFormat) -> String {
-        match format {
-            // Fault rows carry no per-cell sampling distribution to
-            // annotate, so TableWithCi degrades to the plain table.
-            ReportFormat::Table | ReportFormat::TableWithCi => self.text_table().render(),
-            ReportFormat::Csv => self.csv(),
-            ReportFormat::Json => format!("{}\n", self.json()),
-        }
+        render_columns(&self.title, FAULT_COLUMNS, &self.rows, format)
     }
 }
 
-impl ServeSweep {
-    fn text_table(&self) -> TextTable {
-        let headers = [
-            "rate q/s",
-            "method",
-            "achieved q/s",
-            "mean ms",
-            "p50 ms",
-            "p95 ms",
-            "p99 ms",
-            "util",
-            "in-flight",
-        ];
-        let mut rows = Vec::with_capacity(self.rates_qps.len() * self.curves.len());
-        for ri in 0..self.rates_qps.len() {
-            for curve in &self.curves {
-                let p = &curve.points[ri];
-                rows.push(vec![
-                    format!("{:.3}", p.offered_qps),
-                    curve.method.clone(),
-                    format!("{:.3}", p.achieved_qps),
-                    format!("{:.3}", p.mean_latency_ms),
-                    format!("{:.3}", p.tail_ms.p50),
-                    format!("{:.3}", p.tail_ms.p95),
-                    format!("{:.3}", p.tail_ms.p99),
-                    format!("{:.3}", p.utilization),
-                    format!("{}", p.peak_in_flight),
-                ]);
-            }
-        }
-        TextTable {
-            title: self.title.clone(),
-            headers: headers.iter().map(|h| (*h).to_owned()).collect(),
-            rows,
-            separator: true,
-        }
-    }
+/// One serve row: a method's curve at one offered rate.
+type ServeRow<'a> = (&'a ServeCurve, &'a ServePoint);
 
-    fn csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "rate_qps,method,achieved_qps,mean_latency_ms,p50_ms,p95_ms,p99_ms,utilization,peak_in_flight,knee_qps"
-        );
-        for ri in 0..self.rates_qps.len() {
-            for curve in &self.curves {
-                let p = &curve.points[ri];
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{}",
-                    p.offered_qps,
-                    curve.method.replace(',', ";"),
-                    p.achieved_qps,
-                    p.mean_latency_ms,
-                    p.tail_ms.p50,
-                    p.tail_ms.p95,
-                    p.tail_ms.p99,
-                    p.utilization,
-                    p.peak_in_flight,
-                    curve.knee_qps
-                );
-            }
-        }
-        out
-    }
-
-    fn json(&self) -> JsonValue {
-        let curves = JsonValue::Array(
-            self.curves
-                .iter()
-                .map(|c| {
-                    let points = JsonValue::Array(
-                        c.points
-                            .iter()
-                            .map(|p| {
-                                JsonValue::Object(vec![
-                                    ("offered_qps".into(), JsonValue::Number(p.offered_qps)),
-                                    ("achieved_qps".into(), JsonValue::Number(p.achieved_qps)),
-                                    (
-                                        "mean_latency_ms".into(),
-                                        JsonValue::Number(p.mean_latency_ms),
-                                    ),
-                                    ("p50_ms".into(), JsonValue::Number(p.tail_ms.p50)),
-                                    ("p95_ms".into(), JsonValue::Number(p.tail_ms.p95)),
-                                    ("p99_ms".into(), JsonValue::Number(p.tail_ms.p99)),
-                                    ("utilization".into(), JsonValue::Number(p.utilization)),
-                                    (
-                                        "peak_in_flight".into(),
-                                        JsonValue::Number(p.peak_in_flight as f64),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    JsonValue::Object(vec![
-                        ("method".into(), JsonValue::String(c.method.clone())),
-                        ("knee_qps".into(), JsonValue::Number(c.knee_qps)),
-                        ("points".into(), points),
-                    ])
-                })
-                .collect(),
-        );
-        JsonValue::Object(vec![
-            ("title".into(), JsonValue::String(self.title.clone())),
-            ("clients".into(), JsonValue::Number(self.clients as f64)),
-            (
-                "rates_qps".into(),
-                JsonValue::Array(
-                    self.rates_qps
-                        .iter()
-                        .map(|&r| JsonValue::Number(r))
-                        .collect(),
-                ),
-            ),
-            ("curves".into(), curves),
-        ])
-    }
+/// The serve columns. A function rather than a constant because its
+/// rows borrow the sweep.
+fn serve_columns<'a>() -> [Column<ServeRow<'a>>; 10] {
+    [
+        col("rate q/s", "rate_qps", |(_, p)| Num(p.offered_qps, 3)),
+        col("method", "method", |(c, _)| Text(c.method.clone())),
+        col("achieved q/s", "achieved_qps", |(_, p)| {
+            Num(p.achieved_qps, 3)
+        }),
+        col("mean ms", "mean_latency_ms", |(_, p)| {
+            Num(p.mean_latency_ms, 3)
+        }),
+        col("p50 ms", "p50_ms", |(_, p)| Num(p.tail_ms.p50, 3)),
+        col("p95 ms", "p95_ms", |(_, p)| Num(p.tail_ms.p95, 3)),
+        col("p99 ms", "p99_ms", |(_, p)| Num(p.tail_ms.p99, 3)),
+        col("util", "utilization", |(_, p)| Num(p.utilization, 3)),
+        col("in-flight", "peak_in_flight", |(_, p)| {
+            Int(p.peak_in_flight as u64)
+        }),
+        csv_col("knee_qps", |(c, _)| Num(c.knee_qps, 3)),
+    ]
 }
 
 impl Report for ServeSweep {
     fn render(&self, format: ReportFormat) -> String {
-        match format {
-            // Serve rows carry exact tails rather than sampling CIs, so
-            // TableWithCi degrades to the plain table.
-            ReportFormat::Table | ReportFormat::TableWithCi => {
-                let mut out = self.text_table().render();
-                for c in &self.curves {
-                    let _ = writeln!(out, "knee {}: {:.3} q/s", c.method, c.knee_qps);
-                }
-                out
-            }
-            ReportFormat::Csv => self.csv(),
-            ReportFormat::Json => format!("{}\n", self.json()),
-        }
-    }
-}
-
-impl AvailSweep {
-    fn text_table(&self) -> TextTable {
-        let headers = [
-            "faults",
-            "r",
-            "policy",
-            "avail %",
-            "served",
-            "shed",
-            "lost",
-            "retries",
-            "failovers",
-            "q/s",
-            "mean ms",
-            "p99 ms",
-            "RT x",
-            "storage x",
-        ];
-        let rows: Vec<Vec<String>> = self
-            .points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.schedule.clone(),
-                    format!("{}", p.replicas),
-                    p.policy.name().to_owned(),
-                    format!("{:.2}", p.availability * 100.0),
-                    format!("{}", p.served),
-                    format!("{}", p.shed),
-                    format!("{}", p.lost),
-                    format!("{}", p.retries),
-                    format!("{}", p.failovers),
-                    format!("{:.3}", p.achieved_qps),
-                    format!("{:.3}", p.mean_latency_ms),
-                    format!("{:.3}", p.tail_ms.p99),
-                    format!("{:.3}", p.rt_overhead),
-                    format!("{:.0}", p.storage_overhead),
-                ]
-            })
+        let rows: Vec<ServeRow> = (0..self.rates_qps.len())
+            .flat_map(|ri| self.curves.iter().map(move |c| (c, &c.points[ri])))
             .collect();
-        TextTable {
-            title: self.title.clone(),
-            headers: headers.iter().map(|h| (*h).to_owned()).collect(),
-            rows,
-            separator: true,
-        }
-    }
-
-    fn csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "schedule,replicas,policy,availability,served,shed,lost,retries,timeouts,failovers,achieved_qps,mean_latency_ms,p50_ms,p95_ms,p99_ms,rt_overhead,storage_overhead"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                p.schedule.replace(',', ";"),
-                p.replicas,
-                p.policy.name(),
-                p.availability,
-                p.served,
-                p.shed,
-                p.lost,
-                p.retries,
-                p.timeouts,
-                p.failovers,
-                p.achieved_qps,
-                p.mean_latency_ms,
-                p.tail_ms.p50,
-                p.tail_ms.p95,
-                p.tail_ms.p99,
-                p.rt_overhead,
-                p.storage_overhead
-            );
+        let mut out = render_columns(&self.title, &serve_columns(), &rows, format);
+        if format == ReportFormat::Table {
+            for c in &self.curves {
+                let _ = writeln!(out, "knee {}: {:.3} q/s", c.method, c.knee_qps);
+            }
         }
         out
     }
-
-    fn json(&self) -> JsonValue {
-        let points = JsonValue::Array(
-            self.points
-                .iter()
-                .map(|p| {
-                    JsonValue::Object(vec![
-                        ("schedule".into(), JsonValue::String(p.schedule.clone())),
-                        ("replicas".into(), JsonValue::Number(f64::from(p.replicas))),
-                        (
-                            "policy".into(),
-                            JsonValue::String(p.policy.name().to_owned()),
-                        ),
-                        ("availability".into(), JsonValue::Number(p.availability)),
-                        ("served".into(), JsonValue::Number(p.served as f64)),
-                        ("shed".into(), JsonValue::Number(p.shed as f64)),
-                        ("lost".into(), JsonValue::Number(p.lost as f64)),
-                        ("retries".into(), JsonValue::Number(p.retries as f64)),
-                        ("timeouts".into(), JsonValue::Number(p.timeouts as f64)),
-                        ("failovers".into(), JsonValue::Number(p.failovers as f64)),
-                        ("achieved_qps".into(), JsonValue::Number(p.achieved_qps)),
-                        (
-                            "mean_latency_ms".into(),
-                            JsonValue::Number(p.mean_latency_ms),
-                        ),
-                        ("p50_ms".into(), JsonValue::Number(p.tail_ms.p50)),
-                        ("p95_ms".into(), JsonValue::Number(p.tail_ms.p95)),
-                        ("p99_ms".into(), JsonValue::Number(p.tail_ms.p99)),
-                        ("rt_overhead".into(), JsonValue::Number(p.rt_overhead)),
-                        (
-                            "storage_overhead".into(),
-                            JsonValue::Number(p.storage_overhead),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        JsonValue::Object(vec![
-            ("title".into(), JsonValue::String(self.title.clone())),
-            ("method".into(), JsonValue::String(self.method.clone())),
-            ("clients".into(), JsonValue::Number(self.clients as f64)),
-            ("rate_qps".into(), JsonValue::Number(self.rate_qps)),
-            ("points".into(), points),
-        ])
-    }
 }
+
+const AVAIL_COLUMNS: &[Column<AvailPoint>] = &[
+    col("faults", "schedule", |p| Text(p.schedule.clone())),
+    col("r", "replicas", |p| Int(p.replicas.into())),
+    col("policy", "policy", |p| Text(p.policy.name().to_owned())),
+    col("avail %", "availability", |p| Percent(p.availability, 2)),
+    col("served", "served", |p| Int(p.served)),
+    col("shed", "shed", |p| Int(p.shed)),
+    col("lost", "lost", |p| Int(p.lost)),
+    col("retries", "retries", |p| Int(p.retries)),
+    csv_col("timeouts", |p| Int(p.timeouts)),
+    col("failovers", "failovers", |p| Int(p.failovers)),
+    col("q/s", "achieved_qps", |p| Num(p.achieved_qps, 3)),
+    col("mean ms", "mean_latency_ms", |p| Num(p.mean_latency_ms, 3)),
+    csv_col("p50_ms", |p| Num(p.tail_ms.p50, 3)),
+    csv_col("p95_ms", |p| Num(p.tail_ms.p95, 3)),
+    col("p99 ms", "p99_ms", |p| Num(p.tail_ms.p99, 3)),
+    col("RT x", "rt_overhead", |p| Num(p.rt_overhead, 3)),
+    col("storage x", "storage_overhead", |p| {
+        Num(p.storage_overhead, 0)
+    }),
+];
 
 impl Report for AvailSweep {
     fn render(&self, format: ReportFormat) -> String {
-        match format {
-            // Availability rows carry exact counts rather than sampling
-            // CIs, so TableWithCi degrades to the plain table.
-            ReportFormat::Table | ReportFormat::TableWithCi => self.text_table().render(),
-            ReportFormat::Csv => self.csv(),
-            ReportFormat::Json => format!("{}\n", self.json()),
-        }
+        render_columns(&self.title, AVAIL_COLUMNS, &self.points, format)
     }
 }
 
-impl ShareSweep {
-    fn text_table(&self) -> TextTable {
-        let headers = [
-            "method",
-            "overlap",
-            "r",
-            "unshared q/s",
-            "shared q/s",
-            "speedup",
-            "mean ms",
-            "shared ms",
-            "windows",
-            "merged",
-            "pages saved",
-        ];
-        let rows: Vec<Vec<String>> = self
-            .points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.method.clone(),
-                    format!("{:.2}", p.overlap),
-                    format!("{}", p.replicas),
-                    format!("{:.3}", p.unshared_qps),
-                    format!("{:.3}", p.shared_qps),
-                    format!("{:.3}", p.speedup()),
-                    format!("{:.3}", p.unshared_mean_ms),
-                    format!("{:.3}", p.shared_mean_ms),
-                    format!("{}", p.windows),
-                    format!("{}", p.merged_queries),
-                    format!("{}", p.pages_saved),
-                ]
-            })
-            .collect();
-        TextTable {
-            title: self.title.clone(),
-            headers: headers.iter().map(|h| (*h).to_owned()).collect(),
-            rows,
-            separator: true,
-        }
-    }
-
-    fn csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "method,overlap,replicas,unshared_qps,shared_qps,speedup,unshared_mean_ms,shared_mean_ms,windows,merged_queries,pages_saved"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{}",
-                p.method.replace(',', ";"),
-                p.overlap,
-                p.replicas,
-                p.unshared_qps,
-                p.shared_qps,
-                p.speedup(),
-                p.unshared_mean_ms,
-                p.shared_mean_ms,
-                p.windows,
-                p.merged_queries,
-                p.pages_saved
-            );
-        }
-        out
-    }
-
-    fn json(&self) -> JsonValue {
-        let points = JsonValue::Array(
-            self.points
-                .iter()
-                .map(|p| {
-                    JsonValue::Object(vec![
-                        ("method".into(), JsonValue::String(p.method.clone())),
-                        ("overlap".into(), JsonValue::Number(p.overlap)),
-                        ("replicas".into(), JsonValue::Number(f64::from(p.replicas))),
-                        ("unshared_qps".into(), JsonValue::Number(p.unshared_qps)),
-                        ("shared_qps".into(), JsonValue::Number(p.shared_qps)),
-                        ("speedup".into(), JsonValue::Number(p.speedup())),
-                        (
-                            "unshared_mean_ms".into(),
-                            JsonValue::Number(p.unshared_mean_ms),
-                        ),
-                        ("shared_mean_ms".into(), JsonValue::Number(p.shared_mean_ms)),
-                        ("windows".into(), JsonValue::Number(p.windows as f64)),
-                        (
-                            "merged_queries".into(),
-                            JsonValue::Number(p.merged_queries as f64),
-                        ),
-                        (
-                            "pages_saved".into(),
-                            JsonValue::Number(p.pages_saved as f64),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        JsonValue::Object(vec![
-            ("title".into(), JsonValue::String(self.title.clone())),
-            ("clients".into(), JsonValue::Number(self.clients as f64)),
-            ("rate_qps".into(), JsonValue::Number(self.rate_qps)),
-            (
-                "batch_window_ms".into(),
-                JsonValue::Number(self.batch_window_ms),
-            ),
-            ("points".into(), points),
-        ])
-    }
-}
+const SHARE_COLUMNS: &[Column<SharePoint>] = &[
+    col("method", "method", |p| Text(p.method.clone())),
+    col("overlap", "overlap", |p| Num(p.overlap, 2)),
+    col("r", "replicas", |p| Int(p.replicas.into())),
+    col("unshared q/s", "unshared_qps", |p| Num(p.unshared_qps, 3)),
+    col("shared q/s", "shared_qps", |p| Num(p.shared_qps, 3)),
+    col("speedup", "speedup", |p| Num(p.speedup(), 3)),
+    col("mean ms", "unshared_mean_ms", |p| {
+        Num(p.unshared_mean_ms, 3)
+    }),
+    col("shared ms", "shared_mean_ms", |p| Num(p.shared_mean_ms, 3)),
+    col("windows", "windows", |p| Int(p.windows)),
+    col("merged", "merged_queries", |p| Int(p.merged_queries)),
+    col("pages saved", "pages_saved", |p| Int(p.pages_saved)),
+];
 
 impl Report for ShareSweep {
     fn render(&self, format: ReportFormat) -> String {
-        match format {
-            // Share rows carry exact counts rather than sampling CIs, so
-            // TableWithCi degrades to the plain table.
-            ReportFormat::Table | ReportFormat::TableWithCi => {
-                let mut out = self.text_table().render();
-                if let Some(best) = self
-                    .points
-                    .iter()
-                    .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
-                {
-                    let _ = writeln!(
-                        out,
-                        "best speedup {}: {:.3}x at overlap {:.2}, r={}",
-                        best.method,
-                        best.speedup(),
-                        best.overlap,
-                        best.replicas
-                    );
-                }
-                out
+        let mut out = render_columns(&self.title, SHARE_COLUMNS, &self.points, format);
+        if format == ReportFormat::Table {
+            let best = self
+                .points
+                .iter()
+                .max_by(|a, b| a.speedup().total_cmp(&b.speedup()));
+            if let Some(best) = best {
+                let _ = writeln!(
+                    out,
+                    "best speedup {}: {:.3}x at overlap {:.2}, r={}",
+                    best.method,
+                    best.speedup(),
+                    best.overlap,
+                    best.replicas
+                );
             }
-            ReportFormat::Csv => self.csv(),
-            ReportFormat::Json => format!("{}\n", self.json()),
         }
+        out
     }
 }
 
 impl Report for MetricsSnapshot {
     fn render(&self, format: ReportFormat) -> String {
         match format {
-            ReportFormat::Table | ReportFormat::TableWithCi => self.render_text(),
+            ReportFormat::Table => self.render_text(),
             ReportFormat::Csv => self.render_csv(),
             ReportFormat::Json => format!("{}\n", self.to_json()),
         }
@@ -780,27 +485,6 @@ mod tests {
         assert!(t.contains("2.500"));
         // NaN renders as a dash.
         assert!(t.lines().last().unwrap().contains('-'));
-    }
-
-    #[test]
-    fn ci_table_annotates_means() {
-        let t = sample().render(ReportFormat::TableWithCi);
-        assert!(t.contains("±"));
-        assert!(t.contains("95% CI"));
-        // NaN points stay dashes.
-        assert!(t.lines().last().unwrap().contains('-'));
-    }
-
-    #[test]
-    fn ci_table_from_real_experiment_has_finite_cis() {
-        use decluster_grid::GridSpace;
-        let r = crate::Experiment::new(GridSpace::new_2d(8, 8).unwrap(), 4)
-            .with_queries_per_point(32)
-            .run_size_sweep(&crate::workload::SizeSweep::explicit(vec![4]))
-            .unwrap();
-        let t = r.render(ReportFormat::TableWithCi);
-        assert!(t.contains("±"));
-        assert!(!t.contains("NaN"));
     }
 
     #[test]
@@ -884,28 +568,12 @@ mod tests {
     }
 
     #[test]
-    fn ci_table_has_no_separator_line() {
-        let t = sample().render(ReportFormat::TableWithCi);
-        assert!(!t
-            .lines()
-            .any(|l| !l.is_empty() && l.chars().all(|c| c == '-')));
-        assert!(t.starts_with("demo (means ±95% CI)\n"));
-    }
-
-    #[test]
-    fn json_reports_parse_and_carry_the_rows() {
+    fn sweep_json_parses_and_carries_the_series() {
         use decluster_obs::json;
         let s = sample();
         let v = json::parse(s.render(ReportFormat::Json).trim_end()).unwrap();
         assert_eq!(v.get("title").and_then(JsonValue::as_str), Some("demo"));
         assert!(matches!(v.get("series"), Some(JsonValue::Array(a)) if a.len() == 2));
-        let f = fault_sample();
-        let v = json::parse(f.render(ReportFormat::Json).trim_end()).unwrap();
-        assert_eq!(
-            v.get("schedule").and_then(JsonValue::as_str),
-            Some("fail:1@5")
-        );
-        assert!(matches!(v.get("rows"), Some(JsonValue::Array(a)) if a.len() == 2));
     }
 
     fn serve_sample() -> ServeSweep {
@@ -954,17 +622,6 @@ mod tests {
         assert!(lines[0].ends_with("knee_qps"));
         assert_eq!(lines[1], "5,HCAM,5,42,40,80,99,0.5,7,5");
         assert_eq!(lines[2], "10,HCAM,8,42,40,80,99,0.5,7,5");
-    }
-
-    #[test]
-    fn serve_json_parses_and_carries_curves() {
-        use decluster_obs::json;
-        let v = json::parse(serve_sample().render(ReportFormat::Json).trim_end()).unwrap();
-        assert_eq!(
-            v.get("title").and_then(JsonValue::as_str),
-            Some("serve demo")
-        );
-        assert!(matches!(v.get("curves"), Some(JsonValue::Array(a)) if a.len() == 1));
     }
 
     fn avail_sample() -> AvailSweep {
@@ -1033,14 +690,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn avail_json_parses_and_carries_points() {
-        use decluster_obs::json;
-        let v = json::parse(avail_sample().render(ReportFormat::Json).trim_end()).unwrap();
-        assert_eq!(v.get("method").and_then(JsonValue::as_str), Some("HCAM"));
-        assert!(matches!(v.get("points"), Some(JsonValue::Array(a)) if a.len() == 2));
-    }
-
     fn share_sample() -> ShareSweep {
         use crate::experiment::SharePoint;
         let point = |overlap: f64, shared_qps: f64, pages_saved| SharePoint {
@@ -1086,15 +735,50 @@ mod tests {
         assert_eq!(lines[2], "HCAM,0.8,1,10,15,1.5,21,18,5,8,640");
     }
 
-    #[test]
-    fn share_json_parses_and_carries_points() {
+    /// Checks a report against its column list: the CSV header is the
+    /// list's keys in order, the table's header row is its headers in
+    /// order, and each JSON row has exactly the CSV keys.
+    fn check_columns<R>(report: &dyn Report, columns: &[Column<R>], rows: usize) {
         use decluster_obs::json;
-        let v = json::parse(share_sample().render(ReportFormat::Json).trim_end()).unwrap();
+        let keys: Vec<&str> = columns.iter().map(|c| c.key).collect();
+        let csv = report.render(ReportFormat::Csv);
+        assert_eq!(csv.lines().next(), Some(keys.join(",").as_str()));
+        assert_eq!(csv.lines().count(), rows + 1);
+        let headers: Vec<&str> = columns.iter().filter_map(|c| c.header).collect();
+        let table = report.render(ReportFormat::Table);
+        let header_row: Vec<&str> = table
+            .lines()
+            .nth(1)
+            .unwrap()
+            .split("  ")
+            .map(str::trim)
+            .filter(|h| !h.is_empty())
+            .collect();
+        assert_eq!(header_row, headers);
+        let doc = json::parse(report.render(ReportFormat::Json).trim_end()).unwrap();
         assert_eq!(
-            v.get("title").and_then(JsonValue::as_str),
-            Some("share demo")
+            doc.get("title").and_then(JsonValue::as_str),
+            table.lines().next()
         );
-        assert!(matches!(v.get("points"), Some(JsonValue::Array(a)) if a.len() == 2));
+        let Some(JsonValue::Array(json_rows)) = doc.get("rows") else {
+            panic!("the JSON has no rows array");
+        };
+        assert_eq!(json_rows.len(), rows);
+        for row in json_rows {
+            let JsonValue::Object(fields) = row else {
+                panic!("a JSON row is not an object");
+            };
+            let row_keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(row_keys, keys);
+        }
+    }
+
+    #[test]
+    fn column_lists_drive_table_csv_and_json() {
+        check_columns(&fault_sample(), FAULT_COLUMNS, 2);
+        check_columns(&serve_sample(), &serve_columns(), 2);
+        check_columns(&avail_sample(), AVAIL_COLUMNS, 2);
+        check_columns(&share_sample(), SHARE_COLUMNS, 2);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use decluster::sim::{
     LoadPoint, ReplicaPolicy, Report, ReportFormat, RetryPolicy, ServeSweep, ShareSweep, TextTable,
 };
 use decluster::theory::{impossibility, partial_match};
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
@@ -466,108 +465,8 @@ fn main() -> ExitCode {
         };
         opts.kernel_cache = Some(Arc::new(Mutex::new(cache)));
     }
-    let run = |name: &str| -> bool { experiment == name || experiment == "all" };
-    let mut ran_any = false;
-    if run("e1") {
-        emit(&opts, "e1", e1(&opts));
-        ran_any = true;
-    }
-    if run("e2") {
-        emit(&opts, "e2", e2(&opts));
-        ran_any = true;
-    }
-    if run("e3") {
-        emit(&opts, "e3", e3(&opts));
-        ran_any = true;
-    }
-    if run("e4") {
-        emit(&opts, "e4", e4(&opts));
-        ran_any = true;
-    }
-    if run("e5") {
-        emit(&opts, "e5", e5(&opts));
-        ran_any = true;
-    }
-    if run("e6") {
-        emit(&opts, "e6", e6(&opts));
-        ran_any = true;
-    }
-    if run("t1") {
-        println!("{}", t1());
-        ran_any = true;
-    }
-    if run("t2") {
-        emit(&opts, "t2", t2(&opts));
-        ran_any = true;
-    }
-    if run("t3") {
-        println!("{}", t3());
-        ran_any = true;
-    }
-    if run("mix") {
-        emit(&opts, "mix", mixes(&opts));
-        ran_any = true;
-    }
-    if run("avail") {
-        println!("{}", availability());
-        match avail_sweep(&opts) {
-            Ok(sweep) => emit_avail(&opts, &sweep),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        ran_any = true;
-    }
-    if run("abl") {
-        println!("{}", ablation());
-        ran_any = true;
-    }
-    if run("thm") {
-        println!("{}", thm());
-        ran_any = true;
-    }
-    if run("faults") {
-        let schedule = fault_schedule(&opts);
-        match faults(&opts, &schedule) {
-            Ok(report) => {
-                emit_faults(&opts, &report);
-                println!("{}", rebuild_summary(&opts, &schedule));
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        ran_any = true;
-    }
-    if run("multiuser") {
-        emit(&opts, "multiuser", multiuser_grid(&opts));
-        emit_load_sweep(&opts, load_curve(&opts));
-        ran_any = true;
-    }
-    if run("serve") {
-        match serve_sweep(&opts) {
-            Ok(sweep) => emit_serve(&opts, &sweep),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        ran_any = true;
-    }
-    if run("share") {
-        match share_sweep_exp(&opts) {
-            Ok(sweep) => emit_share(&opts, &sweep),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        ran_any = true;
-    }
-    if !ran_any {
-        eprintln!("unknown experiment {experiment:?}");
+    if let Err(e) = run(&experiment, &opts) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
     if let (Some(path), Some(cache)) = (&opts.kernel_cache_path, &opts.kernel_cache) {
@@ -613,28 +512,87 @@ fn metrics_format(dest: &str) -> ReportFormat {
     }
 }
 
-fn emit(opts: &Opts, name: &str, result: SweepResult) {
-    println!("{}", result.render(ReportFormat::Table));
-    if let Some(dir) = &opts.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            let mut f = std::fs::File::create(format!("{dir}/{name}.csv"))?;
-            f.write_all(result.render(ReportFormat::Csv).as_bytes())
-        }) {
-            eprintln!("could not write {name}.csv: {e}");
-        }
+/// Runs `experiment` (or every experiment, for `all`), printing each
+/// table and writing its CSVs under `--csv`.
+fn run(experiment: &str, opts: &Opts) -> Result<(), String> {
+    let runs = |name: &str| experiment == name || experiment == "all";
+    if runs("e1") {
+        emit(opts, "e1", &e1(opts))?;
     }
+    if runs("e2") {
+        emit(opts, "e2", &e2(opts))?;
+    }
+    if runs("e3") {
+        emit(opts, "e3", &e3(opts))?;
+    }
+    if runs("e4") {
+        emit(opts, "e4", &e4(opts))?;
+    }
+    if runs("e5") {
+        emit(opts, "e5", &e5(opts))?;
+    }
+    if runs("e6") {
+        emit(opts, "e6", &e6(opts))?;
+    }
+    if runs("t1") {
+        println!("{}", t1());
+    }
+    if runs("t2") {
+        emit(opts, "t2", &t2(opts))?;
+    }
+    if runs("t3") {
+        println!("{}", t3());
+    }
+    if runs("mix") {
+        emit(opts, "mix", &mixes(opts))?;
+    }
+    if runs("avail") {
+        println!("{}", availability());
+        emit(opts, "avail", &avail_sweep(opts)?)?;
+    }
+    if runs("abl") {
+        println!("{}", ablation());
+    }
+    if runs("thm") {
+        println!("{}", thm());
+    }
+    if runs("faults") {
+        let schedule = fault_schedule(opts);
+        emit(opts, "faults", &faults(opts, &schedule)?)?;
+        println!("{}", rebuild_summary(opts, &schedule));
+    }
+    if runs("multiuser") {
+        emit(opts, "multiuser", &multiuser_grid(opts))?;
+        let points = load_curve(opts);
+        print!("{}", load_sweep_table(&points).render());
+        write_csv(opts, "loadsweep", || load_sweep_csv(&points))?;
+    }
+    if runs("serve") {
+        let sweep = serve_sweep(opts)?;
+        emit(opts, "serve", &sweep)?;
+        write_csv(opts, "serve_samples", || serve_samples_csv(&sweep))?;
+    }
+    if runs("share") {
+        emit(opts, "share", &share_sweep_exp(opts)?)?;
+    }
+    Ok(())
 }
 
-fn emit_faults(opts: &Opts, report: &FaultReport) {
+/// Prints `report`'s table and, under `--csv`, writes its CSV as
+/// `name.csv`.
+fn emit(opts: &Opts, name: &str, report: &dyn Report) -> Result<(), String> {
     println!("{}", report.render(ReportFormat::Table));
-    if let Some(dir) = &opts.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            let mut f = std::fs::File::create(format!("{dir}/faults.csv"))?;
-            f.write_all(report.render(ReportFormat::Csv).as_bytes())
-        }) {
-            eprintln!("could not write faults.csv: {e}");
-        }
-    }
+    write_csv(opts, name, || report.render(ReportFormat::Csv))
+}
+
+/// Under `--csv DIR`, writes `DIR/name.csv`; `csv` renders it only then.
+fn write_csv(opts: &Opts, name: &str, csv: impl FnOnce() -> String) -> Result<(), String> {
+    let Some(dir) = &opts.csv_dir else {
+        return Ok(());
+    };
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(format!("{dir}/{name}.csv"), csv()))
+        .map_err(|e| format!("could not write {name}.csv: {e}"))
 }
 
 fn grid_2d() -> GridSpace {
@@ -954,17 +912,6 @@ fn avail_sweep(opts: &Opts) -> Result<AvailSweep, String> {
     Ok(sweep)
 }
 
-fn emit_avail(opts: &Opts, sweep: &AvailSweep) {
-    println!("{}", sweep.render(ReportFormat::Table));
-    if let Some(dir) = &opts.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(format!("{dir}/avail.csv"), sweep.render(ReportFormat::Csv))
-        }) {
-            eprintln!("could not write avail.csv: {e}");
-        }
-    }
-}
-
 /// The schedule the `faults` experiment runs: the `--faults` spec when
 /// given, otherwise a fail-stop of disk 3 halfway through the query
 /// stream — the paper-style "one of M disks fails mid-workload" scenario.
@@ -1093,31 +1040,25 @@ fn load_sweep_table(points: &[LoadPoint]) -> TextTable {
     }
 }
 
-fn emit_load_sweep(opts: &Opts, points: Vec<LoadPoint>) {
-    print!("{}", load_sweep_table(&points).render());
-    if let Some(dir) = &opts.csv_dir {
-        let mut csv =
-            String::from("rate_qps,method,mean_latency_ms,utilization,p50_ms,p95_ms,p99_ms\n");
-        for p in &points {
-            for m in &p.methods {
-                csv.push_str(&format!(
-                    "{},{},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-                    p.rate_qps,
-                    m.name,
-                    m.mean_latency_ms,
-                    m.utilization,
-                    m.tail_ms.p50,
-                    m.tail_ms.p95,
-                    m.tail_ms.p99
-                ));
-            }
-        }
-        if let Err(e) = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(format!("{dir}/loadsweep.csv"), csv))
-        {
-            eprintln!("could not write loadsweep.csv: {e}");
+/// The load sweep's CSV, one line per (rate, method) cell.
+fn load_sweep_csv(points: &[LoadPoint]) -> String {
+    let mut csv =
+        String::from("rate_qps,method,mean_latency_ms,utilization,p50_ms,p95_ms,p99_ms\n");
+    for p in points {
+        for m in &p.methods {
+            csv.push_str(&format!(
+                "{},{},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
+                p.rate_qps,
+                m.name,
+                m.mean_latency_ms,
+                m.utilization,
+                m.tail_ms.p50,
+                m.tail_ms.p95,
+                m.tail_ms.p99
+            ));
         }
     }
+    csv
 }
 
 /// Rate fractions the `serve` sweep applies to `--rate`: the full ladder
@@ -1194,37 +1135,29 @@ fn serve_sweep(opts: &Opts) -> Result<ServeSweep, String> {
     Ok(sweep)
 }
 
-fn emit_serve(opts: &Opts, sweep: &ServeSweep) {
-    println!("{}", sweep.render(ReportFormat::Table));
-    if let Some(dir) = &opts.csv_dir {
-        let mut samples = String::from(
-            "rate_qps,method,at_ms,in_flight,busy_disks,completed,p50_ms,p95_ms,p99_ms\n",
-        );
-        for curve in &sweep.curves {
-            for point in &curve.points {
-                for s in &point.samples {
-                    samples.push_str(&format!(
-                        "{},{},{:.3},{},{},{},{:.6},{:.6},{:.6}\n",
-                        point.offered_qps,
-                        curve.method,
-                        s.at_ms,
-                        s.in_flight,
-                        s.busy_disks,
-                        s.completed,
-                        s.tail_ms.p50,
-                        s.tail_ms.p95,
-                        s.tail_ms.p99
-                    ));
-                }
+/// The serve sweep's mid-run samples, one line per sample.
+fn serve_samples_csv(sweep: &ServeSweep) -> String {
+    let mut samples =
+        String::from("rate_qps,method,at_ms,in_flight,busy_disks,completed,p50_ms,p95_ms,p99_ms\n");
+    for curve in &sweep.curves {
+        for point in &curve.points {
+            for s in &point.samples {
+                samples.push_str(&format!(
+                    "{},{},{:.3},{},{},{},{:.6},{:.6},{:.6}\n",
+                    point.offered_qps,
+                    curve.method,
+                    s.at_ms,
+                    s.in_flight,
+                    s.busy_disks,
+                    s.completed,
+                    s.tail_ms.p50,
+                    s.tail_ms.p95,
+                    s.tail_ms.p99
+                ));
             }
         }
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(format!("{dir}/serve.csv"), sweep.render(ReportFormat::Csv))?;
-            std::fs::write(format!("{dir}/serve_samples.csv"), samples)
-        }) {
-            eprintln!("could not write serve CSVs: {e}");
-        }
     }
+    samples
 }
 
 /// Overlap fractions the `share` sweep walks: from disjoint scans to a
@@ -1277,17 +1210,6 @@ fn share_sweep_exp(opts: &Opts) -> Result<ShareSweep, String> {
         ));
     }
     Ok(sweep)
-}
-
-fn emit_share(opts: &Opts, sweep: &ShareSweep) {
-    println!("{}", sweep.render(ReportFormat::Table));
-    if let Some(dir) = &opts.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(format!("{dir}/share.csv"), sweep.render(ReportFormat::Csv))
-        }) {
-            eprintln!("could not write share.csv: {e}");
-        }
-    }
 }
 
 /// Ablation (extension): swap HCAM's Hilbert curve for Z-order and a

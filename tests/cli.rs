@@ -137,6 +137,19 @@ fn repro_quick_e2_has_all_methods() {
 }
 
 #[test]
+fn repro_fails_when_a_csv_cannot_be_written() {
+    // The CSV directory sits under a regular file, so it cannot be made.
+    let file = std::env::temp_dir().join(format!("repro_csv_file_{}", std::process::id()));
+    std::fs::write(&file, "").unwrap();
+    let dir = file.join("csv");
+    let (ok, _, stderr) = run(REPRO, &["e1", "--quick", "--csv", dir.to_str().unwrap()]);
+    std::fs::remove_file(&file).ok();
+    assert!(!ok, "an unwritable --csv directory must fail the run");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
+    assert!(stderr.contains("could not write e1.csv"), "{stderr}");
+}
+
+#[test]
 fn repro_rejects_zero_threads() {
     let (ok, _, stderr) = run(REPRO, &["e1", "--quick", "--threads", "0"]);
     assert!(!ok);
