@@ -52,7 +52,6 @@ mod fx;
 mod gdm;
 mod hash;
 mod hcam;
-mod optimize;
 mod persist;
 mod plan;
 mod prefix;
@@ -71,7 +70,6 @@ pub use fx::FieldwiseXor;
 pub use gdm::GeneralizedDiskModulo;
 pub use hash::{splitmix64, splitmix64_unit};
 pub use hcam::Hcam;
-pub use optimize::{optimize_allocation, LocalSearchConfig, OptimizedAllocation};
 pub use persist::KernelCache;
 pub use plan::{PlanCounts, ShareAttribution, SharedScan};
 pub use prefix::{kernel_build_count, CornerPlan, DiskCounts, PlanCache, ScoreBatch, Scratch};

@@ -1,10 +1,10 @@
 //! Binary persistence for materialized allocations.
 //!
 //! A parallel database computes an allocation once (possibly via the
-//! advisor or local-search optimization) and must reload it identically
-//! at every restart — the whole premise of static declustering is that
-//! the bucket→disk map never changes behind the system's back. This module
-//! gives [`AllocationMap`] a versioned, self-describing binary format:
+//! advisor) and must reload it identically at every restart — the whole
+//! premise of static declustering is that the bucket→disk map never
+//! changes behind the system's back. This module gives [`AllocationMap`]
+//! a versioned, self-describing binary format:
 //!
 //! ```text
 //! "DCLA" | version u16 | k u16 | dims[k] u32 | M u32 |

@@ -39,8 +39,8 @@ pub fn kernel_build_count() -> u64 {
 ///
 /// # Kernel v2: count lanes, query plans, scratch buffers
 ///
-/// Three refinements on top of the v1 corner walk, all bit-identical to
-/// it (and to the naive walk — property-tested):
+/// Three refinements of the plain corner walk, all bit-identical to the
+/// naive walk (property-tested):
 ///
 /// * **Adaptive count width.** Every count on disk `d` is capped by the
 ///   number of buckets `d` holds, so a table whose heaviest disk holds at
@@ -58,9 +58,11 @@ pub fn kernel_build_count() -> u64 {
 ///   the plan cache (and the naive walk's accumulator) through the
 ///   scoring loop, so repeated-query scoring allocates nothing per query.
 ///
-/// Every planned entry point — plain, live-masked, histogram and the
-/// batch path of [`ScoreBatch`] — sums corner rows through one
-/// fixed-width lane routine (16-lane chunks plus one remainder chunk).
+/// Every entry point — plain, live-masked, histogram, single-disk and
+/// the batch path of [`ScoreBatch`] — sums corner rows through a plan:
+/// the `*_with` forms cache it, the plain forms compile one per call.
+/// All but the single-disk count run one fixed-width lane routine
+/// (16-lane chunks plus one remainder chunk).
 #[derive(Clone, Debug)]
 pub struct DiskCounts {
     /// Disks (`M`).
@@ -179,16 +181,6 @@ fn build_table<T: Lane>(
         }
     }
     shared
-}
-
-/// Sums `corners` (sign, table row) into `acc`, one `i64` per disk lane.
-fn accumulate_rows<T: Lane>(table: &[T], lanes: usize, corners: &[(i64, usize)], acc: &mut [i64]) {
-    for &(sign, row) in corners {
-        let base = row * lanes;
-        for (a, &v) in acc.iter_mut().zip(&table[base..base + lanes]) {
-            *a += sign * v.widen();
-        }
-    }
 }
 
 /// Disk lanes the planned kernel sums per step: a paper-sized `M = 16`
@@ -854,18 +846,16 @@ impl DiskCounts {
         }
     }
 
-    /// The planned RT reduction through `scratch`: ensures the plan and
-    /// returns the max over `region`'s (optionally `live`-masked) lanes.
+    /// The RT reduction of `region` through `plan`: the max over its
+    /// (optionally `live`-masked) lanes.
     fn planned_response_time(
         &self,
         region: &BucketRegion,
-        scratch: &mut Scratch,
+        plan: &CornerPlan,
         live: Option<&[bool]>,
     ) -> u64 {
-        self.ensure_plan(region, scratch);
         let key = self.placement_key(region);
         let lanes = self.m as usize;
-        let plan = scratch.plan.as_ref().expect("plan just ensured");
         match &self.table {
             CountLane::U16(t) => lane_max(t, lanes, plan, key, live),
             CountLane::U32(t) => lane_max(t, lanes, plan, key, live),
@@ -901,70 +891,12 @@ impl DiskCounts {
         }
     }
 
-    /// Visits every inclusion–exclusion corner of `region`, returning
-    /// `(sign, table row)` pairs. Corners that fall off the low edge
-    /// contribute zero and are dropped. This is the v1 per-query path,
-    /// kept for one-shot queries (and as the benchmark baseline for the
-    /// planned path); sweeps should compile the shape once instead.
-    fn corners(&self, region: &BucketRegion) -> SmallVec<[(i64, usize); 16]> {
-        let k = self.dims.len();
-        debug_assert_eq!(region.dims(), k, "region arity does not match grid");
-        let lo = region.lo().as_slice();
-        let hi = region.hi().as_slice();
-        // Per-dimension row offsets for the two corner choices: the
-        // inclusive upper face (`hi`) and the excluded slab below the
-        // lower face (`lo - 1`, absent when the query touches the edge).
-        let mut hi_off: SmallVec<[usize; 8]> = SmallVec::new();
-        let mut lo_off: SmallVec<[Option<usize>; 8]> = SmallVec::new();
-        for dim in 0..k {
-            hi_off.push(hi[dim] as usize * self.strides[dim]);
-            lo_off.push(if lo[dim] == 0 {
-                None
-            } else {
-                Some((lo[dim] as usize - 1) * self.strides[dim])
-            });
-        }
-        let mut corners: SmallVec<[(i64, usize); 16]> = SmallVec::new();
-        'corner: for mask in 0u32..(1u32 << k) {
-            let mut row = 0usize;
-            for dim in 0..k {
-                if mask & (1 << dim) != 0 {
-                    match lo_off[dim] {
-                        Some(off) => row += off,
-                        None => continue 'corner,
-                    }
-                } else {
-                    row += hi_off[dim];
-                }
-            }
-            let sign = if mask.count_ones() % 2 == 0 { 1 } else { -1 };
-            corners.push((sign, row));
-        }
-        corners
-    }
-
-    /// Fills `acc` (length `M`) via the per-query corner walk.
-    fn fill_corners(&self, region: &BucketRegion, acc: &mut [i64]) {
-        let corners = self.corners(region);
-        let lanes = self.m as usize;
-        match &self.table {
-            CountLane::U16(t) => accumulate_rows(t, lanes, &corners, acc),
-            CountLane::U32(t) => accumulate_rows(t, lanes, &corners, acc),
-        }
-    }
-
     /// Per-disk bucket counts of `region` (the access histogram), via
     /// `2^k` corner lookups per disk.
     pub fn access_histogram(&self, region: &BucketRegion) -> Vec<u64> {
-        let lanes = self.m as usize;
-        let mut acc: SmallVec<[i64; 32]> = SmallVec::from_elem(0i64, lanes);
-        self.fill_corners(region, &mut acc);
-        acc.iter()
-            .map(|&c| {
-                debug_assert!(c >= 0, "inclusion-exclusion produced a negative count");
-                c as u64
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.m as usize);
+        self.planned_histogram(region, &self.compile_plan(region), &mut out);
+        out
     }
 
     /// As [`DiskCounts::access_histogram`], but through the scratch's
@@ -1008,22 +940,32 @@ impl DiskCounts {
     /// Response time of `region`: max over disks of its per-disk bucket
     /// count. `O(M · 2^k)`, independent of the region's area.
     ///
-    /// This entry point re-derives the corner rows per query; when
-    /// scoring many placements, prefer [`DiskCounts::response_time_with`],
-    /// which amortizes that work over every query of the same shape.
+    /// This entry point compiles the region's [`CornerPlan`] per call;
+    /// when scoring many placements, prefer
+    /// [`DiskCounts::response_time_with`], which compiles it once per
+    /// shape.
     pub fn response_time(&self, region: &BucketRegion) -> u64 {
-        let lanes = self.m as usize;
-        let mut acc: SmallVec<[i64; 32]> = SmallVec::from_elem(0i64, lanes);
-        self.fill_corners(region, &mut acc);
-        acc.iter().map(|&c| c.max(0) as u64).max().unwrap_or(0)
+        self.planned_response_time(region, &self.compile_plan(region), None)
     }
 
-    /// Response time of `region` through `scratch`'s shape-compiled plan
-    /// and reusable accumulator: the kernel-v2 hot path. Equal to
-    /// [`DiskCounts::response_time`] on every input (property-tested);
-    /// only the constant factor differs.
+    /// Response time of `region` through `scratch`'s cached plan: the
+    /// kernel-v2 hot path, with the plan compiled only when the shape
+    /// changes.
     pub fn response_time_with(&self, region: &BucketRegion, scratch: &mut Scratch) -> u64 {
-        self.planned_response_time(region, scratch, None)
+        self.ensure_plan(region, scratch);
+        let plan = scratch.plan.as_ref().expect("plan just ensured");
+        self.planned_response_time(region, plan, None)
+    }
+
+    /// Panics unless `live` holds one flag per disk.
+    fn check_live(&self, live: &[bool]) {
+        assert_eq!(
+            live.len(),
+            self.m as usize,
+            "live mask length {} does not match disk count {}",
+            live.len(),
+            self.m
+        );
     }
 
     /// Response time of `region` restricted to the disks marked live in
@@ -1037,26 +979,12 @@ impl DiskCounts {
     /// Panics if `live.len()` differs from the disk count (a caller
     /// contract, like [`DiskCounts::count_on_disk`]'s range check).
     pub fn masked_response_time(&self, region: &BucketRegion, live: &[bool]) -> u64 {
-        assert_eq!(
-            live.len(),
-            self.m as usize,
-            "live mask length {} does not match disk count {}",
-            live.len(),
-            self.m
-        );
-        let lanes = self.m as usize;
-        let mut acc: SmallVec<[i64; 32]> = SmallVec::from_elem(0i64, lanes);
-        self.fill_corners(region, &mut acc);
-        acc.iter()
-            .zip(live)
-            .filter(|(_, &l)| l)
-            .map(|(&c, _)| c.max(0) as u64)
-            .max()
-            .unwrap_or(0)
+        self.check_live(live);
+        self.planned_response_time(region, &self.compile_plan(region), Some(live))
     }
 
-    /// As [`DiskCounts::masked_response_time`], through the plan cache
-    /// and scratch accumulator — the degraded-mode analogue of
+    /// As [`DiskCounts::masked_response_time`], through the scratch's
+    /// cached plan — the degraded-mode analogue of
     /// [`DiskCounts::response_time_with`].
     ///
     /// # Panics
@@ -1067,34 +995,17 @@ impl DiskCounts {
         live: &[bool],
         scratch: &mut Scratch,
     ) -> u64 {
-        assert_eq!(
-            live.len(),
-            self.m as usize,
-            "live mask length {} does not match disk count {}",
-            live.len(),
-            self.m
-        );
-        self.planned_response_time(region, scratch, Some(live))
+        self.check_live(live);
+        self.ensure_plan(region, scratch);
+        let plan = scratch.plan.as_ref().expect("plan just ensured");
+        self.planned_response_time(region, plan, Some(live))
     }
 
     /// Bucket count of `region` on one disk (`2^k` lookups). Used by
     /// availability analysis, which only needs the failed disk's share.
     pub fn count_on_disk(&self, region: &BucketRegion, disk: u32) -> u64 {
         assert!(disk < self.m, "disk {disk} out of range (m = {})", self.m);
-        let corners = self.corners(region);
-        let lanes = self.m as usize;
-        let idx = disk as usize;
-        let acc: i64 = match &self.table {
-            CountLane::U16(t) => corners
-                .iter()
-                .map(|&(sign, row)| sign * t[row * lanes + idx].widen())
-                .sum(),
-            CountLane::U32(t) => corners
-                .iter()
-                .map(|&(sign, row)| sign * t[row * lanes + idx].widen())
-                .sum(),
-        };
-        acc.max(0) as u64
+        self.planned_count(region, &self.compile_plan(region), disk)
     }
 
     /// As [`DiskCounts::count_on_disk`], through the scratch's plan
@@ -1111,10 +1022,16 @@ impl DiskCounts {
     ) -> u64 {
         assert!(disk < self.m, "disk {disk} out of range (m = {})", self.m);
         self.ensure_plan(region, scratch);
+        let plan = scratch.plan.as_ref().expect("plan just ensured");
+        self.planned_count(region, plan, disk)
+    }
+
+    /// `region`'s count on lane `disk` through `plan`: one table read
+    /// per corner.
+    fn planned_count(&self, region: &BucketRegion, plan: &CornerPlan, disk: u32) -> u64 {
         let key = self.placement_key(region);
         let lanes = self.m as usize;
         let idx = disk as usize;
-        let plan = scratch.plan.as_ref().expect("plan just ensured");
         let single = |rows: &dyn Fn(usize) -> i64| -> i64 {
             plan.corners
                 .iter()

@@ -374,7 +374,7 @@ impl DeclusteredFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decluster_grid::{AttributeDomain, Value};
+    use decluster_grid::{AttributeDomain, Partitioning, Value};
 
     fn schema() -> GridSchema {
         GridSchema::uniform(
@@ -388,7 +388,11 @@ mod tests {
     }
 
     fn loaded_file(kind: MethodKind) -> DeclusteredFile {
-        let mut f = DeclusteredFile::create(schema(), kind, 5).unwrap();
+        loaded_into(schema(), kind)
+    }
+
+    fn loaded_into(schema: GridSchema, kind: MethodKind) -> DeclusteredFile {
+        let mut f = DeclusteredFile::create(schema, kind, 5).unwrap();
         // One record at every (x, y) multiple of 10 => one per bucket.
         for x in (0..100).step_by(10) {
             for y in (0..100).step_by(10) {
@@ -424,24 +428,46 @@ mod tests {
 
     #[test]
     fn scan_returns_exactly_the_matching_records() {
-        let f = loaded_file(MethodKind::Hcam);
         // x in [0, 49], y in [20, 39]: x in {0,10,20,30,40}, y in {20,30}.
         let q = ValueRangeQuery::new(vec![
             Some((Value::Int(0), Value::Int(49))),
             Some((Value::Int(20), Value::Int(39))),
         ])
         .unwrap();
-        let scan = f.scan(&q).unwrap();
-        assert_eq!(scan.records.len(), 10);
-        for r in &scan.records {
-            let (Value::Int(x), Value::Int(y)) = (r.value(0), r.value(1)) else {
-                panic!("wrong types");
-            };
-            assert!((0..=49).contains(x) && (20..=39).contains(y));
+        let expected: Vec<(i64, i64)> = (0..50)
+            .step_by(10)
+            .flat_map(|x| [(x, 20), (x, 30)])
+            .collect();
+        // Besides the uniform grid, explicit uneven cuts: one-value
+        // partitions, cuts on record values, and a touched bucket (y in
+        // [39, 90)) holding records outside the query.
+        let cuts = |c: &[i64]| {
+            Partitioning::from_cuts(c.iter().map(|&v| Value::Int(v)).collect()).unwrap()
+        };
+        let uneven = GridSchema::new(
+            schema().attributes().to_vec(),
+            vec![cuts(&[3, 4, 17, 40, 50, 51]), cuts(&[20, 21, 39, 90])],
+        )
+        .unwrap();
+        // Touched buckets: 5x2 partitions uniform, 5x3 uneven.
+        for (f, buckets) in [
+            (loaded_file(MethodKind::Hcam), 10),
+            (loaded_into(uneven, MethodKind::Hcam), 15),
+        ] {
+            let scan = f.scan(&q).unwrap();
+            let mut got: Vec<(i64, i64)> = scan
+                .records
+                .iter()
+                .map(|r| match (r.value(0), r.value(1)) {
+                    (Value::Int(x), Value::Int(y)) => (*x, *y),
+                    _ => panic!("wrong types"),
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, expected);
+            assert_eq!(scan.io.buckets_touched, buckets);
+            assert!(scan.io.response_time >= scan.io.optimal);
         }
-        // I/O accounting: 5x2 partitions = 10 buckets.
-        assert_eq!(scan.io.buckets_touched, 10);
-        assert!(scan.io.response_time >= scan.io.optimal);
     }
 
     #[test]

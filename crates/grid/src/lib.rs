@@ -36,7 +36,6 @@ mod bucket;
 mod directory;
 mod domain;
 mod error;
-mod gridfile;
 mod partition;
 mod query;
 mod record;
@@ -48,7 +47,6 @@ pub use bucket::{BucketCoord, DiskId, COORD_INLINE_DIMS};
 pub use directory::{BucketPage, GridDirectory, IoPlan};
 pub use domain::{AttributeDomain, DomainKind};
 pub use error::GridError;
-pub use gridfile::{GridBucketId, GridFile, GridScan};
 pub use partition::Partitioning;
 pub use query::{PartialMatchQuery, PointQuery, Query, RangeQuery, ValueRangeQuery};
 pub use record::{Record, Value};

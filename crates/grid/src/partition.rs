@@ -123,55 +123,6 @@ impl Partitioning {
         Ok((self.partition_of(lo)?, self.partition_of(hi)?))
     }
 
-    /// Equi-depth partitioning from a data sample: cut points are placed
-    /// at the sample's `j/d` quantiles so each partition holds roughly the
-    /// same number of records — the grid-file answer to skewed data.
-    ///
-    /// Duplicate quantile values are merged, so heavily repeated values
-    /// can yield fewer than `d` partitions (check
-    /// [`Partitioning::num_partitions`]). The sample is consumed because
-    /// it must be sorted.
-    ///
-    /// # Errors
-    /// [`GridError::IncompletePartitioning`] if `d == 0` or the sample is
-    /// empty; [`GridError::UnsortedBoundaries`] if the sample mixes types
-    /// (or contains NaN).
-    pub fn equi_depth(mut sample: Vec<Value>, d: u32) -> Result<Self> {
-        if d == 0 || sample.is_empty() {
-            return Err(GridError::IncompletePartitioning);
-        }
-        // Total-order sort; surface mixed types / NaN as an error by
-        // checking adjacency after a best-effort sort.
-        sample.sort_by(|a, b| {
-            a.partial_cmp_same_type(b)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for w in sample.windows(2) {
-            if w[0].partial_cmp_same_type(&w[1]).is_none() {
-                return Err(GridError::UnsortedBoundaries);
-            }
-        }
-        let n = sample.len();
-        let mut cuts: Vec<Value> = Vec::with_capacity(d as usize - 1);
-        for j in 1..u64::from(d) {
-            let idx = ((j as u128 * n as u128) / u128::from(d)) as usize;
-            let cut = sample[idx.min(n - 1)].clone();
-            let strictly_greater = cuts
-                .last()
-                .map(|prev| {
-                    matches!(
-                        prev.partial_cmp_same_type(&cut),
-                        Some(std::cmp::Ordering::Less)
-                    )
-                })
-                .unwrap_or(true);
-            if strictly_greater {
-                cuts.push(cut);
-            }
-        }
-        Partitioning::from_cuts(cuts)
-    }
-
     /// A sensible default partitioning for a domain: uniform with `d`
     /// partitions for bounded domains.
     ///
@@ -300,84 +251,6 @@ mod tests {
         let p = Partitioning::uniform_int(0, 99, 4).unwrap();
         assert_eq!(p.partition_of(&Value::Int(-5)).unwrap(), 0);
         assert_eq!(p.partition_of(&Value::Int(1000)).unwrap(), 3);
-    }
-
-    #[test]
-    fn equi_depth_balances_a_skewed_sample() {
-        // Zipf-ish sample: many small values, few large ones.
-        let mut sample = Vec::new();
-        for v in 0..100i64 {
-            let copies = 1 + 1000 / (v + 1);
-            for _ in 0..copies {
-                sample.push(Value::Int(v));
-            }
-        }
-        let n = sample.len();
-        let p = Partitioning::equi_depth(sample.clone(), 4).unwrap();
-        assert!(p.num_partitions() >= 2);
-        // Count records per partition: near-equal within a generous bound
-        // (duplicates at cut values skew the split).
-        let mut counts = vec![0usize; p.num_partitions() as usize];
-        for v in &sample {
-            counts[p.partition_of(v).unwrap() as usize] += 1;
-        }
-        let max = *counts.iter().max().unwrap();
-        assert!(
-            max < n, // strictly better than one partition holding all
-            "equi-depth degenerate: {counts:?}"
-        );
-        // A uniform partitioning on the same data is far more skewed.
-        let u = Partitioning::uniform_int(0, 99, 4).unwrap();
-        let mut ucounts = vec![0usize; 4];
-        for v in &sample {
-            ucounts[u.partition_of(v).unwrap() as usize] += 1;
-        }
-        assert!(
-            *ucounts.iter().max().unwrap() > max,
-            "uniform {ucounts:?} should be more skewed than equi-depth {counts:?}"
-        );
-    }
-
-    #[test]
-    fn equi_depth_on_uniform_data_matches_quantiles() {
-        let sample: Vec<Value> = (0..100i64).map(Value::Int).collect();
-        let p = Partitioning::equi_depth(sample, 4).unwrap();
-        assert_eq!(p.num_partitions(), 4);
-        assert_eq!(p.partition_of(&Value::Int(10)).unwrap(), 0);
-        assert_eq!(p.partition_of(&Value::Int(30)).unwrap(), 1);
-        assert_eq!(p.partition_of(&Value::Int(60)).unwrap(), 2);
-        assert_eq!(p.partition_of(&Value::Int(90)).unwrap(), 3);
-    }
-
-    #[test]
-    fn equi_depth_collapses_heavy_duplicates() {
-        // 90% of the sample is the single value 7: fewer partitions than
-        // requested, but construction still succeeds.
-        let mut sample = vec![Value::Int(7); 90];
-        sample.extend((0..10i64).map(Value::Int));
-        let p = Partitioning::equi_depth(sample, 8).unwrap();
-        assert!(p.num_partitions() < 8);
-        assert!(p.num_partitions() >= 1);
-    }
-
-    #[test]
-    fn equi_depth_validates_input() {
-        assert!(Partitioning::equi_depth(vec![], 4).is_err());
-        assert!(Partitioning::equi_depth(vec![Value::Int(1)], 0).is_err());
-        assert!(matches!(
-            Partitioning::equi_depth(vec![Value::Int(1), Value::from("x")], 2).unwrap_err(),
-            GridError::UnsortedBoundaries
-        ));
-    }
-
-    #[test]
-    fn equi_depth_works_for_strings() {
-        let sample: Vec<Value> = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
-            .iter()
-            .map(|s| Value::from(*s))
-            .collect();
-        let p = Partitioning::equi_depth(sample, 3).unwrap();
-        assert_eq!(p.num_partitions(), 3);
     }
 
     #[test]

@@ -131,13 +131,22 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The workspace writes
+/// four levels at most (the metrics snapshot); the cap keeps a hostile
+/// document from overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
+///
+/// Safe on hostile input: nesting deeper than 128 levels, non-finite
+/// numbers (`1e999`) and `\u` escapes without four hex digits are
+/// errors, every error message is one line, and time is linear in the
+/// input's length.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -158,14 +167,23 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(JsonValue::String(parse_string(input, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -175,7 +193,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(input, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -197,10 +215,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(input, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(input, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -213,7 +231,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(input, pos),
     }
 }
 
@@ -231,7 +249,8 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -253,11 +272,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        let code = input
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -266,17 +285,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // go: both are ASCII, so the run ends on a char boundary.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(&input[start..*pos]);
             }
         }
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_number(input: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
@@ -286,10 +308,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     if start == *pos {
         return Err(format!("expected value at byte {start}"));
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| format!("invalid number {text:?}"))
+    // JSON has no NaN or infinity, and `write` could only emit `null`.
+    let text = &input[start..*pos];
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+        _ => Err(format!("invalid or non-finite number {text:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -355,6 +379,86 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("nope").is_err());
+        assert!(parse("1e999").is_err());
+        assert!(parse("-1e999").is_err());
+        assert!(parse("\"\\u+041\"").is_err());
+        assert!(parse("\"\\u004\"").is_err());
+        assert_eq!(parse("\"\\u0041\"").unwrap(), JsonValue::String("A".into()));
+    }
+
+    /// Every way the corpus disturbs a seed: each truncation, each
+    /// single-character deletion, and each substitution or insertion of
+    /// a character from `alphabet`.
+    fn mutants(seed: &str, alphabet: &str) -> Vec<String> {
+        let cuts: Vec<usize> = seed
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([seed.len()])
+            .collect();
+        let mut out = Vec::new();
+        for (n, &i) in cuts.iter().enumerate() {
+            let (head, tail) = seed.split_at(i);
+            out.push(head.to_owned());
+            out.extend(alphabet.chars().map(|c| format!("{head}{c}{tail}")));
+            if let Some(&j) = cuts.get(n + 1) {
+                out.push(format!("{head}{}", &seed[j..]));
+                out.extend(alphabet.chars().map(|c| format!("{head}{c}{}", &seed[j..])));
+            }
+        }
+        out
+    }
+
+    /// The parser's hostile-input corpus: mutants of a trace line and a
+    /// metrics snapshot as `obs` renders them and of literals, documents
+    /// nested 100,000 deep and a 100,000-character string. No input may
+    /// panic or overflow the stack; an accepted document re-serializes
+    /// and re-parses to an equal value, and every error is one line.
+    #[test]
+    fn hostile_corpus_parses_or_errors_in_one_line() {
+        use crate::registry::MetricsRegistry;
+        use crate::trace::{JsonLinesSink, TraceEvent, TraceSink};
+
+        let mut sink = JsonLinesSink::new(Vec::new());
+        sink.emit(
+            &TraceEvent::new("point_done")
+                .with("method", "HCAM")
+                .with("rt", 3u64)
+                .with("ms", 0.25)
+                .with("ok", true),
+        );
+        let trace = String::from_utf8(sink.into_inner()).unwrap();
+        let metrics = MetricsRegistry::new();
+        metrics.counter_add("kernel.plan_hits", 7);
+        metrics.gauge_max("serve.peak", 2);
+        metrics.observe("rt", 5);
+        metrics.wall_add("sweep.point_ms", 1.5);
+        let snapshot = metrics.snapshot().to_json().to_string();
+        let literals = [
+            "1e999",
+            "-0.5e-3",
+            "\"h\\u00e9\\n\"",
+            "[true,false,null]",
+            "{}",
+        ];
+        let mut seeds = vec![trace.trim_end().to_owned(), snapshot];
+        seeds.extend(literals.map(String::from));
+
+        let alphabet = "{}[]:,\"\\/ 019-+.eEtfnu";
+        let mut inputs: Vec<String> = seeds.iter().flat_map(|s| mutants(s, alphabet)).collect();
+        inputs.push("[".repeat(100_000));
+        inputs.push("{\"a\":".repeat(100_000));
+        inputs.push(format!("\"{}\"", "é".repeat(100_000)));
+        let mut accepted = 0;
+        for input in &inputs {
+            match parse(input) {
+                Ok(v) => {
+                    accepted += 1;
+                    assert_eq!(parse(&v.to_string()).as_ref(), Ok(&v), "input {input:?}");
+                }
+                Err(e) => assert!(!e.is_empty() && !e.contains('\n'), "{e:?} for {input:?}"),
+            }
+        }
+        assert!(accepted > 0 && accepted < inputs.len());
     }
 
     #[test]

@@ -1139,6 +1139,71 @@ mod tests {
         }
     }
 
+    /// Every way the corpus disturbs a seed: each truncation, each
+    /// single-character deletion, and each substitution or insertion of
+    /// a character from `alphabet`.
+    fn mutants(seed: &str, alphabet: &str) -> Vec<String> {
+        let cuts: Vec<usize> = seed
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([seed.len()])
+            .collect();
+        let mut out = Vec::new();
+        for (n, &i) in cuts.iter().enumerate() {
+            let (head, tail) = seed.split_at(i);
+            out.push(head.to_owned());
+            out.extend(alphabet.chars().map(|c| format!("{head}{c}{tail}")));
+            if let Some(&j) = cuts.get(n + 1) {
+                out.push(format!("{head}{}", &seed[j..]));
+                out.extend(alphabet.chars().map(|c| format!("{head}{c}{}", &seed[j..])));
+            }
+        }
+        out
+    }
+
+    /// The `--faults` grammar corpus: mutants of the two schedules CI
+    /// runs. No input may panic; an error is a one-line
+    /// `BadFaultSpec`; an accepted schedule answers `state_at` for every
+    /// disk, and a non-healthy one round-trips through `describe`.
+    #[test]
+    fn fault_grammar_corpus_parses_or_errors_in_one_line() {
+        let seeds = [
+            "fail:3@50,transient:5@10..40,slow:7x2.5@0..60",
+            "fail:3@20000,transient:7@5000..15000,slow:11x2@0..10000",
+        ];
+        let alphabet = "fail:trnsentowx@.,0123456789-+e ";
+        let mut accepted = 0;
+        let mut inputs = 0;
+        for spec in seeds.iter().flat_map(|s| mutants(s, alphabet)) {
+            inputs += 1;
+            let schedule = match FaultSchedule::parse(&spec, 16) {
+                Ok(schedule) => schedule,
+                Err(err) => {
+                    assert!(
+                        matches!(err, SimError::BadFaultSpec { .. }),
+                        "{spec:?}: {err:?}"
+                    );
+                    assert!(!err.to_string().contains('\n'), "{spec:?}");
+                    continue;
+                }
+            };
+            accepted += 1;
+            for disk in 0..16 {
+                for t in [0, 10, 50, 60, 5_000, 15_000, 20_000, u64::MAX] {
+                    match schedule.state_at(disk, t) {
+                        DiskState::Up | DiskState::Down => {}
+                        DiskState::Slow(f) => assert!(f.is_finite() && f > 1.0, "{spec:?}"),
+                    }
+                }
+            }
+            if !schedule.is_healthy() {
+                let again = FaultSchedule::parse(&schedule.describe(), 16);
+                assert_eq!(again.ok().as_ref(), Some(&schedule), "{spec:?}");
+            }
+        }
+        assert!(accepted > 0 && accepted < inputs);
+    }
+
     #[test]
     fn degraded_outcome_healthy_matches_plain_rt() {
         let s = FaultSchedule::healthy(4);

@@ -53,26 +53,4 @@ fn main() {
 concludes parallel database systems must support several declustering
 methods rather than hard-wiring one."
     );
-
-    // One step past the paper: let local search edit the winner's
-    // allocation for the small-square workload. The M > 5 theorem says no
-    // allocation serves every query optimally - but a concrete workload
-    // is not every query.
-    use decluster::methods::{optimize_allocation, LocalSearchConfig};
-    let advice = advise(&space, m, &squares).expect("non-empty workload");
-    let tuned = optimize_allocation(
-        &space,
-        &advice.allocation,
-        &squares,
-        LocalSearchConfig::default(),
-    )
-    .expect("search runs");
-    println!(
-        "\nLocal search on top of {}: total RT {} -> {} over {} queries ({} moves accepted)",
-        advice.winner,
-        tuned.initial_cost,
-        tuned.final_cost,
-        squares.len(),
-        tuned.accepted_moves
-    );
 }

@@ -10,7 +10,7 @@
 //! * [`hilbert`] — k-dimensional Hilbert curve, Z-order, Gray order.
 //! * [`ecc`] — GF(2) linear algebra and binary linear codes.
 //! * [`methods`] — the declustering methods (DM/CMD, GDM, BDM, FX/ExFX,
-//!   ECC, HCAM), curve ablations, baselines, the advisor and GDM tuner.
+//!   ECC, HCAM), curve ablations, baselines and the advisor.
 //! * `file` ([`decluster_file`]) — a declustered multi-attribute file
 //!   (records in, parallel scans out).
 //! * [`obs`] — the observability layer: metrics registry, trace sinks,

@@ -1,16 +1,13 @@
-//! Integration tests for the storage layer: the dynamic grid file, the
-//! declustered file, allocation persistence, and the multi-user
-//! simulator working together.
+//! Integration tests for the storage layer: the declustered file,
+//! allocation persistence, and the multi-user simulator working together.
 
-use decluster::grid::{
-    AttributeDomain, GridDirectory, GridFile, GridSchema, Record, Value, ValueRangeQuery,
-};
+use decluster::grid::GridDirectory;
 use decluster::prelude::*;
 use decluster::sim::workload::WorkloadMix;
 use decluster::sim::{poisson_arrivals, DiskParams, LoopScratch, MultiUserEngine, ServeSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn int_schema(d: u32) -> GridSchema {
     GridSchema::uniform(
@@ -21,59 +18,6 @@ fn int_schema(d: u32) -> GridSchema {
         d,
     )
     .expect("schema builds")
-}
-
-/// Grid-file discovery → frozen schema → declustered file: records land
-/// in the same logical cells across the hand-off.
-#[test]
-fn gridfile_to_declustered_file_pipeline() {
-    let mut gf = GridFile::new(
-        vec![
-            AttributeDomain::int("x", 0, 9_999),
-            AttributeDomain::int("y", 0, 9_999),
-        ],
-        16,
-    )
-    .expect("grid file builds");
-    let mut rng = StdRng::seed_from_u64(8);
-    let records: Vec<Record> = (0..2_000)
-        .map(|_| {
-            Record::new(vec![
-                Value::Int(rng.gen_range(0..10_000)),
-                Value::Int(rng.gen_range(0..10_000)),
-            ])
-        })
-        .collect();
-    for r in &records {
-        gf.insert(r.clone()).expect("record in domain");
-    }
-    gf.check_invariants().expect("grid file consistent");
-
-    let schema = gf.to_schema().expect("schema freezes");
-    let mut file =
-        DeclusteredFile::create(schema, MethodKind::Hcam, 8).expect("declustered file builds");
-    assert_eq!(
-        file.bulk_load(records.iter().cloned()).expect("loads"),
-        2_000
-    );
-
-    // Same query against both engines returns the same record multiset.
-    let q = ValueRangeQuery::new(vec![
-        Some((Value::Int(1_000), Value::Int(7_000))),
-        Some((Value::Int(0), Value::Int(5_000))),
-    ])
-    .expect("query builds");
-    let mut a = gf.scan(&q).expect("grid file scans").records;
-    let mut b = file.scan(&q).expect("declustered file scans").records;
-    let key = |r: &Record| {
-        let (Value::Int(x), Value::Int(y)) = (r.value(0).clone(), r.value(1).clone()) else {
-            panic!("typed")
-        };
-        (x, y)
-    };
-    a.sort_by_key(key);
-    b.sort_by_key(key);
-    assert_eq!(a, b);
 }
 
 /// Persistence: an allocation saved and reloaded drives identical scans.
