@@ -11,11 +11,12 @@
 //!   tracks each client's ready time, hands the next query to the
 //!   earliest-ready client (ties broken by issue order), and plans and
 //!   fans it out the same way.
-//! * The shared-scan window, unreplicated and spread over one replica:
-//!   the reference groups arrivals into windows by time alone, merges
-//!   each window's pages per disk through a `BTreeSet` of page
-//!   positions looked up bucket by bucket, and costs each disk's merged
-//!   count FCFS at the flush.
+//! * The shared-scan window, unreplicated, spread over one replica, and
+//!   routed whole to the copy whose queue frees first: the reference
+//!   groups arrivals into windows by time alone, merges each window's
+//!   pages per disk through a `BTreeSet` of page positions looked up
+//!   bucket by bucket, and costs each disk's merged count FCFS at the
+//!   flush.
 //!
 //! Cases cover small random grids and allocations, query pools shorter
 //! and longer than the arrival stream, pools with more distinct shapes
@@ -235,6 +236,23 @@ fn reference_shared(
     window_ms: f64,
     replicas: usize,
 ) -> (Reference, Sharing) {
+    let spread = ReplicaPolicy::Spread;
+    reference_shared_routed(dir, params, pool, arrivals, window_ms, replicas, spread)
+}
+
+/// [`reference_shared`] under any policy: `Spread` splits each disk's
+/// pages over its chain, and `NearestFreeQueue` reads them all from the
+/// chain copy whose queue frees first (ties to the lower chain
+/// position), as queued by the disks before it in this flush.
+fn reference_shared_routed(
+    dir: &GridDirectory,
+    params: &DiskParams,
+    pool: &[BucketRegion],
+    arrivals: &[f64],
+    window_ms: f64,
+    replicas: usize,
+    policy: ReplicaPolicy,
+) -> (Reference, Sharing) {
     let loads = dir.load_vector();
     let m = loads.len();
     let copies = replicas as u64 + 1;
@@ -271,6 +289,15 @@ fn reference_shared(
         let mut done = flush;
         for (d, disk_pages) in merged.iter().enumerate() {
             let count = disk_pages.len() as u64;
+            if policy == ReplicaPolicy::NearestFreeQueue && count > 0 {
+                let s = (0..=replicas)
+                    .map(|j| (d + j) % m)
+                    .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
+                    .expect("a chain has a primary");
+                let service = params.batch_ms_counts(count, loads[s]);
+                done = done.max(fcfs(s, flush, service, &mut free_at, &mut busy));
+                continue;
+            }
             for j in 0..copies {
                 let share = count / copies + u64::from(j < count % copies);
                 if share > 0 {
@@ -613,24 +640,30 @@ proptest! {
                 t
             })
             .collect();
-        for replicas in [0, 1] {
-            let (want, sharing) = reference_shared(
+        let cases = [
+            (0, ReplicaPolicy::Spread),
+            (1, ReplicaPolicy::Spread),
+            (1, ReplicaPolicy::NearestFreeQueue),
+        ];
+        for (replicas, policy) in cases {
+            let (want, sharing) = reference_shared_routed(
                 &dir,
                 &DiskParams::default(),
                 &pool,
                 &arrivals,
                 window_ms,
                 replicas,
+                policy,
             );
             let mut spec = ServeSpec::open(100.0)
                 .share(window_ms)
                 .replicas(replicas as u32)
-                .policy(ReplicaPolicy::Spread);
+                .policy(policy);
             if let Some(every_ms) = case.sampling {
                 spec = spec.sampling(every_ms);
             }
             let (run, cache) = serve(&spec, &engine, &pool, Some(&arrivals));
-            let tag = format!("r={replicas} w={window_ms} {case:?}");
+            let tag = format!("r={replicas} {policy:?} w={window_ms} {case:?}");
             prop_assert_eq!(run.report.queries, arrivals.len(), "{}", tag);
             assert_matches(&run, &want, &tag);
             let got = run.sharing.expect("shared runs report sharing");
