@@ -136,12 +136,16 @@ impl JsonValue {
 /// document from overflowing the parser's stack.
 const MAX_DEPTH: usize = 128;
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Parses one JSON document (RFC 8259); trailing non-whitespace is an
+/// error.
 ///
-/// Safe on hostile input: nesting deeper than 128 levels, non-finite
-/// numbers (`1e999`) and `\u` escapes without four hex digits are
-/// errors, every error message is one line, and time is linear in the
-/// input's length.
+/// Numbers follow the JSON grammar (no `+1`, `01`, `.5` or `1.`),
+/// strings hold no unescaped control characters, and an escaped
+/// surrogate pair decodes to the one scalar it encodes. Safe on hostile
+/// input: nesting deeper than 128 levels, non-finite numbers (`1e999`),
+/// `\u` escapes without four hex digits and lone surrogates are errors,
+/// every error message is one line, and time is linear in the input's
+/// length.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut pos = 0;
     let value = parse_value(input, &mut pos, 0)?;
@@ -271,30 +275,58 @@ fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = input
-                            .get(*pos + 1..*pos + 5)
-                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(parse_unicode_escape(input, pos)?),
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
             }
+            Some(c) if *c < 0x20 => {
+                return Err(format!("unescaped control character at byte {}", *pos))
+            }
             Some(_) => {
-                // Copy the run up to the next quote or backslash in one
-                // go: both are ASCII, so the run ends on a char boundary.
+                // Copy the run up to the next quote, backslash or control
+                // character in one go: all are ASCII, so the run ends on a
+                // char boundary.
                 let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\' | 0..=0x1f) {
                     *pos += 1;
                 }
                 out.push_str(&input[start..*pos]);
             }
         }
     }
+}
+
+/// Decodes the `\u` escape whose `u` is at `pos`, with the escaped low
+/// surrogate after it when it is a high one, and leaves `pos` on the last
+/// hex digit read.
+fn parse_unicode_escape(input: &str, pos: &mut usize) -> Result<char, String> {
+    let at = *pos;
+    let unit = |from: usize| {
+        input
+            .get(from..from + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+    };
+    let hi = unit(at + 1).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+    *pos += 4;
+    let lone = || format!("lone surrogate \\u{hi:04x} at byte {at}");
+    let code = match hi {
+        // A high surrogate and the escaped low one after it encode one
+        // scalar past U+FFFF.
+        0xD800..=0xDBFF => {
+            let lo = unit(at + 7)
+                .filter(|lo| {
+                    input.get(at + 5..at + 7) == Some("\\u") && (0xDC00..=0xDFFF).contains(lo)
+                })
+                .ok_or_else(lone)?;
+            *pos += 6;
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(lone()),
+        code => code,
+    };
+    Ok(char::from_u32(code).expect("no surrogate is left"))
 }
 
 fn parse_number(input: &str, pos: &mut usize) -> Result<JsonValue, String> {
@@ -308,12 +340,51 @@ fn parse_number(input: &str, pos: &mut usize) -> Result<JsonValue, String> {
     if start == *pos {
         return Err(format!("expected value at byte {start}"));
     }
-    // JSON has no NaN or infinity, and `write` could only emit `null`.
+    // A valid number is never followed by one of the scanned characters,
+    // so the scanned run is a number exactly when it matches the grammar.
     let text = &input[start..*pos];
+    if !is_json_number(text.as_bytes()) {
+        return Err(format!("invalid number {text:?} at byte {start}"));
+    }
+    // JSON has no NaN or infinity, and `write` could only emit `null`.
     match text.parse::<f64>() {
         Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
-        _ => Err(format!("invalid or non-finite number {text:?}")),
+        _ => Err(format!("non-finite number {text:?}")),
     }
+}
+
+/// Whether `text` is a number of RFC 8259's grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while text.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i - from
+    };
+    let int = i;
+    let int_digits = digits(&mut i);
+    if int_digits == 0 || (int_digits > 1 && text[int] == b'0') {
+        return false;
+    }
+    if text.get(i) == Some(&b'.') {
+        i += 1;
+        if digits(&mut i) == 0 {
+            return false;
+        }
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if digits(&mut i) == 0 {
+            return false;
+        }
+    }
+    i == text.len()
 }
 
 #[cfg(test)]
@@ -384,6 +455,44 @@ mod tests {
         assert!(parse("\"\\u+041\"").is_err());
         assert!(parse("\"\\u004\"").is_err());
         assert_eq!(parse("\"\\u0041\"").unwrap(), JsonValue::String("A".into()));
+        // Numbers outside the JSON grammar, which `f64::from_str` takes.
+        for bad in [
+            "+1", "01", "-01", ".5", "1.", "-", "1e", "1e+", "1.e5", "--1", "[01]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+        for (good, n) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-1.25e+3", -1250.0),
+        ] {
+            assert_eq!(parse(good).unwrap(), JsonValue::Number(n), "{good:?}");
+        }
+        assert_eq!(parse("10E-1").unwrap(), JsonValue::Number(1.0));
+        // Unescaped control characters.
+        assert!(parse("\"a\u{1}b\"").is_err());
+        assert!(parse("\"\t\"").is_err());
+        assert!(parse("\"\n\"").is_err());
+        // Lone surrogates, and a high one followed by something else.
+        assert!(parse("\"\\ud83d\"").is_err());
+        assert!(parse("\"\\ude00\"").is_err());
+        assert!(parse("\"\\ud83dx\"").is_err());
+        assert!(parse("\"\\ud83d\\u0041\"").is_err());
+        assert!(parse("\"\\ud83d\\ud83d\"").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let face = JsonValue::String("\u{1F600}".into());
+        assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap(), face);
+        assert_eq!(parse("\"\\uD83D\\uDE00\"").unwrap(), face);
+        assert_eq!(parse(&face.to_string()).unwrap(), face);
+        // The pair sits among other escapes and text.
+        assert_eq!(
+            parse("\"a\\ud83d\\ude00\\n\\udbff\\udfffz\"").unwrap(),
+            JsonValue::String("a\u{1F600}\n\u{10FFFF}z".into())
+        );
     }
 
     /// Every way the corpus disturbs a seed: each truncation, each
