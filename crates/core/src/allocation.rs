@@ -129,13 +129,25 @@ impl AllocationMap {
 
     /// As [`AllocationMap::access_histogram`], written into a caller-owned
     /// buffer (cleared first) so sweep loops allocate nothing per query.
+    /// Reads the table one run of the region at a time
+    /// ([`AllocationMap::for_each_disk_run`]).
     pub fn access_histogram_into(&self, region: &BucketRegion, out: &mut Vec<u64>) {
         out.clear();
         out.resize(self.m as usize, 0);
-        for bucket in region.iter() {
-            let id = self.space.linearize_unchecked(bucket.as_slice());
-            out[self.disks[id as usize] as usize] += 1;
-        }
+        self.for_each_disk_run(region, |disks| {
+            for &d in disks {
+                out[d as usize] += 1;
+            }
+        });
+    }
+
+    /// Calls `f` with the disks of `region`'s buckets, one contiguous
+    /// slice of the table per run along the last dimension
+    /// ([`BucketRegion::for_each_run`]), in row-major order.
+    pub(crate) fn for_each_disk_run(&self, region: &BucketRegion, mut f: impl FnMut(&[u32])) {
+        region.for_each_run(&self.space, |start, len| {
+            f(&self.disks[start as usize..(start + len) as usize]);
+        });
     }
 
     /// Static load statistics over the whole grid.

@@ -306,6 +306,25 @@ fn lane_histogram<T: Lane>(
     });
 }
 
+/// The sparse histogram over [`planned_chunks`]: `(disk, count)` for
+/// every lane with a nonzero count, in lane order, appended to `row`.
+#[inline(always)]
+fn lane_sparse<T: Lane>(
+    table: &[T],
+    lanes: usize,
+    plan: &CornerPlan,
+    key: PlacementKey,
+    row: &mut Vec<(u32, u64)>,
+) {
+    planned_chunks(table, lanes, plan, key, |start, width, counts| {
+        for (lane, &c) in counts[..width].iter().enumerate() {
+            if c != T::default() {
+                row.push(((start + lane) as u32, c.widen() as u64));
+            }
+        }
+    });
+}
+
 /// Scores one run of equal-shape placements with the run's plan: the
 /// batch loop, with [`lane_max`] inlined per placement.
 fn run_response_times<T: Lane>(
@@ -913,18 +932,24 @@ impl DiskCounts {
         self.planned_histogram(region, plan, out);
     }
 
-    /// As [`DiskCounts::access_histogram_with`], but resolving the plan
-    /// through a cross-query [`PlanCache`] instead of a scratch's single
-    /// slot — the serving-loop hot path, where arrivals interleave
-    /// different shapes.
-    pub fn access_histogram_cached(
+    /// `region`'s nonzero per-disk counts as `(disk, count)` pairs in
+    /// disk order, appended to `row`, with the plan resolved through a
+    /// cross-query [`PlanCache`] instead of a scratch's single slot —
+    /// the serving loop's plan table, where arrivals interleave
+    /// different shapes and a row keeps only the disks a region touches.
+    pub fn sparse_histogram_cached(
         &self,
         region: &BucketRegion,
         plans: &mut PlanCache,
-        out: &mut Vec<u64>,
+        row: &mut Vec<(u32, u64)>,
     ) {
         let plan = plans.ensure(self, region);
-        self.planned_histogram(region, plan, out);
+        let key = self.placement_key(region);
+        let lanes = self.m as usize;
+        match &self.table {
+            CountLane::U16(t) => lane_sparse(t, lanes, plan, key, row),
+            CountLane::U32(t) => lane_sparse(t, lanes, plan, key, row),
+        }
     }
 
     /// `region`'s per-disk counts through `plan` into `out`.
@@ -1211,6 +1236,14 @@ mod tests {
         assert_eq!(out, naive(&map1, &shifted));
     }
 
+    /// The nonzero entries of a dense histogram, as `(disk, count)`.
+    fn sparse(hist: &[u64]) -> Vec<(u32, u64)> {
+        (0u32..)
+            .zip(hist.iter().copied())
+            .filter(|&(_, c)| c > 0)
+            .collect()
+    }
+
     #[test]
     fn plan_cache_amortizes_interleaved_shapes() {
         // Two alternating shapes thrash the one-slot Scratch cache but
@@ -1223,8 +1256,9 @@ mod tests {
         for i in 0..10u32 {
             let (h, w) = if i % 2 == 0 { (2, 2) } else { (3, 5) };
             let r = BucketRegion::new(&g, [i, i].into(), [i + h - 1, i + w - 1].into()).unwrap();
-            dc.access_histogram_cached(&r, &mut plans, &mut out);
-            assert_eq!(out, map.access_histogram(&r));
+            out.clear();
+            dc.sparse_histogram_cached(&r, &mut plans, &mut out);
+            assert_eq!(out, sparse(&map.access_histogram(&r)));
         }
         assert_eq!(plans.len(), 2);
         assert_eq!(plans.drain_stats(), (8, 2), "one compile per live shape");
@@ -1232,7 +1266,7 @@ mod tests {
         plans.clear();
         assert!(plans.is_empty());
         let r = BucketRegion::new(&g, [0, 0].into(), [1, 1].into()).unwrap();
-        dc.access_histogram_cached(&r, &mut plans, &mut out);
+        dc.sparse_histogram_cached(&r, &mut plans, &mut out);
         assert_eq!(plans.drain_stats(), (0, 1));
     }
 
@@ -1245,16 +1279,16 @@ mod tests {
         let mut out = Vec::new();
         let shape = |w: u32| BucketRegion::new(&g, [0, 0].into(), [0, w].into()).unwrap();
         // Fill: shapes A, B. Touch A so B is the LRU victim.
-        dc.access_histogram_cached(&shape(1), &mut plans, &mut out);
-        dc.access_histogram_cached(&shape(2), &mut plans, &mut out);
-        dc.access_histogram_cached(&shape(1), &mut plans, &mut out);
+        dc.sparse_histogram_cached(&shape(1), &mut plans, &mut out);
+        dc.sparse_histogram_cached(&shape(2), &mut plans, &mut out);
+        dc.sparse_histogram_cached(&shape(1), &mut plans, &mut out);
         // C evicts B; A must still be cached.
-        dc.access_histogram_cached(&shape(3), &mut plans, &mut out);
+        dc.sparse_histogram_cached(&shape(3), &mut plans, &mut out);
         assert_eq!(plans.len(), 2);
         let _ = plans.drain_stats();
-        dc.access_histogram_cached(&shape(1), &mut plans, &mut out);
+        dc.sparse_histogram_cached(&shape(1), &mut plans, &mut out);
         assert_eq!(plans.drain_stats(), (1, 0), "A survived the eviction");
-        dc.access_histogram_cached(&shape(2), &mut plans, &mut out);
+        dc.sparse_histogram_cached(&shape(2), &mut plans, &mut out);
         assert_eq!(plans.drain_stats(), (0, 1), "B was evicted");
     }
 
@@ -1271,10 +1305,11 @@ mod tests {
         let r2 = BucketRegion::new(&g2, [1, 1].into(), [3, 3].into()).unwrap();
         let mut plans = PlanCache::new();
         let mut out = Vec::new();
-        dc1.access_histogram_cached(&r1, &mut plans, &mut out);
-        assert_eq!(out, map1.access_histogram(&r1));
-        dc2.access_histogram_cached(&r2, &mut plans, &mut out);
-        assert_eq!(out, map2.access_histogram(&r2));
+        dc1.sparse_histogram_cached(&r1, &mut plans, &mut out);
+        assert_eq!(out, sparse(&map1.access_histogram(&r1)));
+        out.clear();
+        dc2.sparse_histogram_cached(&r2, &mut plans, &mut out);
+        assert_eq!(out, sparse(&map2.access_histogram(&r2)));
         assert_eq!(plans.drain_stats(), (0, 2), "stride change must compile");
         assert_eq!(plans.len(), 2, "both grids' plans coexist");
     }

@@ -113,6 +113,44 @@ impl BucketRegion {
         }
     }
 
+    /// Calls `f(start, len)` once per contiguous run of the region's
+    /// buckets along the last dimension, in row-major order: the run
+    /// holds linear bucket ids `start..start + len` of `space`, and
+    /// `len` is the region's extent on the last dimension. The walk
+    /// advances one coordinate in place, so it clones no coordinate per
+    /// bucket, and it allocates nothing for regions of up to
+    /// [`crate::COORD_INLINE_DIMS`] dimensions.
+    ///
+    /// The caller guarantees the region lies in `space` (as every region
+    /// built from `space` does).
+    pub fn for_each_run(&self, space: &GridSpace, mut f: impl FnMut(u64, u64)) {
+        let (lo, hi) = (self.lo.as_slice(), self.hi.as_slice());
+        let strides = space.strides();
+        let last = lo.len() - 1;
+        let len = self.extent(last);
+        let mut start = space.linearize_unchecked(lo);
+        let mut coord = self.lo.clone();
+        loop {
+            f(start, len);
+            // Carry into the dimensions before the last.
+            let coords = coord.as_mut_slice();
+            let mut i = last;
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                if coords[i] < hi[i] {
+                    coords[i] += 1;
+                    start += strides[i];
+                    break;
+                }
+                start -= u64::from(coords[i] - lo[i]) * strides[i];
+                coords[i] = lo[i];
+            }
+        }
+    }
+
     /// Translates the region by `delta` (added per-dimension), staying
     /// inside `space`. Returns `None` if the translated region would leave
     /// the grid. Used by workload generators to place query shapes.
@@ -296,6 +334,31 @@ mod proptests {
         #[test]
         fn iter_count_matches_volume((_g, r) in region_in(6)) {
             prop_assert_eq!(r.iter().count() as u64, r.num_buckets());
+        }
+
+        /// The runs, each as long as the region's last extent and
+        /// expanded, are the linear ids of `iter()`'s buckets in the
+        /// same order, on grids of one to five dimensions.
+        #[test]
+        fn runs_expand_to_the_iterated_buckets(
+            bounds in prop::collection::vec((1u32..=5, 0u32..5, 0u32..5), 1..6),
+        ) {
+            let sides: Vec<u32> = bounds.iter().map(|b| b.0).collect();
+            let g = GridSpace::new(sides).unwrap();
+            let lo: Vec<u32> = bounds.iter().map(|&(s, a, b)| (a % s).min(b % s)).collect();
+            let hi: Vec<u32> = bounds.iter().map(|&(s, a, b)| (a % s).max(b % s)).collect();
+            let r = BucketRegion::new(&g, lo.into(), hi.into()).unwrap();
+            let last = r.extent(r.dims() - 1);
+            let mut walked = Vec::new();
+            r.for_each_run(&g, |start, len| {
+                assert_eq!(len, last);
+                walked.extend(start..start + len);
+            });
+            let iterated: Vec<u64> = r
+                .iter()
+                .map(|b| g.linearize(&b).unwrap())
+                .collect();
+            prop_assert_eq!(walked, iterated);
         }
 
         #[test]

@@ -88,6 +88,13 @@ impl GridSpace {
         self.total
     }
 
+    /// Row-major strides: `strides()[i]` is the product of the
+    /// partitions of every dimension after `i`.
+    #[inline]
+    pub(crate) fn strides(&self) -> &[u64] {
+        &self.strides
+    }
+
     /// Whether `coord` lies inside the grid (correct arity and all
     /// coordinates in range).
     pub fn contains(&self, coord: &BucketCoord) -> bool {

@@ -35,7 +35,9 @@
 //! function of the batch's query sequence alone, never of which worker
 //! (and thus which cache instance) happened to run the previous batch.
 //! The serving loops' cross-query corner-plan cache follows the same
-//! rule (`kernel.shape_cache_hits` / `kernel.shape_cache_misses`):
+//! rule (`kernel.shape_cache_hits` / `kernel.shape_cache_misses`, one
+//! probe per region the run's plan table counts through the kernel; a
+//! region of at most `2^k` buckets is walked and probes nothing):
 //! cleared at run start, drained at run end, so the counts are a pure
 //! function of the run's query sequence — identical at any thread
 //! count *and* identical whether the count kernel was built cold or

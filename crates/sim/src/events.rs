@@ -7,9 +7,10 @@
 //!   query) or an open stream of arrival times.
 //! * **Rows.** The run plans each query region once into a sparse table
 //!   of pre-costed [`PlanEntry`] rows held in the [`LoopScratch`]: count
-//!   rows from the kernel ([`DiskParams::batch_ms_counts`]), or position
-//!   rows from the directory's [`IoPlan`] ([`DiskParams::batch_ms`]) for
-//!   the rebuild's healthy baseline.
+//!   rows from [`decluster_methods::PlanCounts`]
+//!   ([`DiskParams::batch_ms_counts`]), or position rows from the
+//!   directory's [`IoPlan`] ([`DiskParams::batch_ms`]) for the rebuild's
+//!   healthy baseline.
 //! * **Router.** FCFS on the primary, or the fault router: a [`Pick`]
 //!   over per-disk routing keys, with retry/backoff and admission
 //!   control.
@@ -29,12 +30,19 @@
 //! [`PlanEntry`] per disk region `q` touches (at most `min(|Q|, M)`),
 //! with its page count and its batch service time, costed once. Every
 //! issue and retry walks only its row, in `O(touched disks)`, and adds
-//! the same floats to the disk queues as planning on issue would. A
-//! closed run issues each query once, in order, so its planning probes
-//! the shape cache exactly as planning at every issue did. The
+//! the same floats to the disk queues as planning on issue would.
+//!
+//! A row is filled from `(disk, pages)` pairs in disk order
+//! ([`decluster_methods::PlanCounts::sparse_counts_into`]). A region of
+//! at most `2^k` buckets is counted by walking its buckets in the
+//! allocation table, one run along the last dimension at a time, and
+//! sorting their disks; a larger one is counted by the kernel, its
+//! corner plan resolved through the run's [`PlanCache`]. A closed run
+//! issues each query once, in order, so its planning probes the shape
+//! cache exactly as planning at every issue did. The
 //! `kernel.shape_cache_hits`/`misses` counters count one probe per
-//! planned region. The shared-scan batcher plans nothing: it merges
-//! page lists at flush.
+//! kernel-planned region; a walked region probes nothing. The
+//! shared-scan batcher plans nothing: it merges page lists at flush.
 //!
 //! # Memory bounds
 //!
@@ -340,16 +348,17 @@ impl Queues {
 }
 
 /// Reusable per-run buffers of the serving loop: the cross-query
-/// [`PlanCache`] of compiled corner plans, the run's plan table, the
-/// FCFS queues, the latency vector, the event heap, the sampling window,
-/// the per-disk health, routing keys and replica targets of the fault
-/// router, and the shared-scan window. One instance per worker thread
-/// makes the loop allocation-free per event once the buffers have grown
-/// to the working-set size.
+/// [`PlanCache`] of compiled corner plans, the row being planned, the
+/// run's plan table, the FCFS queues, the latency vector, the event
+/// heap, the sampling window, the per-disk health, routing keys and
+/// replica targets of the fault router, and the shared-scan window.
+/// One instance per worker thread makes the loop allocation-free per
+/// event once the buffers have grown to the working-set size.
 #[derive(Debug, Default)]
 pub struct LoopScratch {
     plans: PlanCache,
-    hist: Vec<u64>,
+    /// The `(disk, pages)` pairs of the region being planned.
+    row: Vec<(u32, u64)>,
     io: IoPlan,
     /// Sparse plan table: row `q` is `plan[plan_rows[q]..plan_rows[q + 1]]`,
     /// one entry per disk query region `q` touches, in disk order.
@@ -760,10 +769,11 @@ impl MultiUserEngine {
     /// `i % queries.len()`, so the loop needs only the first
     /// `min(n, queries.len())` regions. Row `q` of `ls.plan` receives one
     /// entry per disk region `q` touches, and `ls.plan_pages[q]` the
-    /// region's total. Count rows go through the [`PlanCache`]-backed
-    /// kernel, one cache probe per planned region. The entry buffer is
-    /// sized once per run from `Σ min(|Q|, M)`; every buffer keeps its
-    /// capacity across runs.
+    /// region's total. Count rows come from the region's `(disk, pages)`
+    /// pairs: walked in the allocation table for a region of at most
+    /// `2^k` buckets, read from the kernel with one [`PlanCache`] probe
+    /// for a larger one. The entry buffer is sized once per run from
+    /// `Σ min(|Q|, M)`; every buffer keeps its capacity across runs.
     fn plan(
         &self,
         rows: Rows,
@@ -790,12 +800,12 @@ impl MultiUserEngine {
                 Rows::Counts => {
                     let pages = self
                         .counts
-                        .counts_into_cached(region, &mut ls.plans, &mut ls.hist);
-                    for (d, &count) in ls.hist.iter().enumerate().filter(|(_, &c)| c > 0) {
+                        .sparse_counts_into(region, &mut ls.plans, &mut ls.row);
+                    for &(disk, count) in &ls.row {
                         ls.plan.push(PlanEntry {
-                            disk: d as u32,
+                            disk,
                             pages: count as u32,
-                            service_ms: params.batch_ms_counts(count, self.loads[d]),
+                            service_ms: params.batch_ms_counts(count, self.loads[disk as usize]),
                         });
                     }
                     pages

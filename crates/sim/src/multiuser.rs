@@ -23,10 +23,11 @@
 //! # The counts fast path
 //!
 //! FCFS queueing needs only "how many pages must disk `d` fetch", which
-//! is exactly what the [`PlanCounts`] kernel answers in `O(M · 2^k)` per
-//! query. The [`MultiUserEngine`] caches that kernel per directory and
-//! runs every loop allocation-free through a caller-owned
-//! [`LoopScratch`]; batch service times come from
+//! is exactly what [`PlanCounts`] answers: by walking a region of at
+//! most `2^k` buckets in the allocation table, and through the kernel in
+//! `O(M · 2^k)` for a larger one. The [`MultiUserEngine`] caches both
+//! per directory and runs every loop allocation-free through a
+//! caller-owned [`LoopScratch`]; batch service times come from
 //! [`DiskParams::batch_ms_counts`]. Consumers that need page positions
 //! (the shared-scan merge, the rebuild baseline) read the engine's
 //! [`GridDirectory`] instead.
@@ -150,8 +151,9 @@ pub(crate) fn assemble_report(
 /// static load vector, and the directory itself (the shared-scan merge
 /// and the position model read page lists). Build once per directory
 /// (the kernel build walks the grid once), then run any number of
-/// [`ServeSpec`]s against it — each query costs `O(M · 2^k)` kernel
-/// lookups once per run and zero heap allocations per event.
+/// [`ServeSpec`]s against it — each query region is counted once per
+/// run, in `O(M · 2^k)` kernel lookups or a walk of at most `2^k`
+/// buckets, and each event makes zero heap allocations.
 ///
 /// The engine is immutable and `Sync`: parallel sweeps share one engine
 /// per method across worker threads, each worker carrying its own

@@ -1,9 +1,11 @@
 //! Proof of the multi-user engine's allocation-free hot path: a counting
 //! global allocator observes zero heap allocations across an entire
 //! closed-loop, event-driven serve, degraded (primary-only and
-//! queue-aware), and shared-scan run (mid-run sampling and the per-run
-//! plan table included) once the caller-owned `LoopScratch` has been
-//! warmed. Lives at the workspace root because the library crates
+//! queue-aware), and shared-scan run, and an open run over a 4-D pool
+//! of 1- to 16-bucket regions whose plan rows are walked in the
+//! allocation table rather than read from the kernel (mid-run sampling
+//! and the per-run plan table included), once the caller-owned
+//! `LoopScratch` has been warmed. Lives at the workspace root because the library crates
 //! `forbid(unsafe_code)` and a `GlobalAlloc` impl is necessarily unsafe.
 //!
 //! The file holds exactly one test: the counter is process-wide, and a
@@ -63,6 +65,22 @@ fn query_stream(space: &GridSpace, n: usize) -> Vec<BucketRegion> {
                 BucketCoord::from([r + h - 1, c + w - 1]),
             )
             .unwrap()
+        })
+        .collect()
+}
+
+/// Regions of 1 to 16 buckets on a 4-D grid (each side 1 or 2, shape
+/// `i mod 16`), tiled without an RNG: all at most `2^4` buckets, so the
+/// serving loop walks every one.
+fn small_4d_stream(space: &GridSpace, n: usize) -> Vec<BucketRegion> {
+    (0..n)
+        .map(|i| {
+            let ext: Vec<u32> = (0..4).map(|d| 1 + (i >> d & 1) as u32).collect();
+            let lo: Vec<u32> = (0..4)
+                .map(|d| (i as u32 * (3 + 2 * d as u32)) % (space.dim(d) - ext[d] + 1))
+                .collect();
+            let hi: Vec<u32> = lo.iter().zip(&ext).map(|(&l, &e)| l + e - 1).collect();
+            BucketRegion::new(space, BucketCoord::from(lo), BucketCoord::from(hi)).unwrap()
         })
         .collect()
 }
@@ -130,6 +148,19 @@ fn warmed_loops_make_zero_heap_allocations() {
         .replicas(1)
         .policy(ReplicaPolicy::Spread);
 
+    // An open run over a 4-D grid, shaped like the benchmark's open
+    // load: every pool region has at most 16 buckets, so every plan row
+    // is walked in the allocation table.
+    let space4 = GridSpace::new(vec![8; 4]).unwrap();
+    let m4 = 16;
+    let hcam4 = Hcam::new(&space4, m4).unwrap();
+    let dir4 = GridDirectory::build(space4.clone(), m4, |b| hcam4.disk_of(b.as_slice()));
+    let engine4 = MultiUserEngine::new(&dir4);
+    let small = small_4d_stream(&space4, 160);
+    assert!(small.iter().all(|r| r.num_buckets() <= 16));
+    assert!(small.iter().any(|r| r.num_buckets() == 16));
+    let small_arrivals: Vec<f64> = (0..small.len() * 4).map(|i| i as f64 * 0.25).collect();
+
     // Warm-up: grows every LoopScratch buffer (the plan table included)
     // to the working-set size and compiles the kernel's per-shape corner
     // plans.
@@ -151,6 +182,9 @@ fn warmed_loops_make_zero_heap_allocations() {
     let warm_shared = shared_spec
         .run_with_arrivals(&engine, &params, &queries, &burst, &obs, &mut ls)
         .expect("the shared spec is valid");
+    let warm_walked = serve_spec
+        .run_with_arrivals(&engine4, &params, &small, &small_arrivals, &obs, &mut ls)
+        .expect("the serve spec is valid");
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let closed = closed_spec
@@ -169,11 +203,14 @@ fn warmed_loops_make_zero_heap_allocations() {
     let shared = shared_spec
         .run_with_arrivals(&engine, &params, &queries, &burst, &obs, &mut ls)
         .expect("the shared spec is valid");
+    let walked = serve_spec
+        .run_with_arrivals(&engine4, &params, &small, &small_arrivals, &obs, &mut ls)
+        .expect("the serve spec is valid");
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(
         during, 0,
-        "warmed closed+serve+degraded+nearest+shared loops must not touch the heap ({during} allocations observed)"
+        "warmed closed+serve+degraded+nearest+shared+walked loops must not touch the heap ({during} allocations observed)"
     );
     // The measured runs are the warm-up runs, bit for bit.
     assert_eq!(
@@ -242,4 +279,16 @@ fn warmed_loops_make_zero_heap_allocations() {
     assert_eq!(shared.events, warm_shared.events);
     assert_eq!(shared.pages, warm_shared.pages);
     assert_eq!(sharing, warm_sharing);
+    // The walked open run repeats bit for bit.
+    assert_eq!(
+        walked.report.makespan_ms.to_bits(),
+        warm_walked.report.makespan_ms.to_bits()
+    );
+    assert_eq!(walked.events, warm_walked.events);
+    assert_eq!(walked.pages, warm_walked.pages);
+    assert_eq!(
+        walked.pages,
+        small_arrivals.len() as u64 / small.len() as u64
+            * small.iter().map(BucketRegion::num_buckets).sum::<u64>()
+    );
 }

@@ -4,9 +4,10 @@
 //! cache.
 //!
 //! * Open arrivals, plain and through the fault router under a healthy
-//!   schedule: the reference walks the arrivals in order, plans each
-//!   one from scratch with the uncached `PlanCounts::counts_into`, and
-//!   fans it out FCFS over per-disk queues.
+//!   schedule: the reference walks the arrivals in order, takes each
+//!   one's per-disk page counts from the group lengths of its
+//!   `GridDirectory::io_plan_into` plan (no kernel and no table walk),
+//!   and fans it out FCFS over per-disk queues.
 //! * Closed clients, plain and through the fault router: the reference
 //!   tracks each client's ready time, hands the next query to the
 //!   earliest-ready client (ties broken by issue order), and plans and
@@ -18,14 +19,16 @@
 //!   bucket by bucket, and costs each disk's merged count FCFS at the
 //!   flush.
 //!
-//! Cases cover small random grids and allocations, query pools shorter
-//! and longer than the arrival stream, pools with more distinct shapes
-//! than the `PlanCache` holds, pools of 1-bucket regions (one-entry plan
-//! rows), pools led by the whole grid (an entry for every disk), tied
-//! arrival times, and sampling on and off.
+//! Cases cover small random 2-D to 4-D grids and allocations, so pools
+//! hold regions the serving loop walks (at most `2^k` buckets) and
+//! regions it counts through the kernel; query pools shorter and longer
+//! than the arrival stream, pools with more distinct shapes than the
+//! `PlanCache` holds, pools of 1-bucket regions (one-entry plan rows),
+//! pools led by the whole grid (an entry for every disk), tied arrival
+//! times, and sampling on and off.
 
-use decluster::grid::{BucketRegion, DiskId, GridDirectory, GridSpace};
-use decluster::methods::{splitmix64, PlanCache, PlanCounts, Scratch};
+use decluster::grid::{BucketRegion, DiskId, GridDirectory, GridSpace, IoPlan};
+use decluster::methods::{splitmix64, PlanCache};
 use decluster::obs::{MetricsRecorder, Obs};
 use decluster::sim::workload::random_region;
 use decluster::sim::{
@@ -102,28 +105,40 @@ fn fcfs(d: usize, at: f64, service: f64, free_at: &mut [f64], busy: &mut [f64]) 
     start + service
 }
 
-/// Plans `region` from scratch and queues one batch per touched disk at
-/// `at`; returns the query's pages and its completion.
+/// Plans `region` from scratch through the directory's page lists and
+/// queues one batch per touched disk at `at`; returns the query's pages
+/// and its completion.
 #[allow(clippy::too_many_arguments)]
 fn plan_and_fan_out(
-    counts: &PlanCounts,
+    dir: &GridDirectory,
     loads: &[u64],
     params: &DiskParams,
     region: &BucketRegion,
     at: f64,
-    hist: &mut Vec<u64>,
+    plan: &mut IoPlan,
     free_at: &mut [f64],
     busy: &mut [f64],
 ) -> (u64, f64) {
-    let pages = counts.counts_into(region, &mut Scratch::new(), hist);
+    dir.io_plan_into(region, plan);
     let mut done = at;
-    for (d, &count) in hist.iter().enumerate() {
+    for (d, pages) in plan.iter().enumerate() {
+        let count = pages.len() as u64;
         if count > 0 {
             let service = params.batch_ms_counts(count, loads[d]);
             done = done.max(fcfs(d, at, service, free_at, busy));
         }
     }
-    (pages, done)
+    (plan.total_pages() as u64, done)
+}
+
+/// How many of `planned` the serving loop counts through the kernel,
+/// and so probes the shape cache for: those of more than `2^k` buckets.
+/// Smaller regions are walked in the allocation table.
+fn kernel_planned(planned: &[BucketRegion]) -> u64 {
+    planned
+        .iter()
+        .filter(|r| r.num_buckets() > 1 << r.dims())
+        .count() as u64
 }
 
 /// Serves `arrivals[i]` with `pool[i % pool.len()]`, one arrival at a
@@ -136,22 +151,21 @@ fn reference_serve(
     pool: &[BucketRegion],
     arrivals: &[f64],
 ) -> Reference {
-    let counts = PlanCounts::build(dir);
     let loads = dir.load_vector();
     let m = loads.len();
-    let mut hist = Vec::new();
+    let mut plan = IoPlan::new();
     let (mut free_at, mut busy) = (vec![0.0f64; m], vec![0.0f64; m]);
     let mut latencies = Vec::with_capacity(arrivals.len());
     let (mut makespan, mut pages) = (0.0f64, 0u64);
     for (i, &at) in arrivals.iter().enumerate() {
         let region = &pool[i % pool.len()];
         let (p, done) = plan_and_fan_out(
-            &counts,
+            dir,
             &loads,
             params,
             region,
             at,
-            &mut hist,
+            &mut plan,
             &mut free_at,
             &mut busy,
         );
@@ -175,10 +189,9 @@ fn reference_closed(
     pool: &[BucketRegion],
     clients: usize,
 ) -> Reference {
-    let counts = PlanCounts::build(dir);
     let loads = dir.load_vector();
     let m = loads.len();
-    let mut hist = Vec::new();
+    let mut plan = IoPlan::new();
     let (mut free_at, mut busy) = (vec![0.0f64; m], vec![0.0f64; m]);
     // (ready time, tie key) per client.
     let mut ready: Vec<(f64, usize)> = (0..clients).map(|k| (0.0, k)).collect();
@@ -194,12 +207,12 @@ fn reference_closed(
             .expect("at least one client");
         let at = ready[slot].0;
         let (p, done) = plan_and_fan_out(
-            &counts,
+            dir,
             &loads,
             params,
             region,
             at,
-            &mut hist,
+            &mut plan,
             &mut free_at,
             &mut busy,
         );
@@ -384,7 +397,7 @@ enum Pool {
 
 #[derive(Clone, Debug)]
 struct Case {
-    /// Grid side per dimension (2-D or 3-D).
+    /// Grid side per dimension (2-D to 4-D).
     sides: Vec<u32>,
     disks: u32,
     /// Seed of the random bucket-to-disk allocation.
@@ -402,6 +415,13 @@ fn case() -> impl Strategy<Value = Case> {
         // Small 2-D and 3-D grids with random extents.
         (
             prop::collection::vec(2u32..=9, 2..4),
+            Just(Pool::Random),
+            1usize..=40
+        ),
+        // Small 4-D grids: regions of 1 to 16 buckets are walked, and
+        // larger ones go through the kernel.
+        (
+            prop::collection::vec(2u32..=4, 4..5),
             Just(Pool::Random),
             1usize..=40
         ),
@@ -490,11 +510,12 @@ fn build(case: &Case) -> (GridDirectory, Vec<BucketRegion>) {
 }
 
 /// Deterministic pin of the plan-cache thrash regime: 40 distinct
-/// shapes cycled round-robin overflow the 32-slot `PlanCache` on every
-/// probe, over a stream 20 times longer than the pool. The serve still
-/// matches the reference, and the shape-cache counters count one probe
-/// per planned region — here all misses, since an LRU cache never hits
-/// a cycle longer than itself.
+/// shapes of 6 to 60 buckets, so every region goes through the kernel,
+/// cycled round-robin overflow the 32-slot `PlanCache` on every probe,
+/// over a stream 20 times longer than the pool. The serve still matches
+/// the reference, and the shape-cache counters count one probe per
+/// planned region — here all misses, since an LRU cache never hits a
+/// cycle longer than itself.
 #[test]
 fn plan_cache_thrash_matches_reference() {
     let space = GridSpace::new_2d(32, 32).unwrap();
@@ -507,7 +528,7 @@ fn plan_cache_thrash_matches_reference() {
     let mut rng = StdRng::seed_from_u64(11);
     let pool: Vec<BucketRegion> = (0..200)
         .map(|i| {
-            let shape = [1 + (i / 8) as u32 % 5, 1 + i as u32 % 8];
+            let shape = [2 + (i / 8) as u32 % 5, 3 + i as u32 % 8];
             random_region(&mut rng, &space, &shape).unwrap()
         })
         .collect();
@@ -520,6 +541,7 @@ fn plan_cache_thrash_matches_reference() {
     ] {
         let (run, cache) = serve(&spec, &engine, &pool, Some(&arrivals));
         assert_matches(&run, &want, "thrash");
+        assert_eq!(kernel_planned(&pool), 200);
         assert_eq!(cache, (0, 200), "one miss per planned region");
     }
 }
@@ -596,8 +618,9 @@ proptest! {
             assert_eq!(run.report.queries, arrivals.len(), "{path}: queries");
             assert_matches(&run, &want, &format!("{path} {case:?}"));
             // The plan table probes the shape cache once per region the
-            // run issues.
-            prop_assert_eq!(hits + misses, pool.len().min(arrivals.len()) as u64);
+            // run issues and counts through the kernel.
+            let planned = &pool[..pool.len().min(arrivals.len())];
+            prop_assert_eq!(hits + misses, kernel_planned(planned));
         }
     }
 
@@ -621,8 +644,10 @@ proptest! {
                 prop_assert_eq!(run.report.queries, pool.len(), "{}", tag);
                 assert_matches(&run, &want, &tag);
                 prop_assert_eq!(run.peak_in_flight, clients.min(pool.len()));
-                // A closed run plans each query once, in issue order.
-                prop_assert_eq!(hits + misses, pool.len() as u64);
+                // A closed run plans each query once, in issue order,
+                // and probes the shape cache for those of more than 2^k
+                // buckets.
+                prop_assert_eq!(hits + misses, kernel_planned(&pool));
             }
         }
     }
