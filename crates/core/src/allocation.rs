@@ -130,7 +130,7 @@ impl AllocationMap {
     /// As [`AllocationMap::access_histogram`], written into a caller-owned
     /// buffer (cleared first) so sweep loops allocate nothing per query.
     /// Reads the table one run of the region at a time
-    /// ([`AllocationMap::for_each_disk_run`]).
+    /// (`AllocationMap::for_each_disk_run`).
     pub fn access_histogram_into(&self, region: &BucketRegion, out: &mut Vec<u64>) {
         out.clear();
         out.resize(self.m as usize, 0);

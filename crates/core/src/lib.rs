@@ -72,7 +72,9 @@ pub use hash::{splitmix64, splitmix64_unit};
 pub use hcam::Hcam;
 pub use persist::KernelCache;
 pub use plan::{PlanCounts, ShareAttribution, SharedScan};
-pub use prefix::{kernel_build_count, CornerPlan, DiskCounts, PlanCache, ScoreBatch, Scratch};
+pub use prefix::{
+    kernel_build_count, CornerPlan, DiskCounts, PlanCache, ScoreBatch, Scratch, ShapeRun,
+};
 pub use registry::{MethodKind, MethodRegistry};
 pub use replication::ChainedDecluster;
 pub use sfc::{CurveAlloc, CurveKind};

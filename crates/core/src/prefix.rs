@@ -1,5 +1,5 @@
 use crate::{AllocationMap, DeclusteringMethod, MethodError, Result};
-use decluster_grid::BucketRegion;
+use decluster_grid::{BucketCoord, BucketRegion, GridSpace, COORD_INLINE_DIMS};
 use smallvec::SmallVec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -373,15 +373,50 @@ pub struct CornerPlan {
     corners: SmallVec<[PlanCorner; 16]>,
 }
 
+/// A query shape's per-dimension extents as a plan reads them: a
+/// region's, or the one shape of a corner batch
+/// ([`Scratch::shape_batch`]).
+trait Shape {
+    fn arity(&self) -> usize;
+    fn side(&self, dim: usize) -> u64;
+}
+
+impl Shape for BucketRegion {
+    #[inline]
+    fn arity(&self) -> usize {
+        self.dims()
+    }
+    #[inline]
+    fn side(&self, dim: usize) -> u64 {
+        self.extent(dim)
+    }
+}
+
+impl Shape for [u32] {
+    #[inline]
+    fn arity(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn side(&self, dim: usize) -> u64 {
+        u64::from(self[dim])
+    }
+}
+
 impl CornerPlan {
     /// Whether this plan answers `region` on `kernel`: same grid layout
     /// and same per-dimension extents. Placement (the `lo` corner) is
     /// free — that is the point of the plan.
     pub fn matches(&self, kernel: &DiskCounts, region: &BucketRegion) -> bool {
+        self.fits(kernel, region)
+    }
+
+    /// [`CornerPlan::matches`] for any [`Shape`].
+    fn fits<S: Shape + ?Sized>(&self, kernel: &DiskCounts, shape: &S) -> bool {
         let k = self.extents.len();
-        region.dims() == k
+        shape.arity() == k
             && kernel.strides.as_slice() == self.strides.as_slice()
-            && (0..k).all(|d| region.extent(d) == u64::from(self.extents[d]))
+            && (0..k).all(|d| shape.side(d) == u64::from(self.extents[d]))
     }
 
     /// Corners the plan holds (`2^k`).
@@ -392,7 +427,8 @@ impl CornerPlan {
 
 /// Reusable scoring state for the `*_with` kernel entry points: a cached
 /// [`CornerPlan`] with hit/compile counts, the naive walk's per-disk
-/// accumulator, and the placement keys of the current [`ScoreBatch`].
+/// accumulator, the `lo` corners of a one-shape batch, and the placement
+/// keys of the current [`ScoreBatch`].
 ///
 /// Keep one per worker thread and thread it through the scoring loop;
 /// a `Scratch` may be re-used freely across queries, methods, and even
@@ -407,8 +443,34 @@ pub struct Scratch {
     plan: Option<CornerPlan>,
     plan_hits: u64,
     plan_compiles: u64,
+    /// `lo` corners of a one-shape batch, `k` coordinates per placement
+    /// ([`Scratch::corners_mut`]).
+    corners: Vec<u32>,
     /// Placement keys of the batch being scored.
     keys: BatchKeys,
+}
+
+/// Where a [`ScoreBatch`] reads its placements.
+#[derive(Clone, Copy, Debug)]
+enum Placements<'a> {
+    /// One region per placement; shapes may vary.
+    Regions(&'a [BucketRegion]),
+    /// Placements of one shape with these per-dimension extents, whose
+    /// `lo` corners sit in the scratch's corner buffer.
+    Corners(&'a [u32]),
+}
+
+/// A maximal run of consecutive equal-shape placements of a
+/// [`ScoreBatch`]: every placement of it covers the same buckets and
+/// reads the same corner plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShapeRun {
+    /// Dimensions of the shape.
+    pub arity: usize,
+    /// Buckets one placement covers (the product of its extents).
+    pub buckets: u64,
+    /// Placements in the run.
+    pub len: usize,
 }
 
 /// The placement keys of one [`ScoreBatch`], computed by the first
@@ -419,70 +481,169 @@ struct BatchKeys {
     /// Row strides the keys were computed against; `None` until a
     /// kernel of the current batch computes them.
     strides: Option<SmallVec<[usize; 8]>>,
-    /// One key per region of the batch, in order.
+    /// One key per placement of the batch, in order.
     placements: Vec<PlacementKey>,
     /// Exclusive end of each maximal run of consecutive equal-shape
-    /// regions: each run resolves its corner plan once.
+    /// placements: each run resolves its corner plan once.
     run_ends: Vec<usize>,
 }
 
 impl BatchKeys {
-    /// Makes the keys those of `regions` on `kernel`'s grid, recomputing
-    /// unless they already are.
-    fn ensure(&mut self, kernel: &DiskCounts, regions: &[BucketRegion]) {
+    /// Makes the keys those of `placements` on `kernel`'s grid
+    /// (`corners` is the scratch's corner buffer), recomputing unless
+    /// they already are.
+    fn ensure(&mut self, kernel: &DiskCounts, placements: Placements<'_>, corners: &[u32]) {
         if self.strides.as_deref() == Some(kernel.strides.as_slice()) {
             return;
         }
         self.placements.clear();
-        self.placements
-            .extend(regions.iter().map(|r| kernel.placement_key(r)));
         self.run_ends.clear();
-        for (i, pair) in regions.windows(2).enumerate() {
-            let (a, b) = (&pair[0], &pair[1]);
-            if a.dims() != b.dims() || (0..a.dims()).any(|d| a.extent(d) != b.extent(d)) {
-                self.run_ends.push(i + 1);
+        match placements {
+            Placements::Regions(regions) => {
+                self.placements
+                    .extend(regions.iter().map(|r| kernel.placement_key(r)));
+                let mut end = 0;
+                for run in regions.chunk_by(BucketRegion::same_shape) {
+                    end += run.len();
+                    self.run_ends.push(end);
+                }
             }
-        }
-        if !regions.is_empty() {
-            self.run_ends.push(regions.len());
+            Placements::Corners(extents) => {
+                let room = kernel.room_for(extents);
+                for lo in corners.chunks_exact(extents.len()) {
+                    assert!(
+                        lo.iter().zip(&room).all(|(&l, &r)| l <= r),
+                        "corner {lo:?} places a {extents:?} box off the grid"
+                    );
+                    self.placements.push(kernel.corner_key(lo));
+                }
+                if !self.placements.is_empty() {
+                    self.run_ends.push(self.placements.len());
+                }
+            }
         }
         self.strides = Some(SmallVec::from_slice(&kernel.strides));
     }
 }
 
-/// One batch of regions scored through a [`Scratch`] on any number of
-/// kernels over one grid: the sweep engine's hot path.
+/// One batch of placements scored through a [`Scratch`] on any number
+/// of kernels over one grid: the sweep engine's hot path.
 ///
-/// The first kernel computes each region's placement key (its base row
-/// and edge mask) into the scratch; every later kernel of the batch
-/// reads the same keys, revalidated against its strides the way plans
-/// are. The plan is resolved once per run of equal shapes, and the plan
-/// counters move exactly as a per-query
-/// [`DiskCounts::response_time_with`] loop over the same kernels would
-/// move them. Borrowing the scratch and the regions for the batch's
-/// lifetime is what ties the cached keys to these regions.
+/// A batch has one of two sources. [`Scratch::batch`] scores a slice of
+/// regions, whose shapes may vary; [`Scratch::shape_batch`] scores the
+/// placements of one shape from the flat `lo` corners in the scratch's
+/// corner buffer, with no region built. The first kernel computes each
+/// placement's key (its base row and edge mask) into the scratch; every
+/// later kernel of the batch reads the same keys, revalidated against
+/// its strides the way plans are. The plan is resolved once per run of
+/// equal shapes (a corner batch is one run), and the plan counters move
+/// exactly as a per-query [`DiskCounts::response_time_with`] loop over
+/// the same kernels and regions would move them. Borrowing the scratch
+/// (and the regions) for the batch's lifetime is what ties the cached
+/// keys to these placements.
 #[derive(Debug)]
 pub struct ScoreBatch<'a> {
     scratch: &'a mut Scratch,
-    regions: &'a [BucketRegion],
+    placements: Placements<'a>,
 }
 
 impl ScoreBatch<'_> {
-    /// Writes the response time of every region of the batch on
-    /// `kernel` into `out`, in region order. Each equals
-    /// [`DiskCounts::response_time_with`] (property-tested).
+    /// Placements in the batch.
+    pub fn len(&self) -> usize {
+        match self.placements {
+            Placements::Regions(regions) => regions.len(),
+            Placements::Corners(extents) => self.scratch.corners.len() / extents.len(),
+        }
+    }
+
+    /// Whether the batch holds no placement.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The batch's maximal runs of consecutive equal-shape placements, in
+    /// batch order: one run for a corner batch (none when it is empty).
+    pub fn shape_runs(&self) -> impl Iterator<Item = ShapeRun> + '_ {
+        let (regions, corner_run) = match self.placements {
+            Placements::Regions(regions) => (regions, None),
+            Placements::Corners(extents) => {
+                let run = ShapeRun {
+                    arity: extents.len(),
+                    buckets: extents.iter().map(|&e| u64::from(e)).product(),
+                    len: self.len(),
+                };
+                (&[][..], (run.len > 0).then_some(run))
+            }
+        };
+        regions
+            .chunk_by(BucketRegion::same_shape)
+            .map(|run| ShapeRun {
+                arity: run[0].dims(),
+                buckets: run[0].num_buckets(),
+                len: run.len(),
+            })
+            .chain(corner_run)
+    }
+
+    /// Writes the response time of every placement of the batch on
+    /// `kernel` into `out`, in batch order. Each equals
+    /// [`DiskCounts::response_time_with`] on the placement's region
+    /// (property-tested).
     ///
     /// # Panics
-    /// Panics if `out` and the batch differ in length, or if a region's
-    /// arity does not match the grid.
+    /// Panics if `out` and the batch differ in length, if the shape's
+    /// arity does not match the grid, or if a corner places the shape
+    /// off the grid.
     pub fn response_times(&mut self, kernel: &DiskCounts, out: &mut [u64]) {
-        assert_eq!(
-            out.len(),
-            self.regions.len(),
-            "one response time per region"
-        );
-        kernel.batch_response_times(self.regions, self.scratch, out);
+        assert_eq!(out.len(), self.len(), "one response time per placement");
+        kernel.batch_response_times(self.placements, self.scratch, out);
     }
+
+    /// Writes every placement's response time under `map` into `out`, in
+    /// batch order, by the naive per-bucket walk
+    /// ([`AllocationMap::response_time_with`]): the fallback for an
+    /// allocation whose kernel could not be built. Plan slot and keys
+    /// are left alone.
+    ///
+    /// # Panics
+    /// As [`ScoreBatch::response_times`].
+    pub fn naive_response_times(&mut self, map: &AllocationMap, out: &mut [u64]) {
+        assert_eq!(out.len(), self.len(), "one response time per placement");
+        match self.placements {
+            Placements::Regions(regions) => {
+                for (rt, region) in out.iter_mut().zip(regions) {
+                    *rt = map.response_time_with(region, self.scratch);
+                }
+            }
+            Placements::Corners(extents) => {
+                // The walk borrows the scratch's accumulator, so the
+                // corners step out of the scratch for the loop.
+                let corners = std::mem::take(&mut self.scratch.corners);
+                for (rt, lo) in out.iter_mut().zip(corners.chunks_exact(extents.len())) {
+                    let region = corner_region(map.space(), lo, extents);
+                    *rt = map.response_time_with(&region, self.scratch);
+                }
+                self.scratch.corners = corners;
+            }
+        }
+    }
+}
+
+/// The region of the `extents` box whose `lo` corner is `lo`.
+///
+/// # Panics
+/// Panics if the box does not fit `space`.
+fn corner_region(space: &GridSpace, lo: &[u32], extents: &[u32]) -> BucketRegion {
+    let mut hi = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
+    for (&l, &e) in lo.iter().zip(extents) {
+        hi.push(l.saturating_add(e.saturating_sub(1)));
+    }
+    BucketRegion::new(
+        space,
+        BucketCoord::new(SmallVec::from_slice(lo)),
+        BucketCoord::new(hi),
+    )
+    .unwrap_or_else(|e| panic!("corner {lo:?} places a {extents:?} box off the grid: {e}"))
 }
 
 impl Scratch {
@@ -498,7 +659,44 @@ impl Scratch {
         self.keys.strides = None;
         ScoreBatch {
             scratch: self,
-            regions,
+            placements: Placements::Regions(regions),
+        }
+    }
+
+    /// The corner buffer of the next [`Scratch::shape_batch`], emptied:
+    /// push each placement's `lo` corner, one coordinate per dimension,
+    /// placement after placement.
+    pub fn corners_mut(&mut self) -> &mut Vec<u32> {
+        self.corners.clear();
+        &mut self.corners
+    }
+
+    /// Starts scoring, as one [`ScoreBatch`], the placements of the box
+    /// with per-dimension `extents` whose `lo` corners the corner buffer
+    /// holds ([`Scratch::corners_mut`]). The batch is one shape run with
+    /// one corner plan, and its keys come straight from the corners; it
+    /// scores exactly as [`Scratch::batch`] over the same placements'
+    /// regions would (property-tested). Keys cached by an earlier batch
+    /// are dropped; the plan slot and its counters carry over.
+    ///
+    /// # Panics
+    /// Panics if `extents` is empty or holds a zero, or if the buffer
+    /// does not hold a whole number of corners.
+    pub fn shape_batch<'a>(&'a mut self, extents: &'a [u32]) -> ScoreBatch<'a> {
+        assert!(
+            !extents.is_empty() && !extents.contains(&0),
+            "a corner batch needs a box shape, not {extents:?}"
+        );
+        assert_eq!(
+            self.corners.len() % extents.len(),
+            0,
+            "the corner buffer holds whole {}-D corners",
+            extents.len()
+        );
+        self.keys.strides = None;
+        ScoreBatch {
+            scratch: self,
+            placements: Placements::Corners(extents),
         }
     }
 
@@ -806,11 +1004,16 @@ impl DiskCounts {
     /// # Panics
     /// Panics if the region's arity does not match the grid.
     pub fn compile_plan(&self, region: &BucketRegion) -> CornerPlan {
+        self.compile(region)
+    }
+
+    /// [`DiskCounts::compile_plan`] for any [`Shape`].
+    fn compile<S: Shape + ?Sized>(&self, shape: &S) -> CornerPlan {
         let k = self.dims.len();
-        assert_eq!(region.dims(), k, "region arity does not match grid");
+        assert_eq!(shape.arity(), k, "region arity does not match grid");
         let mut extents: SmallVec<[u32; 8]> = SmallVec::new();
         for dim in 0..k {
-            extents.push(region.extent(dim) as u32);
+            extents.push(shape.side(dim) as u32);
         }
         let mut corners: SmallVec<[PlanCorner; 16]> = SmallVec::new();
         for mask in 0u32..(1u32 << k) {
@@ -841,7 +1044,12 @@ impl DiskCounts {
     /// `region`'s [`PlacementKey`] on this kernel's grid.
     #[inline]
     fn placement_key(&self, region: &BucketRegion) -> PlacementKey {
-        let lo = region.lo().as_slice();
+        self.corner_key(region.lo().as_slice())
+    }
+
+    /// The [`PlacementKey`] of the placement whose `lo` corner is `lo`.
+    #[inline]
+    fn corner_key(&self, lo: &[u32]) -> PlacementKey {
         let mut key = PlacementKey::default();
         for (dim, &stride) in self.strides.iter().enumerate() {
             let l = lo[dim] as usize;
@@ -853,14 +1061,34 @@ impl DiskCounts {
         key
     }
 
-    /// Ensures `scratch` caches a plan valid for `region` on this
-    /// kernel, counting the hit or the recompilation.
-    fn ensure_plan(&self, region: &BucketRegion, scratch: &mut Scratch) {
+    /// The largest `lo` coordinate, per dimension, at which a box of
+    /// `extents` still fits this kernel's grid.
+    ///
+    /// # Panics
+    /// Panics if the arity differs from the grid's or an extent exceeds
+    /// its side.
+    fn room_for(&self, extents: &[u32]) -> SmallVec<[u32; 8]> {
+        assert_eq!(
+            extents.len(),
+            self.dims.len(),
+            "region arity does not match grid"
+        );
+        let mut room = SmallVec::new();
+        for (&e, &d) in extents.iter().zip(&self.dims) {
+            assert!(e <= d, "a {extents:?} box does not fit the grid");
+            room.push(d - e);
+        }
+        room
+    }
+
+    /// Ensures `scratch` caches a plan valid for `shape` on this kernel,
+    /// counting the hit or the recompilation.
+    fn ensure_plan<S: Shape + ?Sized>(&self, shape: &S, scratch: &mut Scratch) {
         match &scratch.plan {
-            Some(p) if p.matches(self, region) => scratch.plan_hits += 1,
+            Some(p) if p.fits(self, shape) => scratch.plan_hits += 1,
             _ => {
                 scratch.plan_compiles += 1;
-                scratch.plan = Some(self.compile_plan(region));
+                scratch.plan = Some(self.compile(shape));
             }
         }
     }
@@ -886,18 +1114,21 @@ impl DiskCounts {
     /// equal shapes, then the lane routine per placement.
     fn batch_response_times(
         &self,
-        regions: &[BucketRegion],
+        placements: Placements<'_>,
         scratch: &mut Scratch,
         out: &mut [u64],
     ) {
-        scratch.keys.ensure(self, regions);
+        scratch.keys.ensure(self, placements, &scratch.corners);
         let lanes = self.m as usize;
         let mut start = 0;
         for run in 0..scratch.keys.run_ends.len() {
             let end = scratch.keys.run_ends[run];
-            // The run's first region hits or compiles exactly as the
+            // The run's first placement hits or compiles exactly as the
             // per-query path would; the rest share its shape, so hit.
-            self.ensure_plan(&regions[start], scratch);
+            match placements {
+                Placements::Regions(regions) => self.ensure_plan(&regions[start], scratch),
+                Placements::Corners(extents) => self.ensure_plan(extents, scratch),
+            }
             scratch.plan_hits += (end - start - 1) as u64;
             let plan = scratch.plan.as_ref().expect("plan just ensured");
             let keys = &scratch.keys.placements[start..end];
@@ -1758,6 +1989,113 @@ mod proptests {
                     prop_assert_eq!(&hist, &map.access_histogram(r));
                 }
             }
+        }
+    }
+
+    /// The `lo` corners `raws` draw for boxes of `extents` on `dims`, `k`
+    /// coordinates per placement: about a third of the coordinates on
+    /// the `lo = 0` face, and the only admissible one (0) wherever a side
+    /// fills its dimension.
+    fn corners_for(dims: &[u32], extents: &[u32], raws: &[u64]) -> Vec<u32> {
+        let mut corners = Vec::with_capacity(raws.len() * dims.len());
+        for &raw in raws {
+            for (d, (&e, &dim)) in extents.iter().zip(dims).enumerate() {
+                let bits = raw.rotate_left(16 * d as u32);
+                let slack = u64::from(dim - e) + 1;
+                corners.push(if bits % 3 == 0 {
+                    0
+                } else {
+                    ((bits >> 8) % slack) as u32
+                });
+            }
+        }
+        corners
+    }
+
+    /// The corner contract: the placements of `extents` at `corners`,
+    /// scored as one corner batch and as the region batch over the same
+    /// placements, give equal RTs on narrow and wide kernels and through
+    /// the naive walk, the same shape runs, and the same plan counters.
+    fn corner_batch_matches_region_batch(map: &AllocationMap, extents: &[u32], corners: &[u32]) {
+        let g = map.space();
+        let regions: Vec<BucketRegion> = corners
+            .chunks(extents.len())
+            .map(|lo| corner_region(g, lo, extents))
+            .collect();
+        let kernels = [
+            DiskCounts::build(map).unwrap(),
+            DiskCounts::build_wide(map).unwrap(),
+        ];
+        let mut region_scratch = Scratch::new();
+        let mut region_batch = region_scratch.batch(&regions);
+        let mut corner_scratch = Scratch::new();
+        corner_scratch.corners_mut().extend_from_slice(corners);
+        let mut corner_batch = corner_scratch.shape_batch(extents);
+        prop_assert_eq!(corner_batch.len(), regions.len());
+        prop_assert_eq!(
+            corner_batch.shape_runs().collect::<Vec<_>>(),
+            region_batch.shape_runs().collect::<Vec<_>>()
+        );
+        let mut by_region = vec![0u64; regions.len()];
+        let mut by_corner = vec![0u64; regions.len()];
+        for kernel in &kernels {
+            region_batch.response_times(kernel, &mut by_region);
+            corner_batch.response_times(kernel, &mut by_corner);
+            prop_assert_eq!(&by_corner, &by_region);
+        }
+        corner_batch.naive_response_times(map, &mut by_corner);
+        prop_assert_eq!(&by_corner, &by_region);
+        for (r, &rt) in regions.iter().zip(&by_region) {
+            prop_assert_eq!(rt, map.response_time(r), "{:?} on {:?}", r, g.dims());
+        }
+        prop_assert_eq!(
+            corner_scratch.drain_plan_stats(),
+            region_scratch.drain_plan_stats()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The corner contract on the `grid_method_region` population
+        /// (k in 1..=3): the drawn region's shape, with about a quarter
+        /// of its sides widened to fill their dimension.
+        #[test]
+        fn corner_batch_matches_the_region_batch(
+            (g, map, r) in grid_method_region(),
+            full_bits in any::<u64>(),
+            raws in proptest::collection::vec(any::<u64>(), 0..24)
+        ) {
+            let extents: Vec<u32> = (0..r.dims())
+                .map(|d| if full_bits >> (2 * d) & 3 == 0 { g.dim(d) } else { r.extent(d) as u32 })
+                .collect();
+            corner_batch_matches_region_batch(&map, &extents, &corners_for(g.dims(), &extents, &raws));
+        }
+
+        /// The corner contract on 4-D grids, over one of [`BATCH_DISKS`]
+        /// disks.
+        #[test]
+        fn corner_batch_matches_the_region_batch_in_4d(
+            dims in proptest::collection::vec(1u32..=6, 4..5),
+            disks in 0..BATCH_DISKS.len(),
+            which in 0u8..3,
+            side_raws in proptest::collection::vec(any::<u64>(), 4..5),
+            raws in proptest::collection::vec(any::<u64>(), 1..24)
+        ) {
+            let g = GridSpace::new(dims.clone()).unwrap();
+            let m = BATCH_DISKS[disks];
+            let method: Box<dyn DeclusteringMethod> = match which {
+                0 => Box::new(DiskModulo::new(&g, m).unwrap()),
+                1 => Box::new(FieldwiseXor::new(&g, m).unwrap()),
+                _ => Box::new(RandomAlloc::new(&g, m, side_raws[0]).unwrap()),
+            };
+            let map = AllocationMap::from_method(&g, method.as_ref()).unwrap();
+            let extents: Vec<u32> = side_raws
+                .iter()
+                .zip(&dims)
+                .map(|(&raw, &d)| if raw % 4 == 0 { d } else { 1 + ((raw >> 2) % u64::from(d)) as u32 })
+                .collect();
+            corner_batch_matches_region_batch(&map, &extents, &corners_for(&dims, &extents, &raws));
         }
     }
 }

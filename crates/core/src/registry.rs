@@ -70,7 +70,7 @@ impl MethodKind {
         "DM/CMD, BDM, FX/ExFX, ECC, HCAM, ZCAM, GrayCAM, RR, RND";
 
     /// Parses a kind from a (case-insensitive) name. `"CMD"` is accepted
-    /// as an alias of DM, `"ExFX"` of FX. Equivalent to the [`FromStr`]
+    /// as an alias of DM, `"ExFX"` of FX. Equivalent to the [`std::str::FromStr`]
     /// impl.
     ///
     /// # Errors

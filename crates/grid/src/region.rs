@@ -70,6 +70,12 @@ impl BucketRegion {
         u64::from(self.hi[dim] - self.lo[dim]) + 1
     }
 
+    /// Whether `other` has the same extent on every dimension: both are
+    /// placements of one query shape.
+    pub fn same_shape(&self, other: &BucketRegion) -> bool {
+        self.dims() == other.dims() && (0..self.dims()).all(|d| self.extent(d) == other.extent(d))
+    }
+
     /// Total number of buckets in the region (`|Q|` in the paper).
     pub fn num_buckets(&self) -> u64 {
         (0..self.dims()).map(|d| self.extent(d)).product()

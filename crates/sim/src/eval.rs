@@ -1,10 +1,10 @@
 use crate::faults::{
     degraded_outcome, FaultMethodStats, FaultSchedule, QueryOutcome, ReplicaPolicy, RetryPolicy,
 };
-use crate::{optimal_response_time, Result, SimError, Summary};
+use crate::{optimal_response_time, Result, SimError, SpecError, Summary};
 use decluster_grid::{BucketRegion, GridSpace};
 use decluster_methods::{
-    AllocationMap, DeclusteringMethod, DiskCounts, KernelCache, MethodRegistry, Scratch,
+    AllocationMap, DeclusteringMethod, DiskCounts, KernelCache, MethodRegistry, ScoreBatch, Scratch,
 };
 use decluster_obs::{Obs, TraceEvent};
 
@@ -218,45 +218,62 @@ impl EvalContext {
         regions: &[BucketRegion],
         scratch: &mut Scratch,
     ) -> (Vec<Summary>, f64) {
+        self.score_fresh(scratch, |scratch| self.score_batch(scratch.batch(regions)))
+    }
+
+    /// [`EvalContext::score_with`] over the placements of one box with
+    /// per-dimension `sides`, whose `lo` corners the caller drew into
+    /// `scratch`'s corner buffer ([`Scratch::corners_mut`], filled by
+    /// [`crate::workload::random_corners`]): the fixed-shape sweeps'
+    /// path. No region is built; the batch is one shape run with one
+    /// corner plan. Summaries, optimal bound and every metric equal what
+    /// [`EvalContext::score_with`] gives on the same placements' regions.
+    ///
+    /// # Panics
+    /// Panics if a corner places the box off the grid, or if the buffer
+    /// does not hold whole `sides.len()`-D corners.
+    pub fn score_corners_with(&self, sides: &[u32], scratch: &mut Scratch) -> (Vec<Summary>, f64) {
+        self.score_fresh(scratch, |scratch| {
+            self.score_batch(scratch.shape_batch(sides))
+        })
+    }
+
+    /// Runs `score` on `scratch` with the plan slot reset and its
+    /// counters drained around it (see [`EvalContext::score_with`]).
+    fn score_fresh(
+        &self,
+        scratch: &mut Scratch,
+        score: impl FnOnce(&mut Scratch) -> (Vec<Summary>, f64),
+    ) -> (Vec<Summary>, f64) {
         scratch.reset_plan();
         let _ = scratch.drain_plan_stats();
+        let scored = score(scratch);
+        let (plan_hits, plan_compiles) = scratch.drain_plan_stats();
+        if self.obs.enabled() {
+            self.obs.counter_add("kernel.plan_hits", plan_hits);
+            self.obs.counter_add("kernel.plan_compiles", plan_compiles);
+        }
+        scored
+    }
+
+    /// Scores `batch` on every method, kernel or naive walk, and records
+    /// the `rt.*` metrics. The bucket counts, cells read and the optimal
+    /// bound depend on a placement's shape alone, so they are summed per
+    /// shape run.
+    fn score_batch(&self, mut batch: ScoreBatch<'_>) -> (Vec<Summary>, f64) {
+        let n = batch.len();
         let mut summaries = Vec::with_capacity(self.maps.len());
-        let mut rts = vec![0u64; regions.len()];
+        let mut rts = vec![0u64; n];
         // All observability aggregation sits behind this one branch, so
         // the disabled recorder costs nothing on the scoring path.
         let enabled = self.obs.enabled();
-        let mut kernel_inv = 0u64;
-        let mut naive_inv = 0u64;
-        let mut naive_scanned = 0u64;
-        let mut kernel_cells = 0u64;
         let mut max_rt = 0u64;
-        let mut batch = scratch.batch(regions);
-        let mut naive = Scratch::new();
-        for idx in 0..self.maps.len() {
-            match &self.kernels[idx] {
+        for (map, kernel) in self.maps.iter().zip(&self.kernels) {
+            match kernel {
                 Some(kernel) => batch.response_times(kernel, &mut rts),
-                None => {
-                    for (slot, region) in rts.iter_mut().zip(regions) {
-                        *slot = self.maps[idx].response_time_with(region, &mut naive);
-                    }
-                }
+                None => batch.naive_response_times(map, &mut rts),
             }
             if enabled {
-                match &self.kernels[idx] {
-                    Some(_) => {
-                        kernel_inv += regions.len() as u64;
-                        // Inclusion–exclusion over 2^k prefix corners,
-                        // M per-disk counts each.
-                        kernel_cells += regions
-                            .iter()
-                            .map(|r| u64::from(self.m) << r.dims())
-                            .sum::<u64>();
-                    }
-                    None => {
-                        naive_inv += regions.len() as u64;
-                        naive_scanned += regions.iter().map(BucketRegion::num_buckets).sum::<u64>();
-                    }
-                }
                 for &rt in &rts {
                     self.obs.observe("rt.response_time", rt);
                     max_rt = max_rt.max(rt);
@@ -264,33 +281,31 @@ impl EvalContext {
             }
             summaries.push(Summary::of_counts(&rts));
         }
+        let (mut buckets, mut cells, mut opt_sum) = (0u64, 0u64, 0.0f64);
+        for run in batch.shape_runs() {
+            let len = run.len as u64;
+            buckets += run.buckets * len;
+            // Inclusion–exclusion over 2^k prefix corners, M per-disk
+            // counts each.
+            cells += (u64::from(self.m) << run.arity) * len;
+            opt_sum += optimal_response_time(run.buckets, self.m) as f64 * run.len as f64;
+        }
         if enabled {
-            self.obs.counter_add("rt.queries", regions.len() as u64);
-            self.obs.counter_add(
-                "rt.buckets_requested",
-                regions.iter().map(BucketRegion::num_buckets).sum(),
-            );
-            self.obs.counter_add("rt.kernel_invocations", kernel_inv);
-            self.obs.counter_add("rt.naive_invocations", naive_inv);
-            self.obs.counter_add("rt.kernel_cells_read", kernel_cells);
+            let kernels = self.kernel_coverage() as u64;
+            let naive = self.maps.len() as u64 - kernels;
+            self.obs.counter_add("rt.queries", n as u64);
+            self.obs.counter_add("rt.buckets_requested", buckets);
             self.obs
-                .counter_add("rt.naive_buckets_scanned", naive_scanned);
+                .counter_add("rt.kernel_invocations", kernels * n as u64);
+            self.obs
+                .counter_add("rt.naive_invocations", naive * n as u64);
+            self.obs
+                .counter_add("rt.kernel_cells_read", kernels * cells);
+            self.obs
+                .counter_add("rt.naive_buckets_scanned", naive * buckets);
             self.obs.gauge_max("rt.max_response_time", max_rt);
         }
-        let (plan_hits, plan_compiles) = scratch.drain_plan_stats();
-        if enabled {
-            self.obs.counter_add("kernel.plan_hits", plan_hits);
-            self.obs.counter_add("kernel.plan_compiles", plan_compiles);
-        }
-        let opt_mean = if regions.is_empty() {
-            0.0
-        } else {
-            regions
-                .iter()
-                .map(|r| optimal_response_time(r.num_buckets(), self.m) as f64)
-                .sum::<f64>()
-                / regions.len() as f64
-        };
+        let opt_mean = if n == 0 { 0.0 } else { opt_sum / n as f64 };
         (summaries, opt_mean)
     }
 }
@@ -352,30 +367,38 @@ impl<'a> DegradedContext<'a> {
     /// the chained variants (the defaults — one backup, failover-only —
     /// reproduce the classic chain bit for bit).
     ///
-    /// # Panics
-    /// Panics if `replicas >= M` (CLI and constructors validate
-    /// upstream).
-    pub fn with_replication(mut self, replicas: u32, selection: ReplicaPolicy) -> Self {
-        assert!(
-            replicas < self.ctx.num_disks(),
-            "replica count {replicas} >= M = {}",
-            self.ctx.num_disks()
-        );
+    /// # Errors
+    /// [`SpecError::TooManyReplicas`] if `replicas >= M`: an r-way chain
+    /// would wrap onto its own primary.
+    pub fn with_replication(mut self, replicas: u32, selection: ReplicaPolicy) -> Result<Self> {
+        let disks = self.ctx.num_disks();
+        if replicas >= disks {
+            return Err(SpecError::TooManyReplicas {
+                replicas,
+                disks: disks as usize,
+            }
+            .into());
+        }
         self.replicas = replicas;
         self.selection = selection;
-        self
+        Ok(self)
     }
 
     /// The outcome of `region` under method `idx` at logical time `t`,
     /// with or without replicated failover (`chained` uses the context's
     /// replication depth and selection policy).
+    ///
+    /// # Errors
+    /// As [`degraded_outcome`]: [`SimError::ScheduleMismatch`] when the
+    /// method's allocation covers a different disk count than the
+    /// schedule.
     pub fn outcome(
         &self,
         idx: usize,
         t: u64,
         region: &BucketRegion,
         chained: bool,
-    ) -> QueryOutcome {
+    ) -> Result<QueryOutcome> {
         let hist = self.ctx.access_histogram(idx, region);
         degraded_outcome(
             &hist,
@@ -399,7 +422,7 @@ impl<'a> DegradedContext<'a> {
         region: &BucketRegion,
         chained: bool,
         buf: &mut VariantBuffers,
-    ) -> QueryOutcome {
+    ) -> Result<QueryOutcome> {
         self.ctx
             .access_histogram_into(idx, region, &mut buf.scratch, &mut buf.hist);
         degraded_outcome(
@@ -417,25 +440,31 @@ impl<'a> DegradedContext<'a> {
     /// logical time `i`), returning two rows per method: the unreplicated
     /// variant and `<name>+chain`. Deterministic for any caller-side
     /// parallelization, because outcomes depend only on `(method, i)`.
-    pub fn score(&self, regions: &[BucketRegion]) -> Vec<FaultMethodStats> {
+    ///
+    /// # Errors
+    /// As [`DegradedContext::outcome`].
+    pub fn score(&self, regions: &[BucketRegion]) -> Result<Vec<FaultMethodStats>> {
         let mut rows = Vec::with_capacity(self.ctx.maps().len() * 2);
         for idx in 0..self.ctx.maps().len() {
             for chained in [false, true] {
-                rows.push(self.score_variant(idx, regions, chained));
+                rows.push(self.score_variant(idx, regions, chained)?);
             }
         }
-        rows
+        Ok(rows)
     }
 
     /// Scores one method/variant pair of [`DegradedContext::score`]:
     /// method `idx`, with or without chained failover. Exposed separately
     /// so the experiment harness can fan variants out over its executor.
+    ///
+    /// # Errors
+    /// As [`DegradedContext::outcome`].
     pub fn score_variant(
         &self,
         idx: usize,
         regions: &[BucketRegion],
         chained: bool,
-    ) -> FaultMethodStats {
+    ) -> Result<FaultMethodStats> {
         let name = self.ctx.maps()[idx].name();
         let obs = self.ctx.obs();
         let enabled = obs.enabled();
@@ -450,7 +479,7 @@ impl<'a> DegradedContext<'a> {
         let mut buf = VariantBuffers::default();
         for (i, region) in regions.iter().enumerate() {
             healthy.push(self.ctx.response_time_with(idx, region, &mut buf.scratch));
-            match self.outcome_with(idx, i as u64, region, chained, &mut buf) {
+            match self.outcome_with(idx, i as u64, region, chained, &mut buf)? {
                 QueryOutcome::Served {
                     response_time,
                     failover_buckets: fo,
@@ -487,7 +516,7 @@ impl<'a> DegradedContext<'a> {
                     .with("failover_buckets", failover_buckets),
             );
         }
-        FaultMethodStats {
+        Ok(FaultMethodStats {
             name: if chained {
                 format!("{name}+chain")
             } else {
@@ -503,7 +532,7 @@ impl<'a> DegradedContext<'a> {
                 served as f64 / regions.len() as f64
             },
             failover_buckets,
-        }
+        })
     }
 }
 
@@ -652,6 +681,97 @@ mod tests {
         assert_eq!(cold.0 + cold.1, 4 * 5);
     }
 
+    /// `n` placements of a `sides` box on `g` drawn from `seed`, as
+    /// `lo` corners and as the same placements' regions.
+    fn placements(
+        g: &GridSpace,
+        sides: &[u32],
+        n: usize,
+        seed: u64,
+    ) -> (Vec<u32>, Vec<BucketRegion>) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut corners = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        crate::workload::random_corners(&mut rng, g, sides, n, &mut corners).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let regions = (0..n)
+            .map(|_| crate::workload::random_region(&mut rng, g, sides).unwrap())
+            .collect();
+        (corners, regions)
+    }
+
+    #[test]
+    fn a_corner_batch_reports_what_its_regions_report() {
+        use decluster_obs::{MetricsRecorder, Recorder};
+        use std::sync::Arc;
+        let g = GridSpace::new_2d(8, 8).unwrap();
+        // [8, 1] fills the first dimension: every placement sits on its
+        // low edge.
+        for sides in [[3u32, 2], [8, 1], [1, 1]] {
+            let (corners, regions) = placements(&g, &sides, 40, 9);
+            let run = |by_corner: bool| {
+                let rec = Arc::new(MetricsRecorder::new());
+                let ctx = context().with_obs(Obs::new(rec.clone()));
+                let mut scratch = Scratch::new();
+                let scored = if by_corner {
+                    scratch.corners_mut().extend_from_slice(&corners);
+                    ctx.score_corners_with(&sides, &mut scratch)
+                } else {
+                    ctx.score_with(&regions, &mut scratch)
+                };
+                let snap = rec.snapshot();
+                (scored, snap.counters, snap.gauges, snap.histograms)
+            };
+            let by_corner = run(true);
+            assert_eq!(by_corner, run(false), "{sides:?}");
+            let counter = |name: &str| by_corner.1.iter().find(|(n, _)| n == name).map(|c| c.1);
+            assert_eq!(counter("rt.queries"), Some(40));
+            assert_eq!(counter("kernel.plan_compiles"), Some(1));
+            assert_eq!(counter("kernel.plan_hits"), Some(4 * 40 - 1));
+            let rts = by_corner
+                .3
+                .iter()
+                .find(|h| h.name == "rt.response_time")
+                .unwrap();
+            assert_eq!(rts.count, 4 * 40);
+        }
+    }
+
+    #[test]
+    fn a_context_without_kernels_walks_corner_batches() {
+        let g = GridSpace::new_2d(8, 8).unwrap();
+        let mut naive = context();
+        naive.kernels = vec![None; naive.maps.len()];
+        assert_eq!(naive.kernel_coverage(), 0);
+        for sides in [[3u32, 8], [1, 5]] {
+            let (corners, regions) = placements(&g, &sides, 30, 4);
+            let mut scratch = Scratch::new();
+            scratch.corners_mut().extend_from_slice(&corners);
+            let by_corner = naive.score_corners_with(&sides, &mut scratch);
+            assert_eq!(by_corner, naive.score(&regions), "{sides:?}");
+            assert_eq!(by_corner, context().score(&regions), "{sides:?}");
+        }
+    }
+
+    #[test]
+    fn degraded_context_rejects_a_chain_as_long_as_the_array() {
+        let ctx = context(); // 4 disks
+        let schedule = FaultSchedule::healthy(4);
+        let dctx = DegradedContext::new(&ctx, &schedule, RetryPolicy::default()).unwrap();
+        assert!(dctx
+            .clone()
+            .with_replication(3, ReplicaPolicy::Spread)
+            .is_ok());
+        assert!(matches!(
+            dctx.with_replication(4, ReplicaPolicy::FailoverOnly)
+                .unwrap_err(),
+            SimError::Spec(SpecError::TooManyReplicas {
+                replicas: 4,
+                disks: 4
+            })
+        ));
+    }
+
     #[test]
     fn degraded_context_rejects_wrong_disk_count() {
         let ctx = context(); // 4 disks
@@ -672,7 +792,7 @@ mod tests {
             .iter()
             .map(|&(lo, hi)| RangeQuery::new(lo, hi).unwrap().region(&g).unwrap())
             .collect();
-        let rows = dctx.score(&regions);
+        let rows = dctx.score(&regions).unwrap();
         assert_eq!(rows.len(), 2 * ctx.maps().len());
         for row in &rows {
             assert_eq!(row.unavailable, 0);
@@ -698,7 +818,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let rows = dctx.score(&regions);
+        let rows = dctx.score(&regions).unwrap();
         for row in &rows {
             if row.name.ends_with("+chain") {
                 assert_eq!(row.availability, 1.0, "{}", row.name);

@@ -6,8 +6,8 @@ use crate::multiuser::{load_sweep, LoadPoint, MultiUserEngine};
 use crate::spec::{ServeRun, ServeSpec, SpecError};
 use crate::stats::Quantiles;
 use crate::workload::{
-    partial_match_with_unspecified, random_region, rect_sides_for_area, InterArrival, ShapeSweep,
-    SizeSweep,
+    partial_match_with_unspecified, random_corners, random_region, rect_sides_for_area,
+    InterArrival, ShapeSweep, SizeSweep,
 };
 use crate::{DiskParams, Result, SimError, Summary};
 use decluster_grid::{BucketRegion, GridDirectory, GridSpace};
@@ -15,7 +15,8 @@ use decluster_methods::{AllocationMap, DeclusteringMethod, KernelCache, MethodRe
 use decluster_obs::{Obs, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One method's curve in a sweep: mean response time (or deviation) per
 /// x-value. Points where the method does not apply (e.g. ECC at a
@@ -310,19 +311,51 @@ struct PointScore {
     optimal: f64,
 }
 
+impl PointScore {
+    /// Point `x` of `ctx`'s methods, from what its scorer returned.
+    fn new(ctx: &EvalContext, x: f64, (summaries, optimal): (Vec<Summary>, f64)) -> Self {
+        PointScore {
+            x,
+            names: ctx.names().into_iter().map(str::to_owned).collect(),
+            summaries,
+            optimal,
+        }
+    }
+}
+
+/// An [`Experiment`]'s context over its own grid and `M`: built by the
+/// first sweep that needs it, then shared by every later sweep (and by
+/// clones of the experiment) until a builder that changes what it holds
+/// swaps in an empty cell. `Debug` prints only whether it is built.
+#[derive(Clone, Default)]
+struct SweepContext(Arc<OnceLock<EvalContext>>);
+
+impl fmt::Debug for SweepContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.0.get() {
+            Some(_) => "SweepContext(built)",
+            None => "SweepContext(unbuilt)",
+        })
+    }
+}
+
 /// The experiment harness: a grid, a disk count, a query budget per data
 /// point, and a seed. Each `run_*` method regenerates one of the paper's
 /// figures as a [`SweepResult`].
 ///
 /// # Evaluation engine
 ///
-/// Every sweep materializes its methods once into an [`EvalContext`]
-/// (per sweep when the grid and `M` are fixed, per point when they
-/// vary), scoring queries through the `O(M · 2^k)` prefix-sum kernel
-/// with a naive-walk fallback. Points are evaluated by a deterministic
-/// parallel executor: each point draws from an RNG seeded by
-/// `(seed, point index)`, so results are bit-identical for any thread
-/// count, including one.
+/// Every sweep materializes its methods into an [`EvalContext`], scoring
+/// queries through the `O(M · 2^k)` prefix-sum kernel with a naive-walk
+/// fallback. Sweeps over the experiment's own grid and `M` share one
+/// context, built by the first of them to run; the disk and
+/// database-size sweeps, whose `M` or grid varies, build one per point.
+/// [`Experiment::with_seed`], [`Experiment::with_baselines`],
+/// [`Experiment::with_obs`] and [`Experiment::with_kernel_cache`] drop a
+/// built context, so the next sweep builds one that reflects them.
+/// Points are evaluated by a deterministic parallel executor: each point
+/// draws from an RNG seeded by `(seed, point index)`, so results are
+/// bit-identical for any thread count, including one.
 #[derive(Clone, Debug)]
 pub struct Experiment {
     space: GridSpace,
@@ -334,6 +367,7 @@ pub struct Experiment {
     method_filter: Option<String>,
     obs: Obs,
     kernel_cache: Option<Arc<Mutex<KernelCache>>>,
+    context: SweepContext,
 }
 
 impl Experiment {
@@ -350,6 +384,7 @@ impl Experiment {
             method_filter: None,
             obs: Obs::disabled(),
             kernel_cache: None,
+            context: SweepContext::default(),
         }
     }
 
@@ -360,8 +395,10 @@ impl Experiment {
     /// Results are byte-identical with or without a cache — a stored
     /// kernel is revalidated against the live allocation and a stale
     /// entry simply misses. The default is no cache (always build).
+    /// Drops a built sweep context.
     pub fn with_kernel_cache(mut self, cache: Arc<Mutex<KernelCache>>) -> Self {
         self.kernel_cache = Some(cache);
+        self.context = SweepContext::default();
         self
     }
 
@@ -371,15 +408,19 @@ impl Experiment {
         self
     }
 
-    /// Sets the RNG seed.
+    /// Sets the RNG seed (which also seeds the method registry). Drops a
+    /// built sweep context.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.context = SweepContext::default();
         self
     }
 
-    /// Also evaluates the RR and RND baselines.
+    /// Also evaluates the RR and RND baselines. Drops a built sweep
+    /// context.
     pub fn with_baselines(mut self, yes: bool) -> Self {
         self.include_baselines = yes;
+        self.context = SweepContext::default();
         self
     }
 
@@ -404,9 +445,10 @@ impl Experiment {
     /// and logical counters, and (when tracing is on) each completed
     /// point emits a `point_done` event. Deterministic metric values do
     /// not depend on the thread count. The default is the no-op
-    /// recorder.
+    /// recorder. Drops a built sweep context.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self.context = SweepContext::default();
         self
     }
 
@@ -432,8 +474,8 @@ impl Experiment {
 
     /// Materializes the method set (and RT kernels) for one grid and
     /// disk count, serially. Sweeps whose grid or `M` varies build one
-    /// per point inside executor workers; the others build one per sweep
-    /// through [`Experiment::sweep_context`].
+    /// per point inside executor workers; the others share the one
+    /// [`Experiment::sweep_context`] builds.
     fn context_for(&self, space: &GridSpace, m: u32) -> EvalContext {
         let registry = MethodRegistry::with_seed(self.seed);
         match &self.kernel_cache {
@@ -467,13 +509,15 @@ impl Experiment {
             .collect()
     }
 
-    /// The one context a sweep over the experiment's own grid and `M`
-    /// shares across its points. Build wall time lands in the
-    /// `kernel.build_ms` phase (wall-clock section, outside the
-    /// deterministic contract).
-    fn sweep_context(&self) -> EvalContext {
-        let _build = self.obs.time_phase("kernel.build_ms");
-        self.context_for(&self.space, self.m)
+    /// The one context every sweep over the experiment's own grid and
+    /// `M` shares across its points, built on first use. Build wall time
+    /// lands in the `kernel.build_ms` phase (wall-clock section, outside
+    /// the deterministic contract).
+    fn sweep_context(&self) -> &EvalContext {
+        self.context.0.get_or_init(|| {
+            let _build = self.obs.time_phase("kernel.build_ms");
+            self.context_for(&self.space, self.m)
+        })
     }
 
     /// Evaluates `total` sweep points through the parallel executor,
@@ -546,22 +590,30 @@ impl Experiment {
 
     /// Scores one point's query population against a context through the
     /// worker's scratch. `score_with` resets the scratch's plan cache at
-    /// batch start, so a scratch that last served a different point — or
-    /// a different *grid* (the database-size sweep) — cannot influence
-    /// results or metrics.
+    /// batch start, so a scratch that last served a different point
+    /// cannot influence results or metrics.
     fn score_point(
         ctx: &EvalContext,
         x: f64,
         regions: &[BucketRegion],
         scratch: &mut Scratch,
     ) -> PointScore {
-        let (summaries, optimal) = ctx.score_with(regions, scratch);
-        PointScore {
-            x,
-            names: ctx.names().into_iter().map(str::to_owned).collect(),
-            summaries,
-            optimal,
-        }
+        PointScore::new(ctx, x, ctx.score_with(regions, scratch))
+    }
+
+    /// Scores one point of a fixed-shape sweep: the placements of a
+    /// `sides` box whose `lo` corners sit in the worker's scratch
+    /// ([`random_corners`]). Like [`Experiment::score_point`], the plan
+    /// cache is reset at batch start, so a scratch that last served
+    /// another point — or another *grid* (the database-size sweep) —
+    /// cannot influence results or metrics.
+    fn score_corners(
+        ctx: &EvalContext,
+        x: f64,
+        sides: &[u32],
+        scratch: &mut Scratch,
+    ) -> PointScore {
+        PointScore::new(ctx, x, ctx.score_corners_with(sides, scratch))
     }
 
     /// **Experiment 1 (query size).** Near-square queries of each area in
@@ -592,15 +644,10 @@ impl Experiment {
             .collect::<Result<_>>()?;
         let ctx = self.sweep_context();
         let points = self.run_points(sweep.areas().len(), |i, rng, scratch| {
-            let regions: Vec<BucketRegion> = (0..self.queries_per_point)
-                .map(|_| random_region(rng, &self.space, &sides[i]))
-                .collect::<Result<_>>()?;
-            Ok(Self::score_point(
-                &ctx,
-                sweep.areas()[i] as f64,
-                &regions,
-                scratch,
-            ))
+            let n = self.queries_per_point;
+            random_corners(rng, &self.space, &sides[i], n, scratch.corners_mut())?;
+            let x = sweep.areas()[i] as f64;
+            Ok(Self::score_corners(ctx, x, &sides[i], scratch))
         })?;
         Ok(Self::assemble(
             format!(
@@ -628,14 +675,13 @@ impl Experiment {
         let points = self.run_points(sweep.powers().len(), |i, rng, scratch| {
             let p = sweep.powers()[i];
             let (a, b) = ShapeSweep::sides_for(sweep.area(), p).expect("sweep admitted this power");
-            let sides = vec![a, b];
-            let regions: Vec<BucketRegion> = (0..self.queries_per_point)
-                .map(|_| random_region(rng, &self.space, &sides))
-                .collect::<Result<_>>()?;
-            Ok(Self::score_point(
-                &ctx,
+            let sides = [a, b];
+            let n = self.queries_per_point;
+            random_corners(rng, &self.space, &sides, n, scratch.corners_mut())?;
+            Ok(Self::score_corners(
+                ctx,
                 f64::from(1u32 << p),
-                &regions,
+                &sides,
                 scratch,
             ))
         })?;
@@ -669,13 +715,19 @@ impl Experiment {
         // One shared query population, generated before the fan-out, so
         // every M sees identical queries.
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let regions: Vec<BucketRegion> = (0..self.queries_per_point)
-            .map(|_| random_region(&mut rng, &self.space, &sides))
-            .collect::<Result<_>>()?;
+        let mut corners = Vec::new();
+        random_corners(
+            &mut rng,
+            &self.space,
+            &sides,
+            self.queries_per_point,
+            &mut corners,
+        )?;
         let points = self.run_points(disk_counts.len(), |i, _rng, scratch| {
             let m = disk_counts[i];
             let ctx = self.context_for(&self.space, m);
-            Ok(Self::score_point(&ctx, f64::from(m), &regions, scratch))
+            scratch.corners_mut().extend_from_slice(&corners);
+            Ok(Self::score_corners(&ctx, f64::from(m), &sides, scratch))
         })?;
         Ok(Self::assemble(
             format!(
@@ -704,13 +756,12 @@ impl Experiment {
             let space = GridSpace::new(vec![pt.side; k])?;
             let ctx = self.context_for(&space, self.m);
             let sides = vec![pt.query_side.min(pt.side).max(1); k];
-            let regions: Vec<BucketRegion> = (0..self.queries_per_point)
-                .map(|_| random_region(rng, &space, &sides))
-                .collect::<Result<_>>()?;
-            Ok(Self::score_point(
+            let n = self.queries_per_point;
+            random_corners(rng, &space, &sides, n, scratch.corners_mut())?;
+            Ok(Self::score_corners(
                 &ctx,
                 f64::from(pt.side),
-                &regions,
+                &sides,
                 scratch,
             ))
         })?;
@@ -737,7 +788,7 @@ impl Experiment {
         let ctx = self.sweep_context();
         let points = self.run_points(mixes.len(), |i, rng, scratch| {
             let regions = mixes[i].generate(rng, &self.space, self.queries_per_point)?;
-            Ok(Self::score_point(&ctx, i as f64, &regions, scratch))
+            Ok(Self::score_point(ctx, i as f64, &regions, scratch))
         })?;
         Ok(Self::assemble(
             format!(
@@ -780,11 +831,11 @@ impl Experiment {
     /// failover. `replicas = 1` with [`ReplicaPolicy::FailoverOnly`] is
     /// bit-identical to [`Experiment::run_fault_workload`].
     ///
-    /// # Errors
-    /// As [`Experiment::run_fault_workload`].
+    /// `replicas = 0` makes the `<name>+chain` rows unreplicated.
     ///
-    /// # Panics
-    /// Panics when `replicas` falls outside `1..M`.
+    /// # Errors
+    /// As [`Experiment::run_fault_workload`]; also
+    /// [`SpecError::TooManyReplicas`] when `replicas` reaches `M`.
     pub fn run_fault_workload_with(
         &self,
         area: u64,
@@ -807,11 +858,13 @@ impl Experiment {
             .collect::<Result<_>>()?;
         let ctx = self.sweep_context();
         let dctx =
-            DegradedContext::new(&ctx, schedule, *policy)?.with_replication(replicas, selection);
+            DegradedContext::new(ctx, schedule, *policy)?.with_replication(replicas, selection)?;
         let variants = ctx.maps().len() * 2;
         let rows = run_indexed(self.effective_threads(), variants, &self.obs, |i| {
             dctx.score_variant(i / 2, &regions, i % 2 == 1)
-        });
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
         Ok(FaultReport {
             title: format!(
                 "Fault workload: degraded RT and availability at query area {} (grid {:?}, M={}, faults: {})",
@@ -1477,7 +1530,7 @@ impl Experiment {
                 .iter()
                 .map(|q| q.region(&self.space).map_err(SimError::from))
                 .collect::<Result<_>>()?;
-            Ok(Self::score_point(&ctx, unspec as f64, &regions, scratch))
+            Ok(Self::score_point(ctx, unspec as f64, &regions, scratch))
         })?;
         Ok(Self::assemble(
             format!(
@@ -2236,6 +2289,76 @@ mod tests {
                 .unwrap_err(),
             SimError::ScheduleMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn fault_workload_rejects_a_chain_as_long_as_the_array() {
+        let err = experiment()
+            .run_fault_workload_with(
+                16,
+                &FaultSchedule::healthy(8),
+                &RetryPolicy::default(),
+                8,
+                ReplicaPolicy::FailoverOnly,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Spec(SpecError::TooManyReplicas {
+                replicas: 8,
+                disks: 8
+            })
+        ));
+    }
+
+    /// The E1- and E2-style tables `exp` renders, sweeping its own
+    /// context twice.
+    fn tables(exp: &Experiment) -> [String; 2] {
+        let e1 = exp
+            .run_size_sweep(&SizeSweep::explicit(vec![1, 16]))
+            .unwrap();
+        let e2 = exp.run_shape_sweep(&ShapeSweep::new(16, 4)).unwrap();
+        [e1, e2].map(|r| crate::Report::render(&r, crate::ReportFormat::Table))
+    }
+
+    /// Each builder that changes what the sweep context holds, applied
+    /// after a sweep built one, gives the tables a fresh experiment
+    /// gives. Baselines are on so that the RND column follows the seed.
+    #[test]
+    fn builders_that_change_the_context_drop_a_built_one() {
+        use decluster_obs::{MetricsRecorder, Recorder};
+        let fresh = || experiment().with_baselines(true);
+        let swept = |exp: Experiment| {
+            tables(&exp);
+            let debug = format!("{exp:?}");
+            assert!(debug.contains("SweepContext(built)") && debug.len() < 400);
+            exp
+        };
+
+        let reseeded = swept(fresh()).with_seed(11);
+        assert!(format!("{reseeded:?}").contains("SweepContext(unbuilt)"));
+        assert_eq!(tables(&reseeded), tables(&fresh().with_seed(11)));
+
+        let widened = swept(experiment()).with_baselines(true);
+        assert_eq!(tables(&widened), tables(&fresh()));
+
+        let rec = Arc::new(MetricsRecorder::new());
+        let observed = swept(fresh()).with_obs(Obs::new(rec.clone()));
+        assert_eq!(tables(&observed), tables(&fresh()));
+        assert_eq!(
+            rec.snapshot().counter("rt.queries"),
+            Some(5 * 64),
+            "the new recorder sees every point of both sweeps"
+        );
+
+        let cache = Arc::new(Mutex::new(KernelCache::new()));
+        let cached = swept(fresh()).with_kernel_cache(cache.clone());
+        assert_eq!(tables(&cached), tables(&fresh()));
+        assert_eq!(
+            cache.lock().unwrap().len(),
+            6,
+            "the next sweep's context consulted and warmed the cache"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault models and degraded-mode query execution.
 //!
 //! The paper scopes failures out ("a data subspace can be assigned to
-//! [only] one disk"), but a declustering method's value in a real
+//! \[only\] one disk"), but a declustering method's value in a real
 //! parallel I/O system is precisely its behavior when disks misbehave.
 //! This module supplies the missing driver: a [`FaultSchedule`] describes
 //! *when* each disk fails, recovers, or slows down on a **logical clock**
@@ -24,7 +24,7 @@
 //! buckets makes the query unavailable instead.
 
 use crate::events::{LoopScratch, Rows};
-use crate::{DiskParams, MultiUserEngine, Result, ServeSpec, SimError, Summary};
+use crate::{DiskParams, MultiUserEngine, Result, ServeSpec, SimError, SpecError, Summary};
 use decluster_grid::GridDirectory;
 use decluster_obs::{Obs, TraceEvent};
 use std::fmt::Write as _;
@@ -623,11 +623,11 @@ impl QueryOutcome {
 /// Deterministic for a given `(hist, schedule, t)`; batches are resolved
 /// in disk order, so `NearestFreeQueue`'s queue lengths are well-defined.
 ///
-/// # Panics
-/// Panics if `hist.len()` differs from the schedule's disk count (caller
-/// bug — both derive from the same allocation), or if `replicas >= M`
-/// (an r-way chain would wrap onto its own primary —
-/// construction-validated upstream).
+/// # Errors
+/// [`SimError::ScheduleMismatch`] if `hist.len()` differs from the
+/// schedule's disk count (the histogram's allocation covers other
+/// disks), and [`SpecError::TooManyReplicas`] if `replicas >= M` (an
+/// r-way chain would wrap onto its own primary).
 pub fn degraded_outcome(
     hist: &[u64],
     schedule: &FaultSchedule,
@@ -636,13 +636,17 @@ pub fn degraded_outcome(
     replicas: u32,
     selection: ReplicaPolicy,
     loads: &mut Vec<u64>,
-) -> QueryOutcome {
+) -> Result<QueryOutcome> {
     let m = schedule.num_disks() as usize;
-    assert_eq!(hist.len(), m, "histogram arity {} != M = {m}", hist.len());
-    assert!(
-        (replicas as usize) < m,
-        "replica count {replicas} >= M = {m}"
-    );
+    if hist.len() != m {
+        return Err(SimError::ScheduleMismatch {
+            schedule_disks: schedule.num_disks(),
+            experiment_disks: hist.len() as u32,
+        });
+    }
+    if replicas as usize >= m {
+        return Err(SpecError::TooManyReplicas { replicas, disks: m }.into());
+    }
     let scale = |count: u64, state: DiskState| -> u64 {
         match state {
             DiskState::Slow(f) => (count as f64 * f).ceil() as u64,
@@ -719,13 +723,13 @@ pub fn degraded_outcome(
         timeout_penalty += penalty;
     }
     if dead_buckets > 0 {
-        return QueryOutcome::Unavailable { dead_buckets };
+        return Ok(QueryOutcome::Unavailable { dead_buckets });
     }
-    QueryOutcome::Served {
+    Ok(QueryOutcome::Served {
         response_time: loads.iter().copied().max().unwrap_or(0),
         failover_buckets,
         timeout_penalty,
-    }
+    })
 }
 
 /// Per-method statistics of a fault-injection run: the healthy and
@@ -791,7 +795,7 @@ const REBUILD_CHUNK_PAGES: u64 = 16;
 /// holds the backup copy of every page the failed disk owned. Foreground
 /// batches destined for the failed disk are served by the source too
 /// (chained failover), and between foreground batches the source disk
-/// reads one [`REBUILD_CHUNK_PAGES`]-page sequential chunk of replica
+/// reads one `REBUILD_CHUNK_PAGES`-page sequential chunk of replica
 /// data until the whole failed disk has been replayed. Deterministic.
 ///
 /// With `obs` live, records rebuild progress counters (`rebuild.pages`,
@@ -1358,10 +1362,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "histogram arity")]
-    fn mismatched_histogram_is_a_caller_bug() {
+    fn mismatched_histogram_is_a_schedule_mismatch() {
         let s = FaultSchedule::healthy(4);
-        let _ = degraded_outcome(
+        let err = degraded_outcome(
             &[1, 2],
             &s,
             0,
@@ -1369,7 +1372,37 @@ mod tests {
             1,
             ReplicaPolicy::FailoverOnly,
             &mut Vec::new(),
-        );
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::ScheduleMismatch {
+                schedule_disks: 4,
+                experiment_disks: 2
+            }
+        ));
+    }
+
+    #[test]
+    fn a_chain_as_long_as_the_array_is_too_many_replicas() {
+        let s = FaultSchedule::healthy(4);
+        let err = degraded_outcome(
+            &[1, 2, 0, 1],
+            &s,
+            0,
+            &RetryPolicy::default(),
+            4,
+            ReplicaPolicy::FailoverOnly,
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Spec(SpecError::TooManyReplicas {
+                replicas: 4,
+                disks: 4
+            })
+        ));
     }
 
     #[test]
@@ -1514,7 +1547,8 @@ mod tests {
                             1,
                             ReplicaPolicy::FailoverOnly,
                             &mut b,
-                        );
+                        )
+                        .unwrap();
                         assert_eq!(classic, rway, "hist {hist:?} t {t}");
                         let unreplicated =
                             chained_outcome(&hist, schedule, t, &policy, false, &mut a);
@@ -1526,7 +1560,8 @@ mod tests {
                             0,
                             ReplicaPolicy::FailoverOnly,
                             &mut b,
-                        );
+                        )
+                        .unwrap();
                         assert_eq!(unreplicated, r0, "hist {hist:?} t {t} (r = 0)");
                     }
                 }
@@ -1545,7 +1580,8 @@ mod tests {
             2,
             ReplicaPolicy::PrimaryOnly,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(out, QueryOutcome::Unavailable { dead_buckets: 2 });
     }
 
@@ -1566,7 +1602,8 @@ mod tests {
             1,
             ReplicaPolicy::FailoverOnly,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert!(!r1.is_served());
         let r2 = degraded_outcome(
             &hist,
@@ -1576,7 +1613,8 @@ mod tests {
             2,
             ReplicaPolicy::FailoverOnly,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         // Disk 2 serves its own 1 + disk 0's 2 + disk 1's 1 = 4.
         assert_eq!(
             r2,
@@ -1597,7 +1635,8 @@ mod tests {
             2,
             ReplicaPolicy::FailoverOnly,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(
             r2,
             QueryOutcome::Served {
@@ -1623,7 +1662,8 @@ mod tests {
             1,
             ReplicaPolicy::NearestFreeQueue,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         let primary = degraded_outcome(
             &hist,
             &s,
@@ -1632,7 +1672,8 @@ mod tests {
             1,
             ReplicaPolicy::PrimaryOnly,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert!(nearest.response_time().unwrap() <= primary.response_time().unwrap());
         assert!(nearest.is_served());
     }
@@ -1651,7 +1692,8 @@ mod tests {
                 2,
                 ReplicaPolicy::RoundRobin,
                 &mut Vec::new(),
-            );
+            )
+            .unwrap();
             let expect_failover = if t % 3 == 0 { 0 } else { 3 };
             assert_eq!(
                 out,
@@ -1678,7 +1720,8 @@ mod tests {
             1,
             ReplicaPolicy::Spread,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1697,7 +1740,8 @@ mod tests {
             1,
             ReplicaPolicy::Spread,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(
             out,
             QueryOutcome::Served {
@@ -1715,7 +1759,8 @@ mod tests {
             0,
             ReplicaPolicy::Spread,
             &mut Vec::new(),
-        );
+        )
+        .unwrap();
         assert!(matches!(out, QueryOutcome::Unavailable { dead_buckets: 7 }));
     }
 

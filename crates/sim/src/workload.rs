@@ -110,16 +110,13 @@ pub fn rect_sides_for_area(area: u64, dims: &[u32]) -> Option<Vec<u32>> {
     fit(area, dims)
 }
 
-/// A uniformly random placement of a query box with the given side
-/// lengths inside the grid.
+/// The room a box of `sides` leaves on each dimension of `space`: its
+/// largest `lo` coordinate there.
 ///
 /// # Errors
-/// [`SimError::QueryDoesNotFit`] if any side exceeds the grid.
-pub fn random_region<R: Rng>(
-    rng: &mut R,
-    space: &GridSpace,
-    sides: &[u32],
-) -> Result<BucketRegion> {
+/// [`SimError::QueryDoesNotFit`] if the arity differs from the grid's or
+/// any side is zero or exceeds the grid.
+fn placement_room(space: &GridSpace, sides: &[u32]) -> Result<SmallVec<[u32; COORD_INLINE_DIMS]>> {
     if sides.len() != space.k()
         || sides
             .iter()
@@ -131,24 +128,75 @@ pub fn random_region<R: Rng>(
             dims: space.dims().to_vec(),
         });
     }
-    // Corners fill inline (up to `COORD_INLINE_DIMS` dimensions): a
-    // sweep draws thousands of placements per point.
-    let mut lo = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
-    let mut hi = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
-    for (d, &s) in sides.iter().enumerate() {
-        let max_lo = space.dim(d) - s;
-        let l = if max_lo == 0 {
+    let mut room = SmallVec::new();
+    for (&s, &d) in sides.iter().zip(space.dims()) {
+        room.push(d - s);
+    }
+    Ok(room)
+}
+
+/// Draws one uniformly random `lo` corner, coordinate by coordinate, for
+/// a box with `room` ([`placement_room`]) into `push`: the one draw
+/// routine behind [`random_region`] and [`random_corners`]. A dimension
+/// the box fills (room 0) takes no draw.
+#[inline]
+fn draw_lo<R: Rng>(rng: &mut R, room: &[u32], mut push: impl FnMut(u32)) {
+    for &max_lo in room {
+        push(if max_lo == 0 {
             0
         } else {
             rng.gen_range(0..=max_lo)
-        };
-        lo.push(l);
+        });
+    }
+}
+
+/// A uniformly random placement of a query box with the given side
+/// lengths inside the grid.
+///
+/// # Errors
+/// [`SimError::QueryDoesNotFit`] if any side exceeds the grid.
+pub fn random_region<R: Rng>(
+    rng: &mut R,
+    space: &GridSpace,
+    sides: &[u32],
+) -> Result<BucketRegion> {
+    let room = placement_room(space, sides)?;
+    // Corners fill inline (up to `COORD_INLINE_DIMS` dimensions).
+    let mut lo = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
+    draw_lo(rng, &room, |l| lo.push(l));
+    let mut hi = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
+    for (&l, &s) in lo.iter().zip(sides) {
         hi.push(l + s - 1);
     }
     Ok(
         BucketRegion::new(space, BucketCoord::new(lo), BucketCoord::new(hi))
             .expect("placement stays in grid"),
     )
+}
+
+/// Appends the `lo` corners of `n` uniformly random placements of a box
+/// with the given side lengths to `out`, `k` coordinates per placement:
+/// the corners of `n` [`random_region`] calls, drawn with exactly its RNG
+/// calls (the RNG ends where those calls leave it), without building a
+/// region. The fixed-shape sweeps draw each point's placements this way
+/// into the worker's [`decluster_methods::Scratch::corners_mut`].
+///
+/// # Errors
+/// [`SimError::QueryDoesNotFit`] as [`random_region`]; nothing is drawn
+/// or appended then.
+pub fn random_corners<R: Rng>(
+    rng: &mut R,
+    space: &GridSpace,
+    sides: &[u32],
+    n: usize,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    let room = placement_room(space, sides)?;
+    out.reserve(n * room.len());
+    for _ in 0..n {
+        draw_lo(rng, &room, |l| out.push(l));
+    }
+    Ok(())
 }
 
 /// A uniformly random range query: each dimension gets an independent
@@ -549,6 +597,44 @@ mod tests {
                 random_region(&mut a, &g, &[4, 4]).unwrap(),
                 random_region(&mut b, &g, &[4, 4]).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn random_corners_draw_what_random_region_draws() {
+        use rand::RngCore;
+        let g = GridSpace::new(vec![16, 1, 5]).unwrap();
+        // The middle side always fills its dimension, and [16, 1, 5]
+        // fills all three: those dimensions take no draw.
+        for sides in [[3u32, 1, 2], [16, 1, 5], [1, 1, 1]] {
+            let mut a = StdRng::seed_from_u64(11);
+            let mut b = StdRng::seed_from_u64(11);
+            // Corners append after what the buffer already holds.
+            let mut corners = vec![7];
+            random_corners(&mut a, &g, &sides, 50, &mut corners).unwrap();
+            assert_eq!(corners.len(), 1 + 50 * 3);
+            for lo in corners[1..].chunks(3) {
+                let region = random_region(&mut b, &g, &sides).unwrap();
+                assert_eq!(lo, region.lo().as_slice(), "{sides:?}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "{sides:?}: the RNGs end level");
+        }
+    }
+
+    #[test]
+    fn random_corners_reject_what_random_region_rejects() {
+        let g = GridSpace::new_2d(8, 8).unwrap();
+        for sides in [&[9u32, 1][..], &[0, 1], &[1], &[1, 1, 1]] {
+            let mut corners = Vec::new();
+            let by_corner = random_corners(&mut rng(), &g, sides, 4, &mut corners).unwrap_err();
+            let by_region = random_region(&mut rng(), &g, sides).unwrap_err();
+            assert!(
+                matches!(&by_corner, SimError::QueryDoesNotFit { extents, dims }
+                    if extents == sides && dims == &[8, 8]),
+                "{by_corner:?}"
+            );
+            assert_eq!(format!("{by_corner:?}"), format!("{by_region:?}"));
+            assert!(corners.is_empty());
         }
     }
 
