@@ -110,13 +110,12 @@ pub fn rect_sides_for_area(area: u64, dims: &[u32]) -> Option<Vec<u32>> {
     fit(area, dims)
 }
 
-/// The room a box of `sides` leaves on each dimension of `space`: its
-/// largest `lo` coordinate there.
+/// Checks that a box with the given side lengths fits `space`.
 ///
 /// # Errors
 /// [`SimError::QueryDoesNotFit`] if the arity differs from the grid's or
 /// any side is zero or exceeds the grid.
-fn placement_room(space: &GridSpace, sides: &[u32]) -> Result<SmallVec<[u32; COORD_INLINE_DIMS]>> {
+fn check_fits(space: &GridSpace, sides: &[u32]) -> Result<()> {
     if sides.len() != space.k()
         || sides
             .iter()
@@ -128,25 +127,19 @@ fn placement_room(space: &GridSpace, sides: &[u32]) -> Result<SmallVec<[u32; COO
             dims: space.dims().to_vec(),
         });
     }
-    let mut room = SmallVec::new();
-    for (&s, &d) in sides.iter().zip(space.dims()) {
-        room.push(d - s);
-    }
-    Ok(room)
+    Ok(())
 }
 
-/// Draws one uniformly random `lo` corner, coordinate by coordinate, for
-/// a box with `room` ([`placement_room`]) into `push`: the one draw
-/// routine behind [`random_region`] and [`random_corners`]. A dimension
-/// the box fills (room 0) takes no draw.
+/// Draws one uniformly random `lo` coordinate in `0..=max_lo`, where
+/// `max_lo` is the grid side less the box side: the one draw rule behind
+/// [`random_region`] and [`random_corners`]. A side that fills its
+/// dimension (`max_lo == 0`) takes no draw.
 #[inline]
-fn draw_lo<R: Rng>(rng: &mut R, room: &[u32], mut push: impl FnMut(u32)) {
-    for &max_lo in room {
-        push(if max_lo == 0 {
-            0
-        } else {
-            rng.gen_range(0..=max_lo)
-        });
+fn draw_lo<R: Rng>(rng: &mut R, max_lo: u32) -> u32 {
+    if max_lo == 0 {
+        0
+    } else {
+        rng.gen_range(0..=max_lo)
     }
 }
 
@@ -160,12 +153,13 @@ pub fn random_region<R: Rng>(
     space: &GridSpace,
     sides: &[u32],
 ) -> Result<BucketRegion> {
-    let room = placement_room(space, sides)?;
+    check_fits(space, sides)?;
     // Corners fill inline (up to `COORD_INLINE_DIMS` dimensions).
     let mut lo = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
-    draw_lo(rng, &room, |l| lo.push(l));
     let mut hi = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
-    for (&l, &s) in lo.iter().zip(sides) {
+    for (&s, &d) in sides.iter().zip(space.dims()) {
+        let l = draw_lo(rng, d - s);
+        lo.push(l);
         hi.push(l + s - 1);
     }
     Ok(
@@ -191,10 +185,14 @@ pub fn random_corners<R: Rng>(
     n: usize,
     out: &mut Vec<u32>,
 ) -> Result<()> {
-    let room = placement_room(space, sides)?;
+    check_fits(space, sides)?;
+    let mut room = SmallVec::<[u32; COORD_INLINE_DIMS]>::new();
+    for (&s, &d) in sides.iter().zip(space.dims()) {
+        room.push(d - s);
+    }
     out.reserve(n * room.len());
     for _ in 0..n {
-        draw_lo(rng, &room, |l| out.push(l));
+        out.extend(room.iter().map(|&max_lo| draw_lo(rng, max_lo)));
     }
     Ok(())
 }
