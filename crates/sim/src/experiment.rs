@@ -312,7 +312,10 @@ struct PointScore {
 }
 
 impl PointScore {
-    /// Point `x` of `ctx`'s methods, from what its scorer returned.
+    /// Point `x` of `ctx`'s methods, from what its scorer returned. The
+    /// scorers reset the worker's plan cache at batch start, so a scratch
+    /// that last served another point — or another *grid* (the
+    /// database-size sweep) — cannot influence results or metrics.
     fn new(ctx: &EvalContext, x: f64, (summaries, optimal): (Vec<Summary>, f64)) -> Self {
         PointScore {
             x,
@@ -588,34 +591,6 @@ impl Experiment {
         }
     }
 
-    /// Scores one point's query population against a context through the
-    /// worker's scratch. `score_with` resets the scratch's plan cache at
-    /// batch start, so a scratch that last served a different point
-    /// cannot influence results or metrics.
-    fn score_point(
-        ctx: &EvalContext,
-        x: f64,
-        regions: &[BucketRegion],
-        scratch: &mut Scratch,
-    ) -> PointScore {
-        PointScore::new(ctx, x, ctx.score_with(regions, scratch))
-    }
-
-    /// Scores one point of a fixed-shape sweep: the placements of a
-    /// `sides` box whose `lo` corners sit in the worker's scratch
-    /// ([`random_corners`]). Like [`Experiment::score_point`], the plan
-    /// cache is reset at batch start, so a scratch that last served
-    /// another point — or another *grid* (the database-size sweep) —
-    /// cannot influence results or metrics.
-    fn score_corners(
-        ctx: &EvalContext,
-        x: f64,
-        sides: &[u32],
-        scratch: &mut Scratch,
-    ) -> PointScore {
-        PointScore::new(ctx, x, ctx.score_corners_with(sides, scratch))
-    }
-
     /// **Experiment 1 (query size).** Near-square queries of each area in
     /// the sweep, placed uniformly at random; reports mean RT per method
     /// and the optimal curve. Paper: "The query size was varied from
@@ -647,7 +622,11 @@ impl Experiment {
             let n = self.queries_per_point;
             random_corners(rng, &self.space, &sides[i], n, scratch.corners_mut())?;
             let x = sweep.areas()[i] as f64;
-            Ok(Self::score_corners(ctx, x, &sides[i], scratch))
+            Ok(PointScore::new(
+                ctx,
+                x,
+                ctx.score_corners_with(&sides[i], scratch),
+            ))
         })?;
         Ok(Self::assemble(
             format!(
@@ -678,11 +657,11 @@ impl Experiment {
             let sides = [a, b];
             let n = self.queries_per_point;
             random_corners(rng, &self.space, &sides, n, scratch.corners_mut())?;
-            Ok(Self::score_corners(
+            let x = f64::from(1u32 << p);
+            Ok(PointScore::new(
                 ctx,
-                f64::from(1u32 << p),
-                &sides,
-                scratch,
+                x,
+                ctx.score_corners_with(&sides, scratch),
             ))
         })?;
         Ok(Self::assemble(
@@ -727,7 +706,11 @@ impl Experiment {
             let m = disk_counts[i];
             let ctx = self.context_for(&self.space, m);
             scratch.corners_mut().extend_from_slice(&corners);
-            Ok(Self::score_corners(&ctx, f64::from(m), &sides, scratch))
+            Ok(PointScore::new(
+                &ctx,
+                f64::from(m),
+                ctx.score_corners_with(&sides, scratch),
+            ))
         })?;
         Ok(Self::assemble(
             format!(
@@ -758,11 +741,11 @@ impl Experiment {
             let sides = vec![pt.query_side.min(pt.side).max(1); k];
             let n = self.queries_per_point;
             random_corners(rng, &space, &sides, n, scratch.corners_mut())?;
-            Ok(Self::score_corners(
+            let x = f64::from(pt.side);
+            Ok(PointScore::new(
                 &ctx,
-                f64::from(pt.side),
-                &sides,
-                scratch,
+                x,
+                ctx.score_corners_with(&sides, scratch),
             ))
         })?;
         Ok(Self::assemble(
@@ -788,7 +771,11 @@ impl Experiment {
         let ctx = self.sweep_context();
         let points = self.run_points(mixes.len(), |i, rng, scratch| {
             let regions = mixes[i].generate(rng, &self.space, self.queries_per_point)?;
-            Ok(Self::score_point(ctx, i as f64, &regions, scratch))
+            Ok(PointScore::new(
+                ctx,
+                i as f64,
+                ctx.score_with(&regions, scratch),
+            ))
         })?;
         Ok(Self::assemble(
             format!(
@@ -1530,7 +1517,11 @@ impl Experiment {
                 .iter()
                 .map(|q| q.region(&self.space).map_err(SimError::from))
                 .collect::<Result<_>>()?;
-            Ok(Self::score_point(ctx, unspec as f64, &regions, scratch))
+            Ok(PointScore::new(
+                ctx,
+                unspec as f64,
+                ctx.score_with(&regions, scratch),
+            ))
         })?;
         Ok(Self::assemble(
             format!(
