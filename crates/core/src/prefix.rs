@@ -1883,6 +1883,18 @@ mod proptests {
     /// Disk counts below, at and across the 16-lane chunk.
     const BATCH_DISKS: [u32; 8] = [1, 2, 5, 15, 16, 17, 33, 64];
 
+    /// An allocation of `g` over `BATCH_DISKS[disks]` disks: DM, FX or,
+    /// for any other `which`, a random allocation seeded by `seed`.
+    fn batch_map(g: &GridSpace, disks: usize, which: u8, seed: u64) -> AllocationMap {
+        let m = BATCH_DISKS[disks];
+        let method: Box<dyn DeclusteringMethod> = match which {
+            0 => Box::new(DiskModulo::new(g, m).unwrap()),
+            1 => Box::new(FieldwiseXor::new(g, m).unwrap()),
+            _ => Box::new(RandomAlloc::new(g, m, seed).unwrap()),
+        };
+        AllocationMap::from_method(g, method.as_ref()).unwrap()
+    }
+
     /// A random grid (k in 1..=4, uneven sides), an allocation over one
     /// of [`BATCH_DISKS`] disks, and a batch of placements drawn in
     /// random order from three random shapes — so runs of equal shapes
@@ -1897,13 +1909,7 @@ mod proptests {
         )
             .prop_flat_map(|(dims, disks, which, seed)| {
                 let g = GridSpace::new(dims.clone()).unwrap();
-                let m = BATCH_DISKS[disks];
-                let method: Box<dyn DeclusteringMethod> = match which {
-                    0 => Box::new(DiskModulo::new(&g, m).unwrap()),
-                    1 => Box::new(FieldwiseXor::new(&g, m).unwrap()),
-                    _ => Box::new(RandomAlloc::new(&g, m, seed).unwrap()),
-                };
-                let map = AllocationMap::from_method(&g, method.as_ref()).unwrap();
+                let map = batch_map(&g, disks, which, seed);
                 let k = dims.len();
                 (
                     proptest::collection::vec(any::<u64>(), 3 * k..3 * k + 1),
@@ -2082,14 +2088,7 @@ mod proptests {
             side_raws in proptest::collection::vec(any::<u64>(), 4..5),
             raws in proptest::collection::vec(any::<u64>(), 1..24)
         ) {
-            let g = GridSpace::new(dims.clone()).unwrap();
-            let m = BATCH_DISKS[disks];
-            let method: Box<dyn DeclusteringMethod> = match which {
-                0 => Box::new(DiskModulo::new(&g, m).unwrap()),
-                1 => Box::new(FieldwiseXor::new(&g, m).unwrap()),
-                _ => Box::new(RandomAlloc::new(&g, m, side_raws[0]).unwrap()),
-            };
-            let map = AllocationMap::from_method(&g, method.as_ref()).unwrap();
+            let map = batch_map(&GridSpace::new(dims.clone()).unwrap(), disks, which, side_raws[0]);
             let extents: Vec<u32> = side_raws
                 .iter()
                 .zip(&dims)
