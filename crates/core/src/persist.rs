@@ -240,15 +240,14 @@ impl AllocationMap {
         let name_bytes = &name.as_bytes()[..name.len().min(255)];
         buf.put_u8(name_bytes.len() as u8);
         buf.put_slice(name_bytes);
-        if m <= 256 {
-            for &d in table {
-                buf.put_u8(d as u8);
-            }
+        // One cell per byte while every disk id fits one, else four
+        // little-endian bytes; staged whole and appended in one call.
+        let cells: Vec<u8> = if m <= 256 {
+            table.iter().map(|&d| d as u8).collect()
         } else {
-            for &d in table {
-                buf.put_u32_le(d);
-            }
-        }
+            table.iter().flat_map(|d| d.to_le_bytes()).collect()
+        };
+        buf.put_slice(&cells);
         let crc = crc32(&buf);
         buf.put_u32_le(crc);
         buf.freeze()
@@ -907,9 +906,10 @@ mod tests {
         assert_eq!(loaded, map);
     }
 
-    /// Pins the v2 allocation image byte for byte (and its v1 downgrade),
-    /// so the kernel-image work cannot drift the legacy formats: any
-    /// image written before persist v3 must keep loading unchanged.
+    /// Pins the v2 allocation image byte for byte, at both cell widths
+    /// (and its v1 downgrade), so the kernel-image work cannot drift the
+    /// legacy formats: any image written before persist v3 must keep
+    /// loading unchanged.
     #[test]
     fn v1_and_v2_allocation_layouts_are_pinned() {
         let space = GridSpace::new_2d(2, 2).unwrap();
@@ -928,6 +928,22 @@ mod tests {
         assert_eq!(map.to_bytes().as_ref(), expected.as_slice());
         assert_eq!(AllocationMap::from_bytes(&expected).unwrap(), map);
         assert_eq!(AllocationMap::from_bytes(&as_v1(&expected)).unwrap(), map);
+
+        // Past 256 disks a cell takes four little-endian bytes.
+        let map = AllocationMap::from_table(&space, 300, vec![0, 299, 256, 1]).unwrap();
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"DCLA");
+        expected.extend_from_slice(&2u16.to_le_bytes()); // version
+        expected.extend_from_slice(&2u16.to_le_bytes()); // k
+        expected.extend_from_slice(&2u32.to_le_bytes()); // dims[0]
+        expected.extend_from_slice(&2u32.to_le_bytes()); // dims[1]
+        expected.extend_from_slice(&300u32.to_le_bytes()); // m
+        expected.push(5);
+        expected.extend_from_slice(b"TABLE");
+        expected.extend_from_slice(&[0, 0, 0, 0, 43, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0]);
+        expected.extend_from_slice(&crc32(&expected).to_le_bytes());
+        assert_eq!(map.to_bytes().as_ref(), expected.as_slice());
+        assert_eq!(AllocationMap::from_bytes(&expected).unwrap(), map);
     }
 
     fn table_map(space: &GridSpace, m: u32, salt: u32) -> AllocationMap {

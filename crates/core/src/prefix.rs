@@ -59,10 +59,12 @@ pub fn kernel_build_count() -> u64 {
 ///   scoring loop, so repeated-query scoring allocates nothing per query.
 ///
 /// Every entry point — plain, live-masked, histogram, single-disk and
-/// the batch path of [`ScoreBatch`] — sums corner rows through a plan:
+/// the batch walk of [`ScoreBatch`] — sums corner rows through a plan:
 /// the `*_with` forms cache it, the plain forms compile one per call.
-/// All but the single-disk count run one fixed-width lane routine
-/// (16-lane chunks plus one remainder chunk).
+/// All but the single-disk count run 16-lane chunks plus one remainder
+/// chunk. The batch walk resolves each shape run's corner rows once, so
+/// a placement off the `lo = 0` faces sums them with no per-corner test;
+/// the other entry points test each corner against the placement's edge.
 #[derive(Clone, Debug)]
 pub struct DiskCounts {
     /// Disks (`M`).
@@ -325,18 +327,108 @@ fn lane_sparse<T: Lane>(
     });
 }
 
-/// Scores one run of equal-shape placements with the run's plan: the
-/// batch loop, with [`lane_max`] inlined per placement.
-fn run_response_times<T: Lane>(
+/// A run's corner rows resolved for one grid: each corner's lane offset
+/// from the run's lowest corner row (`lo - 1` on every dimension),
+/// multiplied by the lane count in advance and paired by sign. An
+/// interior placement, one with no dimension on the `lo = 0` face,
+/// reads every corner at these offsets from its anchor lane, so it needs
+/// no sign or edge test per corner.
+#[derive(Clone, Debug, Default)]
+struct RunRows {
+    /// Rows from the lowest corner row up to the `lo` row: the sum of
+    /// the strides.
+    below: usize,
+    /// Lane offsets of one `+` and one `-` corner each: a box has as
+    /// many corners of each sign (`2^(k-1)`, as `k ≥ 1`).
+    pairs: Vec<[usize; 2]>,
+}
+
+impl RunRows {
+    /// Makes these the rows of `plan` on a table `lanes` wide.
+    fn resolve(&mut self, plan: &CornerPlan, lanes: usize) {
+        self.below = plan.strides.iter().sum();
+        // The lowest corner's offset is `-below`, so none is negative.
+        let lane = |c: &PlanCorner| (c.offset + self.below as i64) as usize * lanes;
+        let plus = plan.corners.iter().filter(|c| c.sign > 0);
+        let minus = plan.corners.iter().filter(|c| c.sign < 0);
+        self.pairs.clear();
+        self.pairs
+            .extend(plus.zip(minus).map(|(p, m)| [lane(p), lane(m)]));
+    }
+}
+
+/// Every `+` row minus every `-` row of `rows`, `width ≤ LANE_CHUNK`
+/// lanes each from lane `at` on, in a zero-padded chunk: the wrapping
+/// sum of [`chunk_counts`] with no corner skipped. A full chunk's width
+/// is a constant after inlining, so each row is read as one fixed array.
+#[inline(always)]
+fn signed_rows<T: Lane>(table: &[T], rows: &RunRows, at: usize, width: usize) -> [T; LANE_CHUNK] {
+    let mut acc = [T::default(); LANE_CHUNK];
+    for &[plus, minus] in &rows.pairs {
+        let plus = &table[at + plus..at + plus + width];
+        let minus = &table[at + minus..at + minus + width];
+        for ((a, &p), &m) in acc.iter_mut().zip(plus).zip(minus) {
+            *a = a.wrapping_add_lane(p).wrapping_sub_lane(m);
+        }
+    }
+    acc
+}
+
+/// The RT of an interior placement whose lowest corner row starts at
+/// lane `anchor`: full 16-lane chunks, then one remainder chunk, folded
+/// lane by lane into one chunk that takes a single lane max.
+#[inline(always)]
+fn interior_max<T: Lane>(table: &[T], lanes: usize, rows: &RunRows, anchor: usize) -> u64 {
+    let full = lanes - lanes % LANE_CHUNK;
+    let mut best = [T::default(); LANE_CHUNK];
+    let mut fold = |counts: [T; LANE_CHUNK]| {
+        for (b, c) in best.iter_mut().zip(counts) {
+            *b = (*b).max(c);
+        }
+    };
+    let mut start = 0;
+    while start < full {
+        fold(signed_rows(table, rows, anchor + start, LANE_CHUNK));
+        start += LANE_CHUNK;
+    }
+    if full < lanes {
+        fold(signed_rows(table, rows, anchor + full, lanes - full));
+    }
+    best.into_iter().fold(T::default(), Ord::max).widen() as u64
+}
+
+/// Walks one run of equal-shape placements, handing each RT to `sink`
+/// in order: interior placements through the run's resolved `rows`,
+/// placements on a `lo = 0` face through [`lane_max`], which skips the
+/// corners that fall off the grid.
+fn walk_run<T: Lane>(
     table: &[T],
     lanes: usize,
     plan: &CornerPlan,
+    rows: &RunRows,
     keys: &[PlacementKey],
-    out: &mut [u64],
+    sink: &mut impl FnMut(u64),
 ) {
-    for (rt, &key) in out.iter_mut().zip(keys) {
-        *rt = lane_max(table, lanes, plan, key, None);
+    for &key in keys {
+        sink(if key.edge == 0 {
+            // Every `lo` coordinate is at least 1, so the lowest corner
+            // row sits at or after row 0.
+            interior_max(table, lanes, rows, (key.base - rows.below) * lanes)
+        } else {
+            lane_max(table, lanes, plan, key, None)
+        });
     }
+}
+
+/// Counts the response time `rt` into `hist`, growing it to `rt + 1`
+/// bins when `rt` is the largest yet.
+#[inline]
+fn count_rt(hist: &mut Vec<u64>, rt: u64) {
+    let bin = usize::try_from(rt).expect("a response time counts buckets held in memory");
+    if bin >= hist.len() {
+        hist.resize(bin + 1, 0);
+    }
+    hist[bin] += 1;
 }
 
 /// One inclusion–exclusion corner of a compiled plan.
@@ -428,7 +520,7 @@ impl CornerPlan {
 /// Reusable scoring state for the `*_with` kernel entry points: a cached
 /// [`CornerPlan`] with hit/compile counts, the naive walk's per-disk
 /// accumulator, the `lo` corners of a one-shape batch, and the placement
-/// keys of the current [`ScoreBatch`].
+/// keys and resolved corner rows of the current [`ScoreBatch`].
 ///
 /// Keep one per worker thread and thread it through the scoring loop;
 /// a `Scratch` may be re-used freely across queries, methods, and even
@@ -448,6 +540,8 @@ pub struct Scratch {
     corners: Vec<u32>,
     /// Placement keys of the batch being scored.
     keys: BatchKeys,
+    /// Corner rows of the shape run being scored.
+    rows: RunRows,
 }
 
 /// Where a [`ScoreBatch`] reads its placements.
@@ -596,32 +690,47 @@ impl ScoreBatch<'_> {
     /// off the grid.
     pub fn response_times(&mut self, kernel: &DiskCounts, out: &mut [u64]) {
         assert_eq!(out.len(), self.len(), "one response time per placement");
-        kernel.batch_response_times(self.placements, self.scratch, out);
+        let mut slots = out.iter_mut();
+        kernel.batch_walk(self.placements, self.scratch, |rt| {
+            *slots.next().expect("one slot per placement") = rt;
+        });
     }
 
-    /// Writes every placement's response time under `map` into `out`, in
-    /// batch order, by the naive per-bucket walk
-    /// ([`AllocationMap::response_time_with`]): the fallback for an
+    /// Counts the response time of every placement of the batch on
+    /// `kernel` into `hist`, cleared first: `hist[rt]` placements take
+    /// `rt` bucket reads on their busiest disk, and `hist.len()` is the
+    /// largest RT plus one (zero for an empty batch). The same walk as
+    /// [`ScoreBatch::response_times`], with the same plan counters.
+    ///
+    /// # Panics
+    /// As [`ScoreBatch::response_times`], bar the length check.
+    pub fn rt_histogram(&mut self, kernel: &DiskCounts, hist: &mut Vec<u64>) {
+        hist.clear();
+        kernel.batch_walk(self.placements, self.scratch, |rt| count_rt(hist, rt));
+    }
+
+    /// [`ScoreBatch::rt_histogram`] under `map`, by the naive per-bucket
+    /// walk ([`AllocationMap::response_time_with`]): the fallback for an
     /// allocation whose kernel could not be built. Plan slot and keys
     /// are left alone.
     ///
     /// # Panics
-    /// As [`ScoreBatch::response_times`].
-    pub fn naive_response_times(&mut self, map: &AllocationMap, out: &mut [u64]) {
-        assert_eq!(out.len(), self.len(), "one response time per placement");
+    /// Panics if a corner places the shape off the grid.
+    pub fn naive_rt_histogram(&mut self, map: &AllocationMap, hist: &mut Vec<u64>) {
+        hist.clear();
         match self.placements {
             Placements::Regions(regions) => {
-                for (rt, region) in out.iter_mut().zip(regions) {
-                    *rt = map.response_time_with(region, self.scratch);
+                for region in regions {
+                    count_rt(hist, map.response_time_with(region, self.scratch));
                 }
             }
             Placements::Corners(extents) => {
                 // The walk borrows the scratch's accumulator, so the
                 // corners step out of the scratch for the loop.
                 let corners = std::mem::take(&mut self.scratch.corners);
-                for (rt, lo) in out.iter_mut().zip(corners.chunks_exact(extents.len())) {
+                for lo in corners.chunks_exact(extents.len()) {
                     let region = corner_region(map.space(), lo, extents);
-                    *rt = map.response_time_with(&region, self.scratch);
+                    count_rt(hist, map.response_time_with(&region, self.scratch));
                 }
                 self.scratch.corners = corners;
             }
@@ -1051,12 +1160,9 @@ impl DiskCounts {
     #[inline]
     fn corner_key(&self, lo: &[u32]) -> PlacementKey {
         let mut key = PlacementKey::default();
-        for (dim, &stride) in self.strides.iter().enumerate() {
-            let l = lo[dim] as usize;
-            key.base += l * stride;
-            if l == 0 {
-                key.edge |= 1 << dim;
-            }
+        for (dim, (&l, &stride)) in lo.iter().zip(&self.strides).enumerate() {
+            key.base += l as usize * stride;
+            key.edge |= u32::from(l == 0) << dim;
         }
         key
     }
@@ -1109,14 +1215,15 @@ impl DiskCounts {
         }
     }
 
-    /// The batch path behind [`ScoreBatch::response_times`]: placement
+    /// The one batch walk behind every [`ScoreBatch`] sink: placement
     /// keys from (or into) the scratch, one plan resolution per run of
-    /// equal shapes, then the lane routine per placement.
-    fn batch_response_times(
+    /// equal shapes and its corner rows resolved once, then every
+    /// placement's RT handed to `sink` in batch order.
+    fn batch_walk(
         &self,
         placements: Placements<'_>,
         scratch: &mut Scratch,
-        out: &mut [u64],
+        mut sink: impl FnMut(u64),
     ) {
         scratch.keys.ensure(self, placements, &scratch.corners);
         let lanes = self.m as usize;
@@ -1131,11 +1238,11 @@ impl DiskCounts {
             }
             scratch.plan_hits += (end - start - 1) as u64;
             let plan = scratch.plan.as_ref().expect("plan just ensured");
+            scratch.rows.resolve(plan, lanes);
             let keys = &scratch.keys.placements[start..end];
-            let out = &mut out[start..end];
             match &self.table {
-                CountLane::U16(t) => run_response_times(t, lanes, plan, keys, out),
-                CountLane::U32(t) => run_response_times(t, lanes, plan, keys, out),
+                CountLane::U16(t) => walk_run(t, lanes, plan, &scratch.rows, keys, &mut sink),
+                CountLane::U32(t) => walk_run(t, lanes, plan, &scratch.rows, keys, &mut sink),
             }
             start = end;
         }
@@ -1955,11 +2062,13 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Batch contract: on narrow and wide lanes alike, every batch RT
-        /// equals the naive walk and the per-query planned path, and the
-        /// batch moves the plan counters exactly as the per-query loop
-        /// over the same kernels does. The masked and histogram
-        /// reductions of the same lane routine match their references
-        /// on the same placements under a random live mask.
+        /// equals the naive walk and the per-query planned path, the
+        /// batch's RT histogram equals the histogram of its RTs and that
+        /// of the batch's naive walk, and each pass moves the plan
+        /// counters exactly as the per-query loop over the same kernels
+        /// does. The masked and histogram reductions of the same lane
+        /// routine match their references on the same placements under a
+        /// random live mask.
         #[test]
         fn batch_kernel_matches_the_references(
             (map, regions) in map_and_batch(),
@@ -1972,6 +2081,16 @@ mod proptests {
             for (kernel, out) in kernels.iter().zip(&mut rts) {
                 batch.response_times(kernel, out);
             }
+            let mut naive = Vec::new();
+            batch.naive_rt_histogram(&map, &mut naive);
+            let mut hist_scratch = Scratch::new();
+            let mut hist_batch = hist_scratch.batch(&regions);
+            let mut hist = Vec::new();
+            for (kernel, batch_rts) in kernels.iter().zip(&rts) {
+                hist_batch.rt_histogram(kernel, &mut hist);
+                prop_assert_eq!(&hist, &histogram_of(batch_rts));
+                prop_assert_eq!(&hist, &naive);
+            }
             let mut scratch = Scratch::new();
             for (kernel, batch_rts) in kernels.iter().zip(&rts) {
                 for (r, &rt) in regions.iter().zip(batch_rts) {
@@ -1979,7 +2098,9 @@ mod proptests {
                     prop_assert_eq!(kernel.response_time_with(r, &mut scratch), rt);
                 }
             }
-            prop_assert_eq!(batch_scratch.drain_plan_stats(), scratch.drain_plan_stats());
+            let per_query = scratch.drain_plan_stats();
+            prop_assert_eq!(batch_scratch.drain_plan_stats(), per_query);
+            prop_assert_eq!(hist_scratch.drain_plan_stats(), per_query);
 
             let live: Vec<bool> = (0..map.num_disks())
                 .map(|d| mask_bits.rotate_right(d) & 1 == 1)
@@ -2018,10 +2139,22 @@ mod proptests {
         corners
     }
 
+    /// The histogram of `rts`: `hist[rt]` of them equal `rt`, and the
+    /// last bin holds the largest.
+    fn histogram_of(rts: &[u64]) -> Vec<u64> {
+        let mut hist = vec![0; rts.iter().max().map_or(0, |&max| max as usize + 1)];
+        for &rt in rts {
+            hist[rt as usize] += 1;
+        }
+        hist
+    }
+
     /// The corner contract: the placements of `extents` at `corners`,
     /// scored as one corner batch and as the region batch over the same
-    /// placements, give equal RTs on narrow and wide kernels and through
-    /// the naive walk, the same shape runs, and the same plan counters.
+    /// placements, give equal RTs on narrow and wide kernels, equal to
+    /// the naive walk; each batch's RT histogram equals the histogram of
+    /// those RTs and of its naive walk; and both batches report the same
+    /// shape runs and move the plan counters alike.
     fn corner_batch_matches_region_batch(map: &AllocationMap, extents: &[u32], corners: &[u32]) {
         let g = map.space();
         let regions: Vec<BucketRegion> = corners
@@ -2044,16 +2177,23 @@ mod proptests {
         );
         let mut by_region = vec![0u64; regions.len()];
         let mut by_corner = vec![0u64; regions.len()];
+        let (mut region_hist, mut corner_hist) = (Vec::new(), Vec::new());
         for kernel in &kernels {
             region_batch.response_times(kernel, &mut by_region);
             corner_batch.response_times(kernel, &mut by_corner);
             prop_assert_eq!(&by_corner, &by_region);
+            region_batch.rt_histogram(kernel, &mut region_hist);
+            corner_batch.rt_histogram(kernel, &mut corner_hist);
+            prop_assert_eq!(&region_hist, &histogram_of(&by_region));
+            prop_assert_eq!(&corner_hist, &region_hist);
         }
-        corner_batch.naive_response_times(map, &mut by_corner);
-        prop_assert_eq!(&by_corner, &by_region);
         for (r, &rt) in regions.iter().zip(&by_region) {
             prop_assert_eq!(rt, map.response_time(r), "{:?} on {:?}", r, g.dims());
         }
+        region_batch.naive_rt_histogram(map, &mut region_hist);
+        corner_batch.naive_rt_histogram(map, &mut corner_hist);
+        prop_assert_eq!(&region_hist, &histogram_of(&by_region));
+        prop_assert_eq!(&corner_hist, &region_hist);
         prop_assert_eq!(
             corner_scratch.drain_plan_stats(),
             region_scratch.drain_plan_stats()

@@ -109,6 +109,11 @@ pub trait Recorder: Send + Sync {
     /// Records `value` into the histogram `name` (RT bucket bounds).
     fn observe(&self, _name: &str, _value: u64) {}
 
+    /// Records `n` observations of `value` into the histogram `name`:
+    /// the snapshot equals the one `n` calls of [`Recorder::observe`]
+    /// leave, so `n = 0` records nothing.
+    fn observe_n(&self, _name: &str, _value: u64, _n: u64) {}
+
     /// Interns counter `name` and returns a handle that skips the name
     /// lookup on every update. Defaults to an inert handle, so no-op
     /// recorders pay nothing per update.
@@ -213,6 +218,10 @@ impl Recorder for MetricsRecorder {
         self.metrics.observe(name, value);
     }
 
+    fn observe_n(&self, name: &str, value: u64, n: u64) {
+        self.metrics.observe_n(name, value, n);
+    }
+
     fn counter_handle(&self, name: &str) -> CounterHandle {
         self.metrics.counter_handle(name)
     }
@@ -300,6 +309,12 @@ impl Obs {
     /// Records `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
         self.recorder.observe(name, value);
+    }
+
+    /// Records `n` observations of `value` into histogram `name` in one
+    /// call, as `n` calls of [`Obs::observe`] would.
+    pub fn observe_n(&self, name: &str, value: u64, n: u64) {
+        self.recorder.observe_n(name, value, n);
     }
 
     /// Interns counter `name` once, returning a handle whose updates
@@ -400,6 +415,27 @@ mod tests {
         assert_eq!(snap.gauges, vec![("g".to_owned(), 7)]);
         assert_eq!(snap.histograms[0].count, 1);
         assert_eq!(snap.walls.len(), 1);
+    }
+
+    #[test]
+    fn observe_n_snapshots_equal_n_observes() {
+        // Bucket edges, the overflow bucket, a wrapping sum and `n = 0`,
+        // which must not even create the histogram.
+        for (value, n) in [(3, 0), (0, 1), (7, 5), (1024, 2), (5000, 3), (u64::MAX, 3)] {
+            let (once, each) = (
+                Arc::new(MetricsRecorder::new()),
+                Arc::new(MetricsRecorder::new()),
+            );
+            Obs::new(once.clone()).observe_n("rt", value, n);
+            let obs = Obs::new(each.clone());
+            for _ in 0..n {
+                obs.observe("rt", value);
+            }
+            assert_eq!(once.snapshot(), each.snapshot(), "{n} x {value}");
+        }
+        // The no-op recorder ignores it like every other update.
+        Obs::disabled().observe_n("rt", 3, 2);
+        assert_eq!(NullRecorder.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

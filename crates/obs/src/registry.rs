@@ -42,14 +42,20 @@ impl Histogram {
     }
 
     fn observe(&self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// `n` observations of `value` at once. The sum wraps as `n`
+    /// separate `fetch_add`s of `value` would.
+    fn observe_n(&self, value: u64, n: u64) {
         let idx = self
             .bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
     }
 }
 
@@ -168,7 +174,16 @@ impl MetricsRegistry {
 
     /// Records `value` into histogram `name` ([`RT_BUCKETS`] bounds).
     pub fn observe(&self, name: &str, value: u64) {
-        handle(&self.histograms, name, || Histogram::new(&RT_BUCKETS)).observe(value);
+        self.observe_n(name, value, 1);
+    }
+
+    /// Records `n` observations of `value` into histogram `name`, as `n`
+    /// calls of [`MetricsRegistry::observe`] would: with `n = 0` the
+    /// histogram is not even created.
+    pub fn observe_n(&self, name: &str, value: u64, n: u64) {
+        if n > 0 {
+            handle(&self.histograms, name, || Histogram::new(&RT_BUCKETS)).observe_n(value, n);
+        }
     }
 
     /// Interns counter `name` (creating it at zero) and returns a live

@@ -256,30 +256,32 @@ impl EvalContext {
         scored
     }
 
-    /// Scores `batch` on every method, kernel or naive walk, and records
-    /// the `rt.*` metrics. The bucket counts, cells read and the optimal
-    /// bound depend on a placement's shape alone, so they are summed per
-    /// shape run.
+    /// Scores `batch` on every method, kernel or naive walk, into one RT
+    /// histogram per method, and records the `rt.*` metrics. The bucket
+    /// counts, cells read and the optimal bound depend on a placement's
+    /// shape alone, so they are summed per shape run.
     fn score_batch(&self, mut batch: ScoreBatch<'_>) -> (Vec<Summary>, f64) {
         let n = batch.len();
         let mut summaries = Vec::with_capacity(self.maps.len());
-        let mut rts = vec![0u64; n];
+        let mut hist = Vec::new();
         // All observability aggregation sits behind this one branch, so
         // the disabled recorder costs nothing on the scoring path.
         let enabled = self.obs.enabled();
         let mut max_rt = 0u64;
         for (map, kernel) in self.maps.iter().zip(&self.kernels) {
             match kernel {
-                Some(kernel) => batch.response_times(kernel, &mut rts),
-                None => batch.naive_response_times(map, &mut rts),
+                Some(kernel) => batch.rt_histogram(kernel, &mut hist),
+                None => batch.naive_rt_histogram(map, &mut hist),
             }
             if enabled {
-                for &rt in &rts {
-                    self.obs.observe("rt.response_time", rt);
-                    max_rt = max_rt.max(rt);
+                for (rt, &count) in (0u64..).zip(&hist) {
+                    if count > 0 {
+                        self.obs.observe_n("rt.response_time", rt, count);
+                        max_rt = max_rt.max(rt);
+                    }
                 }
             }
-            summaries.push(Summary::of_counts(&rts));
+            summaries.push(Summary::of_histogram(&hist));
         }
         let (mut buckets, mut cells, mut opt_sum) = (0u64, 0u64, 0.0f64);
         for run in batch.shape_runs() {

@@ -24,11 +24,66 @@ impl Summary {
         Self::of_iter(values.len(), values.iter().copied())
     }
 
-    /// Summarizes integer observations (the common case for bucket-count
-    /// response times) without copying them: bit for bit
-    /// [`Summary::of`] on the counts converted to `f64`.
+    /// Summarizes integer observations without copying them: bit for
+    /// bit [`Summary::of`] on the counts converted to `f64`. The fault
+    /// sweep's degraded RTs, which can saturate near 2^64, take this
+    /// form; sweep points summarize an RT histogram instead
+    /// ([`Summary::of_histogram`]).
     pub fn of_counts(values: &[u64]) -> Self {
         Self::of_iter(values.len(), values.iter().map(|&v| v as f64))
+    }
+
+    /// Summarizes the sample `hist` describes, `hist[v]` observations
+    /// of the value `v` (a sweep point's RT histogram), in one pass over
+    /// the bins plus one for the variance. While the sample's sum stays
+    /// below 2^53, `n`, `mean`, `min` and `max` are bit for bit
+    /// [`Summary::of_counts`] on the expanded sample: the mean divides
+    /// the exact integer sum, which a float sum of such integers reaches
+    /// exactly. The variance sums `count · (v − mean)²` bin by bin in
+    /// value order, so `stddev` may differ from `of_counts`' in its last
+    /// bits. An empty histogram yields all-zero statistics.
+    pub fn of_histogram(hist: &[u64]) -> Self {
+        let (mut n, mut sum, mut min, mut max) = (0u64, 0u128, None, 0u64);
+        for (v, &count) in (0u64..).zip(hist) {
+            if count > 0 {
+                n += count;
+                sum += u128::from(v) * u128::from(count);
+                min.get_or_insert(v);
+                max = v;
+            }
+        }
+        let Some(min) = min else {
+            return Self::empty();
+        };
+        let len = n as f64;
+        let mean = sum as f64 / len;
+        let var = (0u64..)
+            .zip(hist)
+            .filter(|&(_, &count)| count > 0)
+            .map(|(v, &count)| {
+                let d = v as f64 - mean;
+                count as f64 * d * d
+            })
+            .sum::<f64>()
+            / len;
+        Summary {
+            n: n as usize,
+            mean,
+            stddev: var.sqrt(),
+            min: min as f64,
+            max: max as f64,
+        }
+    }
+
+    /// The all-zero summary of an empty sample.
+    fn empty() -> Self {
+        Summary {
+            n: 0,
+            mean: 0.0,
+            stddev: 0.0,
+            min: 0.0,
+            max: 0.0,
+        }
     }
 
     /// The one implementation behind [`Summary::of`] and
@@ -36,13 +91,7 @@ impl Summary {
     /// order over the `n` values `values` yields.
     fn of_iter(n: usize, values: impl Iterator<Item = f64> + Clone) -> Self {
         if n == 0 {
-            return Summary {
-                n: 0,
-                mean: 0.0,
-                stddev: 0.0,
-                min: 0.0,
-                max: 0.0,
-            };
+            return Self::empty();
         }
         let len = n as f64;
         let mean = values.clone().sum::<f64>() / len;
@@ -198,6 +247,57 @@ mod tests {
         prop::collection::vec(value, 0..40)
     }
 
+    /// `of_histogram` on the histogram of `values` against `of_counts`
+    /// on `values`: `n`, `mean`, `min` and `max` bit for bit, and
+    /// `stddev` within 4 ulps of the exact value, whose variance
+    /// numerator `n·Σv² − (Σv)²` is an integer.
+    fn assert_of_histogram_matches_of_counts(values: &[u64]) {
+        let mut hist = Vec::new();
+        for &v in values {
+            let v = v as usize;
+            if v >= hist.len() {
+                hist.resize(v + 1, 0);
+            }
+            hist[v] += 1;
+        }
+        let (got, want) = (Summary::of_histogram(&hist), Summary::of_counts(values));
+        assert_eq!(got.n, want.n, "{values:?}");
+        for (g, w) in [
+            (got.mean, want.mean),
+            (got.min, want.min),
+            (got.max, want.max),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{values:?}");
+        }
+        let n = values.len() as u128;
+        let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
+        let squares: u128 = values.iter().map(|&v| u128::from(v).pow(2)).sum();
+        let exact = if n == 0 {
+            0.0
+        } else {
+            ((n * squares - sum * sum) as f64).sqrt() / n as f64
+        };
+        assert!(
+            (got.stddev - exact).abs() <= 4.0 * f64::EPSILON * exact,
+            "stddev {} vs exact {exact} for {values:?}",
+            got.stddev
+        );
+    }
+
+    #[test]
+    fn of_histogram_of_empty_and_pinned_samples() {
+        for hist in [&[][..], &[0, 0, 0]] {
+            assert_eq!(Summary::of_histogram(hist), Summary::of_counts(&[]));
+        }
+        // Bins 2 and 5 hold 3 and 1 observations.
+        let s = Summary::of_histogram(&[0, 0, 3, 0, 0, 1]);
+        assert_eq!((s.n, s.mean, s.min, s.max), (4, 2.75, 2.0, 5.0));
+        assert_eq!(s.stddev, 1.6875f64.sqrt());
+        for values in [&[7][..], &[3, 3, 3], &[0, 1, 1, 2, 30], &[5, 0, 9, 9, 1]] {
+            assert_of_histogram_matches_of_counts(values);
+        }
+    }
+
     #[test]
     fn constant_sample_has_zero_spread() {
         let s = Summary::of(&[7.0; 100]);
@@ -267,6 +367,13 @@ mod tests {
         #[test]
         fn of_counts_is_of_on_converted_counts(counts in counts_near_2_pow_53()) {
             assert_of_counts_matches_of(&counts);
+        }
+
+        #[test]
+        fn of_histogram_is_of_counts_on_the_expanded_sample(
+            values in prop::collection::vec(0u64..64, 0..300)
+        ) {
+            assert_of_histogram_matches_of_counts(&values);
         }
 
         #[test]

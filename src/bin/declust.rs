@@ -43,12 +43,16 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&flags),
         "loadcurve" => cmd_loadcurve(&flags),
         "theorem" => cmd_theorem(&flags),
-        other => Err(format!("unknown command {other:?}")),
+        other => {
+            eprintln!("error: unknown command {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
+    // A command's own errors (a bad or missing value) take one line.
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -110,19 +114,23 @@ fn shape_of(flags: &Flags) -> Result<(u32, u32), String> {
     parse_pair(required(flags, "shape")?, "shape")
 }
 
-fn seed_of(flags: &Flags) -> u64 {
-    flags
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1994)
+/// The value of `--name` parsed as a `T`, `default` when the flag is
+/// absent; a value that does not parse is an error, not the default.
+fn parsed_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
+    match flags.get(name) {
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("--{name} needs a non-negative integer, got {s:?}")),
+        None => Ok(default),
+    }
 }
 
-fn queries_of(flags: &Flags, default: usize) -> usize {
-    flags
-        .get("queries")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-        .max(1)
+fn seed_of(flags: &Flags) -> Result<u64, String> {
+    parsed_or(flags, "seed", 1994)
+}
+
+fn queries_of(flags: &Flags, default: usize) -> Result<usize, String> {
+    Ok(parsed_or(flags, "queries", default)?.max(1))
 }
 
 fn sample_regions(
@@ -150,12 +158,13 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let space = grid_of(flags)?;
     let m = disks_of(flags)?;
     let shape = shape_of(flags)?;
-    let n = queries_of(flags, 1000);
-    let method = MethodRegistry::with_seed(seed_of(flags))
+    let n = queries_of(flags, 1000)?;
+    let seed = seed_of(flags)?;
+    let method = MethodRegistry::with_seed(seed)
         .build_by_name(required(flags, "method")?, &space, m)
         .map_err(|e| e.to_string())?;
     let map = AllocationMap::from_method(&space, method.as_ref()).map_err(|e| e.to_string())?;
-    let regions = sample_regions(&space, shape, n, seed_of(flags))?;
+    let regions = sample_regions(&space, shape, n, seed)?;
     let rts: Vec<u64> = regions.iter().map(|r| map.response_time(r)).collect();
     let mean = rts.iter().sum::<u64>() as f64 / n as f64;
     let worst = rts.iter().copied().max().unwrap_or(0);
@@ -183,8 +192,8 @@ fn cmd_advise(flags: &Flags) -> Result<(), String> {
     let space = grid_of(flags)?;
     let m = disks_of(flags)?;
     let shape = shape_of(flags)?;
-    let n = queries_of(flags, 500);
-    let regions = sample_regions(&space, shape, n, seed_of(flags))?;
+    let n = queries_of(flags, 500)?;
+    let regions = sample_regions(&space, shape, n, seed_of(flags)?)?;
     let advice = decluster::methods::advise(&space, m, &regions).map_err(|e| e.to_string())?;
     println!(
         "workload: {n} random {}x{} queries on {:?}, M={m}",
@@ -237,7 +246,8 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
     let space = grid_of(flags)?;
     let m = disks_of(flags)?;
     let shape = shape_of(flags)?;
-    let n = queries_of(flags, 200);
+    let n = queries_of(flags, 200)?;
+    let seed = seed_of(flags)?;
     let rates: Vec<f64> = flags
         .get("rates")
         .map(String::as_str)
@@ -245,7 +255,7 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad rate {s:?}")))
         .collect::<Result<_, _>>()?;
-    let regions = sample_regions(&space, shape, n, seed_of(flags))?;
+    let regions = sample_regions(&space, shape, n, seed)?;
     let registry = MethodRegistry::default();
     let methods = registry.paper_methods(&space, m);
     let dirs: Vec<(&str, GridDirectory)> = methods
@@ -258,15 +268,8 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
         })
         .collect();
     let dir_refs: Vec<(&str, &GridDirectory)> = dirs.iter().map(|(name, d)| (*name, d)).collect();
-    let points = load_sweep(
-        &dir_refs,
-        &DiskParams::default(),
-        &regions,
-        &rates,
-        seed_of(flags),
-        1,
-    )
-    .map_err(|e| e.to_string())?;
+    let points = load_sweep(&dir_refs, &DiskParams::default(), &regions, &rates, seed, 1)
+        .map_err(|e| e.to_string())?;
     let table = TextTable {
         title: format!(
             "mean latency (ms) vs offered load, {n} {}x{} queries on {:?} with M={m}:",
@@ -295,12 +298,16 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The largest `--max-m` that `theorem` accepts.
+const THEOREM_MAX_M: u32 = 12;
+
 fn cmd_theorem(flags: &Flags) -> Result<(), String> {
-    let max_m: u32 = flags
-        .get("max-m")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-        .clamp(1, 12);
+    let max_m: u32 = parsed_or(flags, "max-m", 8)?;
+    if !(1..=THEOREM_MAX_M).contains(&max_m) {
+        return Err(format!(
+            "--max-m needs a disk count in 1..={THEOREM_MAX_M}, got {max_m}"
+        ));
+    }
     for d in theorem_table(max_m, 500_000_000) {
         println!("{}", d.summary());
     }

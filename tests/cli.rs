@@ -100,6 +100,29 @@ fn declust_rejects_bad_input() {
     assert!(!ok);
     let (ok, _, _) = run(DECLUST, &[]);
     assert!(!ok);
+    // Values that do not parse, or lie past a bound, fail in one line
+    // instead of falling back to a default or a clamp.
+    let evaluate = [
+        "evaluate", "--grid", "16x16", "--disks", "4", "--method", "DM", "--shape", "2x2",
+    ];
+    for (args, flag) in [
+        (&["--seed", "abc"][..], "--seed"),
+        (&["--seed", "-1"], "--seed"),
+        (&["--queries", "many"], "--queries"),
+        (&["--queries", "1e3"], "--queries"),
+    ] {
+        let args: Vec<&str> = evaluate.iter().chain(args).copied().collect();
+        let (ok, stdout, stderr) = run(DECLUST, &args);
+        assert!(!ok, "{args:?} should fail:\n{stdout}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
+        assert!(stderr.contains(flag), "{stderr}");
+    }
+    for max_m in ["40", "13", "0", "eight"] {
+        let (ok, stdout, stderr) = run(DECLUST, &["theorem", "--max-m", max_m]);
+        assert!(!ok, "--max-m {max_m} should fail:\n{stdout}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
+        assert!(stderr.contains("--max-m"), "{stderr}");
+    }
 }
 
 #[test]
