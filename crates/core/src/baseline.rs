@@ -42,6 +42,11 @@ impl DeclusteringMethod for RoundRobin {
     fn disk_of(&self, bucket: &[u32]) -> DiskId {
         DiskId((self.space.linearize_unchecked(bucket) % u64::from(self.m)) as u32)
     }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        let m = u64::from(self.m);
+        out.extend((0..space.num_buckets()).map(|id| (id % m) as u32));
+    }
 }
 
 /// Seeded pseudo-random baseline: `disk = splitmix64(seed ⊕ linearize(bucket)) mod M`.
@@ -89,6 +94,13 @@ impl DeclusteringMethod for RandomAlloc {
     fn disk_of(&self, bucket: &[u32]) -> DiskId {
         let id = self.space.linearize_unchecked(bucket);
         DiskId((crate::splitmix64(self.seed ^ id) % u64::from(self.m)) as u32)
+    }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        let m = u64::from(self.m);
+        out.extend(
+            (0..space.num_buckets()).map(|id| (crate::splitmix64(self.seed ^ id) % m) as u32),
+        );
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::traits::{fill_rows, Fold};
 use crate::{DeclusteringMethod, MethodError, Result};
 use decluster_grid::{DiskId, GridSpace};
 
@@ -52,6 +53,10 @@ impl DeclusteringMethod for DiskModulo {
         debug_assert_eq!(bucket.len(), self.k);
         let sum: u64 = bucket.iter().map(|&c| u64::from(c)).sum();
         DiskId((sum % u64::from(self.m)) as u32)
+    }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        fill_rows(space, Fold::AddMod(self.m), |_, c| c % self.m, out);
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::traits::{fill_rows, Fold};
 use crate::{DeclusteringMethod, MethodError, Result};
 use decluster_grid::{DiskId, GridSpace};
 
@@ -71,6 +72,22 @@ impl FieldwiseXor {
         self.extended_width.is_some()
     }
 
+    /// What coordinate `c` on dimension `dim` XORs into the disk: the
+    /// value itself for plain FX, its ExFX field placement otherwise.
+    #[inline]
+    fn term(&self, dim: usize, c: u32) -> u32 {
+        match self.extended_width {
+            None => c,
+            // Rotate within a window wide enough for both the disk count
+            // and this coordinate, so placement stays a bijection even on
+            // mixed-width grids.
+            Some(width) => {
+                let w = width.max(bits_for(c.max(1) + 1));
+                Self::rotate_in_window(c, w, self.dim_offsets[dim])
+            }
+        }
+    }
+
     /// Rotates `value` left by `rot` within a `width`-bit window: the
     /// ExFX field placement. A bijection on the window for any rotation.
     fn rotate_in_window(value: u32, width: u32, rot: u32) -> u32 {
@@ -111,17 +128,15 @@ impl DeclusteringMethod for FieldwiseXor {
     #[inline]
     fn disk_of(&self, bucket: &[u32]) -> DiskId {
         debug_assert_eq!(bucket.len(), self.k);
-        let x = match self.extended_width {
-            None => bucket.iter().fold(0u32, |acc, &c| acc ^ c),
-            Some(width) => bucket.iter().enumerate().fold(0u32, |acc, (dim, &c)| {
-                // Rotate within a window wide enough for both the disk
-                // count and this coordinate, so placement stays a
-                // bijection even on mixed-width grids.
-                let w = width.max(bits_for(c.max(1) + 1));
-                acc ^ Self::rotate_in_window(c, w, self.dim_offsets[dim])
-            }),
-        };
+        let x = bucket
+            .iter()
+            .enumerate()
+            .fold(0u32, |acc, (dim, &c)| acc ^ self.term(dim, c));
         DiskId(x % self.m)
+    }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        fill_rows(space, Fold::XorMod(self.m), |dim, c| self.term(dim, c), out);
     }
 }
 

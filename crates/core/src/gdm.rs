@@ -1,3 +1,4 @@
+use crate::traits::{fill_rows, Fold};
 use crate::{DeclusteringMethod, MethodError, Result};
 use decluster_grid::{DiskId, GridSpace};
 
@@ -93,6 +94,12 @@ impl DeclusteringMethod for GeneralizedDiskModulo {
             acc = (acc + c * (u64::from(x) % m)) % m;
         }
         DiskId(acc as u32)
+    }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        let m = u64::from(self.m);
+        let term = |dim: usize, x: u32| (self.coefficients[dim] * (u64::from(x) % m) % m) as u32;
+        fill_rows(space, Fold::AddMod(self.m), term, out);
     }
 }
 

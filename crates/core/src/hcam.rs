@@ -29,18 +29,16 @@ impl Hcam {
     /// covering Hilbert curve once.
     ///
     /// # Errors
-    /// [`MethodError::ZeroDisks`] when `m == 0`; curve construction errors
+    /// [`MethodError::ZeroDisks`] when `m == 0`;
+    /// [`MethodError::UnsupportedGrid`] when the grid has more than 2^28
+    /// buckets (the table would pass 1 GiB); curve construction errors
     /// for degenerate grids.
     pub fn new(space: &GridSpace, m: u32) -> Result<Self> {
         if m == 0 {
             return Err(MethodError::ZeroDisks);
         }
+        let total = crate::allocation::table_len(space, "HCAM")?;
         let curve = HilbertCurve::covering(space.dims())?;
-        let total =
-            usize::try_from(space.num_buckets()).map_err(|_| MethodError::UnsupportedGrid {
-                method: "HCAM",
-                reason: "grid too large to materialize".into(),
-            })?;
         let mut table = vec![0u32; total];
         // Deal disks round-robin over in-grid points: `disk` is the
         // in-grid rank mod `m`.
@@ -101,6 +99,11 @@ impl DeclusteringMethod for Hcam {
         let id = self.space.linearize_unchecked(bucket);
         DiskId(self.table[id as usize])
     }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        debug_assert_eq!(space, &self.space);
+        out.extend_from_slice(&self.table);
+    }
 }
 
 #[cfg(test)]
@@ -146,6 +149,15 @@ mod tests {
     fn rejects_zero_disks() {
         let g = GridSpace::new_2d(4, 4).unwrap();
         assert_eq!(Hcam::new(&g, 0).unwrap_err(), MethodError::ZeroDisks);
+    }
+
+    #[test]
+    fn rejects_grids_whose_table_passes_one_gib() {
+        let g = GridSpace::new_2d(100_000, 100_000).unwrap();
+        assert!(matches!(
+            Hcam::new(&g, 16).unwrap_err(),
+            MethodError::UnsupportedGrid { method: "HCAM", .. }
+        ));
     }
 
     #[test]

@@ -45,16 +45,14 @@ impl CurveAlloc {
     /// Materializes the allocation by walking the covering curve once.
     ///
     /// # Errors
-    /// [`MethodError::ZeroDisks`] and curve shape errors.
+    /// [`MethodError::ZeroDisks`]; [`MethodError::UnsupportedGrid`] when
+    /// the grid has more than 2^28 buckets (the table would pass 1 GiB);
+    /// curve shape errors.
     pub fn new(space: &GridSpace, m: u32, kind: CurveKind) -> Result<Self> {
         if m == 0 {
             return Err(MethodError::ZeroDisks);
         }
-        let total =
-            usize::try_from(space.num_buckets()).map_err(|_| MethodError::UnsupportedGrid {
-                method: kind.method_name(),
-                reason: "grid too large to materialize".into(),
-            })?;
+        let total = crate::allocation::table_len(space, kind.method_name())?;
         let mut table = vec![0u32; total];
         let mut rank_in_grid: u64 = 0;
         let mut visit = |point: &[u32]| {
@@ -109,6 +107,11 @@ impl DeclusteringMethod for CurveAlloc {
         let id = self.space.linearize_unchecked(bucket);
         DiskId(self.table[id as usize])
     }
+
+    fn fill_table(&self, space: &GridSpace, out: &mut Vec<u32>) {
+        debug_assert_eq!(space, &self.space);
+        out.extend_from_slice(&self.table);
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +153,17 @@ mod tests {
     fn zero_disks_rejected() {
         let g = GridSpace::new_2d(4, 4).unwrap();
         assert!(CurveAlloc::new(&g, 0, CurveKind::Morton).is_err());
+    }
+
+    #[test]
+    fn grids_whose_table_passes_one_gib_are_rejected() {
+        let g = GridSpace::new_2d(100_000, 100_000).unwrap();
+        for kind in [CurveKind::Morton, CurveKind::Gray] {
+            assert!(matches!(
+                CurveAlloc::new(&g, 16, kind).unwrap_err(),
+                MethodError::UnsupportedGrid { method, .. } if method == kind.method_name()
+            ));
+        }
     }
 
     fn total_rt_2x2(g: &GridSpace, method: &dyn DeclusteringMethod) -> u64 {

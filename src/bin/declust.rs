@@ -130,7 +130,10 @@ fn seed_of(flags: &Flags) -> Result<u64, String> {
 }
 
 fn queries_of(flags: &Flags, default: usize) -> Result<usize, String> {
-    Ok(parsed_or(flags, "queries", default)?.max(1))
+    match parsed_or(flags, "queries", default)? {
+        0 => Err("--queries needs a positive query count, got 0".to_owned()),
+        n => Ok(n),
+    }
 }
 
 fn sample_regions(
@@ -258,15 +261,18 @@ fn cmd_loadcurve(flags: &Flags) -> Result<(), String> {
     let regions = sample_regions(&space, shape, n, seed)?;
     let registry = MethodRegistry::default();
     let methods = registry.paper_methods(&space, m);
+    // Materialize first: `AllocationMap::from_method` refuses a grid too
+    // large to tabulate, where `GridDirectory::build` would abort.
     let dirs: Vec<(&str, GridDirectory)> = methods
         .iter()
         .map(|method| {
-            (
-                method.name(),
-                GridDirectory::build(space.clone(), m, |b| method.disk_of(b.as_slice())),
-            )
+            let map =
+                AllocationMap::from_method(&space, method.as_ref()).map_err(|e| e.to_string())?;
+            let dir = GridDirectory::from_table(space.clone(), m, map.table())
+                .expect("a materialized table fits its grid");
+            Ok((method.name(), dir))
         })
-        .collect();
+        .collect::<Result<_, String>>()?;
     let dir_refs: Vec<(&str, &GridDirectory)> = dirs.iter().map(|(name, d)| (*name, d)).collect();
     let points = load_sweep(&dir_refs, &DiskParams::default(), &regions, &rates, seed, 1)
         .map_err(|e| e.to_string())?;

@@ -110,6 +110,7 @@ fn declust_rejects_bad_input() {
         (&["--seed", "-1"], "--seed"),
         (&["--queries", "many"], "--queries"),
         (&["--queries", "1e3"], "--queries"),
+        (&["--queries", "0"], "--queries"),
     ] {
         let args: Vec<&str> = evaluate.iter().chain(args).copied().collect();
         let (ok, stdout, stderr) = run(DECLUST, &args);
@@ -122,6 +123,29 @@ fn declust_rejects_bad_input() {
         assert!(!ok, "--max-m {max_m} should fail:\n{stdout}");
         assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
         assert!(stderr.contains("--max-m"), "{stderr}");
+    }
+}
+
+#[test]
+fn declust_refuses_tables_past_one_gib() {
+    // 10^10 buckets: the one-u32-per-bucket table would take 40 GB. Each
+    // command fails before allocating it, with exit code 1 and a one-line
+    // error, not an aborted allocation.
+    let grid = ["--grid", "100000x100000", "--disks", "16", "--shape", "4x4"];
+    for command in [
+        &["evaluate", "--method", "HCAM"][..],
+        &["evaluate", "--method", "DM"],
+        &["loadcurve"],
+    ] {
+        let out = Command::new(DECLUST)
+            .args(command)
+            .args(grid)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
+        assert!(stderr.contains("1 GiB"), "{stderr}");
     }
 }
 
