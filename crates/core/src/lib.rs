@@ -56,7 +56,6 @@ mod persist;
 mod plan;
 mod prefix;
 mod registry;
-mod replication;
 mod sfc;
 mod traits;
 
@@ -76,7 +75,6 @@ pub use prefix::{
     kernel_build_count, CornerPlan, DiskCounts, PlanCache, ScoreBatch, Scratch, ShapeRun,
 };
 pub use registry::{MethodKind, MethodRegistry};
-pub use replication::ChainedDecluster;
 pub use sfc::{CurveAlloc, CurveKind};
 pub use traits::DeclusteringMethod;
 

@@ -21,7 +21,7 @@
 //!
 //! Version 3 extends persistence past the allocation to the *compiled*
 //! [`DiskCounts`] kernel, so a restarted server skips the build phase
-//! entirely (see [`KernelCache`]). A kernel-cache file is its own
+//! entirely (see [`KernelCache`]). A kernel image file is its own
 //! container with a distinct magic:
 //!
 //! ```text
@@ -63,7 +63,7 @@ const MAGIC: &[u8; 4] = b"DCLA";
 const V1: u16 = 1;
 /// Current format version: CRC-32 trailer over the whole image.
 const VERSION: u16 = 2;
-/// Magic of a kernel-cache container (persist v3).
+/// Magic of a kernel image container (persist v3).
 const KERNEL_MAGIC: &[u8; 4] = b"DCLK";
 /// Kernel-image format version.
 const KERNEL_VERSION: u16 = 3;
@@ -534,19 +534,19 @@ impl KernelCache {
             reason: reason.to_owned(),
         };
         if data.len() < 4 + 2 + 4 + 4 {
-            return Err(corrupt("truncated kernel-cache header"));
+            return Err(corrupt("truncated kernel image header"));
         }
         if &data[..4] != KERNEL_MAGIC {
-            return Err(corrupt("bad kernel-cache magic"));
+            return Err(corrupt("bad kernel image magic"));
         }
         let version = u16::from_le_bytes([data[4], data[5]]);
         if version != KERNEL_VERSION {
-            return Err(corrupt("unsupported kernel-cache version"));
+            return Err(corrupt("unsupported kernel image version"));
         }
         let (payload, trailer) = data.split_at(data.len() - 4);
         let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
         if crc32(payload) != stored {
-            return Err(corrupt("kernel-cache checksum mismatch"));
+            return Err(corrupt("kernel image checksum mismatch"));
         }
         let mut buf = &payload[6..];
         let count = buf.get_u32_le() as usize;
@@ -638,7 +638,7 @@ impl KernelCache {
             });
         }
         if buf.remaining() > 0 {
-            return Err(corrupt("oversized kernel-cache image"));
+            return Err(corrupt("oversized kernel image"));
         }
         Ok(KernelCache { entries })
     }
@@ -1241,7 +1241,7 @@ mod proptests {
             prop_assert_eq!(warm.access_histogram(&r), kernel.access_histogram(&r));
         }
 
-        /// Flipping any single byte of a kernel-cache image is always a
+        /// Flipping any single byte of a kernel image is always a
         /// typed `CorruptImage` error — the v2 methodology applied to v3:
         /// CRC-32 detects every single-byte error, and v3 has no
         /// checksum-free legacy escape hatch at all.
@@ -1264,7 +1264,7 @@ mod proptests {
             ));
         }
 
-        /// Truncating a kernel-cache image at any point is rejected.
+        /// Truncating a kernel image at any point is rejected.
         #[test]
         fn kernel_image_truncation_is_rejected(cut in 0usize..1000) {
             let space = GridSpace::new_2d(4, 4).unwrap();
@@ -1278,7 +1278,7 @@ mod proptests {
             prop_assert!(KernelCache::from_bytes(&bytes[..cut]).is_err());
         }
 
-        /// Random byte strings never panic the kernel-cache parser.
+        /// Random byte strings never panic the kernel image parser.
         #[test]
         fn fuzzed_kernel_cache_bytes_never_panic(
             data in proptest::collection::vec(any::<u8>(), 0..300)

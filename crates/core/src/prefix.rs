@@ -58,7 +58,7 @@ pub fn kernel_build_count() -> u64 {
 ///   the plan cache (and the naive walk's accumulator) through the
 ///   scoring loop, so repeated-query scoring allocates nothing per query.
 ///
-/// Every entry point — plain, live-masked, histogram, single-disk and
+/// Every entry point — plain, histogram, single-disk and
 /// the batch walk of [`ScoreBatch`] — sums corner rows through a plan:
 /// the `*_with` forms cache it, the plain forms compile one per call.
 /// All but the single-disk count run 16-lane chunks plus one remainder
@@ -239,8 +239,8 @@ fn chunk_counts<T: Lane>(
     acc
 }
 
-/// The one planned lane routine behind plain, live-masked, histogram and
-/// batch scoring: hands `emit(start, width, counts)` the per-disk counts
+/// The one planned lane routine behind plain, histogram and batch
+/// scoring: hands `emit(start, width, counts)` the per-disk counts
 /// of placement `key` in full 16-lane chunks, then one zero-padded
 /// remainder chunk. A full chunk's width is a constant after inlining,
 /// so each corner row costs one or two SIMD adds with no call and no
@@ -266,28 +266,13 @@ fn planned_chunks<T: Lane>(
     }
 }
 
-/// The RT reduction over [`planned_chunks`]: the max count over lanes,
-/// after zeroing the lanes of disks that `live` marks dead. Counts are
-/// never negative, so zeroed and padding lanes cannot raise the max.
+/// The RT reduction over [`planned_chunks`]: the max count over lanes.
+/// Counts are never negative, so padding lanes cannot raise the max.
 #[inline(always)]
-fn lane_max<T: Lane>(
-    table: &[T],
-    lanes: usize,
-    plan: &CornerPlan,
-    key: PlacementKey,
-    live: Option<&[bool]>,
-) -> u64 {
+fn lane_max<T: Lane>(table: &[T], lanes: usize, plan: &CornerPlan, key: PlacementKey) -> u64 {
     let mut max = T::default();
-    planned_chunks(table, lanes, plan, key, |start, width, counts| {
-        let chunk = match live {
-            None => counts.iter().copied().fold(T::default(), Ord::max),
-            Some(live) => counts
-                .iter()
-                .zip(&live[start..start + width])
-                .map(|(&c, &l)| if l { c } else { T::default() })
-                .fold(T::default(), Ord::max),
-        };
-        max = max.max(chunk);
+    planned_chunks(table, lanes, plan, key, |_, _, counts| {
+        max = max.max(counts.iter().copied().fold(T::default(), Ord::max));
     });
     max.widen() as u64
 }
@@ -415,7 +400,7 @@ fn walk_run<T: Lane>(
             // row sits at or after row 0.
             interior_max(table, lanes, rows, (key.base - rows.below) * lanes)
         } else {
-            lane_max(table, lanes, plan, key, None)
+            lane_max(table, lanes, plan, key)
         });
     }
 }
@@ -1200,18 +1185,13 @@ impl DiskCounts {
     }
 
     /// The RT reduction of `region` through `plan`: the max over its
-    /// (optionally `live`-masked) lanes.
-    fn planned_response_time(
-        &self,
-        region: &BucketRegion,
-        plan: &CornerPlan,
-        live: Option<&[bool]>,
-    ) -> u64 {
+    /// lanes.
+    fn planned_response_time(&self, region: &BucketRegion, plan: &CornerPlan) -> u64 {
         let key = self.placement_key(region);
         let lanes = self.m as usize;
         match &self.table {
-            CountLane::U16(t) => lane_max(t, lanes, plan, key, live),
-            CountLane::U32(t) => lane_max(t, lanes, plan, key, live),
+            CountLane::U16(t) => lane_max(t, lanes, plan, key),
+            CountLane::U32(t) => lane_max(t, lanes, plan, key),
         }
     }
 
@@ -1308,7 +1288,7 @@ impl DiskCounts {
     /// [`DiskCounts::response_time_with`], which compiles it once per
     /// shape.
     pub fn response_time(&self, region: &BucketRegion) -> u64 {
-        self.planned_response_time(region, &self.compile_plan(region), None)
+        self.planned_response_time(region, &self.compile_plan(region))
     }
 
     /// Response time of `region` through `scratch`'s cached plan: the
@@ -1317,51 +1297,7 @@ impl DiskCounts {
     pub fn response_time_with(&self, region: &BucketRegion, scratch: &mut Scratch) -> u64 {
         self.ensure_plan(region, scratch);
         let plan = scratch.plan.as_ref().expect("plan just ensured");
-        self.planned_response_time(region, plan, None)
-    }
-
-    /// Panics unless `live` holds one flag per disk.
-    fn check_live(&self, live: &[bool]) {
-        assert_eq!(
-            live.len(),
-            self.m as usize,
-            "live mask length {} does not match disk count {}",
-            live.len(),
-            self.m
-        );
-    }
-
-    /// Response time of `region` restricted to the disks marked live in
-    /// `live`: the max per-disk count over live disks only. Dead disks'
-    /// buckets are excluded (they are served elsewhere — or not at all —
-    /// which degraded-mode execution accounts for separately). Still
-    /// `O(M · 2^k)`, so degraded evaluation keeps the kernel's cost
-    /// profile.
-    ///
-    /// # Panics
-    /// Panics if `live.len()` differs from the disk count (a caller
-    /// contract, like [`DiskCounts::count_on_disk`]'s range check).
-    pub fn masked_response_time(&self, region: &BucketRegion, live: &[bool]) -> u64 {
-        self.check_live(live);
-        self.planned_response_time(region, &self.compile_plan(region), Some(live))
-    }
-
-    /// As [`DiskCounts::masked_response_time`], through the scratch's
-    /// cached plan — the degraded-mode analogue of
-    /// [`DiskCounts::response_time_with`].
-    ///
-    /// # Panics
-    /// Panics if `live.len()` differs from the disk count.
-    pub fn masked_response_time_with(
-        &self,
-        region: &BucketRegion,
-        live: &[bool],
-        scratch: &mut Scratch,
-    ) -> u64 {
-        self.check_live(live);
-        self.ensure_plan(region, scratch);
-        let plan = scratch.plan.as_ref().expect("plan just ensured");
-        self.planned_response_time(region, plan, Some(live))
+        self.planned_response_time(region, plan)
     }
 
     /// Bucket count of `region` on one disk (`2^k` lookups). Used by
@@ -1740,7 +1676,6 @@ mod tests {
                     [y0.max(y1), x0.max(x1)].into(),
                 )
                 .unwrap();
-                let live: Vec<bool> = (0..4).map(|_| rng.gen_range(0..2u32) == 1).collect();
                 let expect = wide.access_histogram(&r);
                 assert_eq!(dc.access_histogram(&r), expect);
                 dc.access_histogram_with(&r, &mut scratch, &mut hist);
@@ -1749,14 +1684,6 @@ mod tests {
                 assert_eq!(
                     dc.response_time_with(&r, &mut scratch),
                     wide.response_time(&r)
-                );
-                assert_eq!(
-                    dc.masked_response_time(&r, &live),
-                    wide.masked_response_time(&r, &live)
-                );
-                assert_eq!(
-                    dc.masked_response_time_with(&r, &live, &mut scratch),
-                    wide.masked_response_time(&r, &live)
                 );
             }
         }
@@ -1796,59 +1723,6 @@ mod tests {
         assert_eq!(dc.response_time(&point), 1);
         let full = BucketRegion::full(&g);
         assert_eq!(dc.response_time(&full), map.load_stats().max);
-    }
-
-    #[test]
-    fn masked_response_time_matches_filtered_histogram() {
-        let g = GridSpace::new_2d(8, 8).unwrap();
-        let fx = FieldwiseXor::new(&g, 5).unwrap();
-        let (map, dc) = kernel_for(&g, &fx);
-        let r = BucketRegion::new(&g, [1, 1].into(), [6, 5].into()).unwrap();
-        let hist = map.access_histogram(&r);
-        let mut scratch = Scratch::new();
-        // All-live mask equals the plain response time.
-        assert_eq!(
-            dc.masked_response_time(&r, &[true; 5]),
-            dc.response_time(&r)
-        );
-        assert_eq!(
-            dc.masked_response_time_with(&r, &[true; 5], &mut scratch),
-            dc.response_time(&r)
-        );
-        // Every single-dead mask equals the max over the surviving lanes.
-        for dead in 0..5usize {
-            let mut live = [true; 5];
-            live[dead] = false;
-            let expect = hist
-                .iter()
-                .enumerate()
-                .filter(|&(d, _)| d != dead)
-                .map(|(_, &c)| c)
-                .max()
-                .unwrap();
-            assert_eq!(dc.masked_response_time(&r, &live), expect, "dead {dead}");
-            assert_eq!(
-                dc.masked_response_time_with(&r, &live, &mut scratch),
-                expect,
-                "dead {dead} (planned)"
-            );
-        }
-        // No disk live: nothing to serve.
-        assert_eq!(dc.masked_response_time(&r, &[false; 5]), 0);
-        assert_eq!(
-            dc.masked_response_time_with(&r, &[false; 5], &mut scratch),
-            0
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "live mask length")]
-    fn masked_response_time_rejects_wrong_mask_length() {
-        let g = GridSpace::new_2d(4, 4).unwrap();
-        let dm = DiskModulo::new(&g, 3).unwrap();
-        let (_map, dc) = kernel_for(&g, &dm);
-        let r = BucketRegion::new(&g, [0, 0].into(), [1, 1].into()).unwrap();
-        let _ = dc.masked_response_time(&r, &[true, true]);
     }
 
     #[test]
@@ -1963,28 +1837,6 @@ mod proptests {
             }
         }
 
-        #[test]
-        fn masked_kernel_matches_filtered_naive(
-            (_g, map, r) in grid_method_region(),
-            mask_bits in any::<u64>()
-        ) {
-            let dc = map.disk_counts().unwrap();
-            let m = map.num_disks() as usize;
-            let live: Vec<bool> = (0..m).map(|d| mask_bits & (1 << d) != 0).collect();
-            let expect = map
-                .access_histogram(&r)
-                .iter()
-                .zip(&live)
-                .filter(|(_, &l)| l)
-                .map(|(&c, _)| c)
-                .max()
-                .unwrap_or(0);
-            prop_assert_eq!(dc.masked_response_time(&r, &live), expect);
-            // The planned/scratch degraded path agrees under the same
-            // random failure mask.
-            let mut scratch = Scratch::new();
-            prop_assert_eq!(dc.masked_response_time_with(&r, &live, &mut scratch), expect);
-        }
     }
 
     /// Disk counts below, at and across the 16-lane chunk.
@@ -2066,14 +1918,10 @@ mod proptests {
         /// batch's RT histogram equals the histogram of its RTs and that
         /// of the batch's naive walk, and each pass moves the plan
         /// counters exactly as the per-query loop over the same kernels
-        /// does. The masked and histogram reductions of the same lane
-        /// routine match their references on the same placements under a
-        /// random live mask.
+        /// does. The histogram reduction of the same lane routine matches
+        /// the naive walk on the same placements.
         #[test]
-        fn batch_kernel_matches_the_references(
-            (map, regions) in map_and_batch(),
-            mask_bits in any::<u64>()
-        ) {
+        fn batch_kernel_matches_the_references((map, regions) in map_and_batch()) {
             let kernels = [DiskCounts::build(&map).unwrap(), DiskCounts::build_wide(&map).unwrap()];
             let mut batch_scratch = Scratch::new();
             let mut batch = batch_scratch.batch(&regions);
@@ -2102,16 +1950,9 @@ mod proptests {
             prop_assert_eq!(batch_scratch.drain_plan_stats(), per_query);
             prop_assert_eq!(hist_scratch.drain_plan_stats(), per_query);
 
-            let live: Vec<bool> = (0..map.num_disks())
-                .map(|d| mask_bits.rotate_right(d) & 1 == 1)
-                .collect();
             let mut hist = Vec::new();
             for kernel in &kernels {
                 for r in &regions {
-                    prop_assert_eq!(
-                        kernel.masked_response_time_with(r, &live, &mut scratch),
-                        kernel.masked_response_time(r, &live)
-                    );
                     kernel.access_histogram_with(r, &mut scratch, &mut hist);
                     prop_assert_eq!(&hist, &map.access_histogram(r));
                 }

@@ -4,7 +4,7 @@ use crate::faults::{
 use crate::{optimal_response_time, Result, SimError, SpecError, Summary};
 use decluster_grid::{BucketRegion, GridSpace};
 use decluster_methods::{
-    AllocationMap, DeclusteringMethod, DiskCounts, KernelCache, MethodRegistry, ScoreBatch, Scratch,
+    AllocationMap, DeclusteringMethod, DiskCounts, MethodRegistry, ScoreBatch, Scratch,
 };
 use decluster_obs::{Obs, TraceEvent};
 
@@ -61,47 +61,6 @@ impl EvalContext {
             maps,
             kernels,
             obs: Obs::disabled(),
-        }
-    }
-
-    /// As [`EvalContext::from_maps`], but consulting a persist-v3
-    /// [`KernelCache`] before building each kernel. A hit adopts the
-    /// stored compiled kernel — zero build-phase work, bit-identical to
-    /// a rebuild by the cache's revalidation contract. A miss (method
-    /// absent, or its stored image stale against the live allocation)
-    /// builds as usual and inserts the fresh kernel back into `cache`
-    /// under the map's method name, so a cold run warms the cache for
-    /// the next start.
-    pub fn from_maps_cached(m: u32, maps: Vec<AllocationMap>, cache: &mut KernelCache) -> Self {
-        let kernels = maps
-            .iter()
-            .map(|map| match cache.lookup(map.name(), map) {
-                Some(kernel) => Some(kernel),
-                None => {
-                    let kernel = map.disk_counts().ok();
-                    if let Some(k) = &kernel {
-                        cache.insert(map.name(), map, k);
-                    }
-                    kernel
-                }
-            })
-            .collect();
-        EvalContext {
-            m,
-            maps,
-            kernels,
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Exports every built kernel into `cache` under its method name
-    /// (replacing same-name entries), so a process that paid the build
-    /// phase can persist the compiled kernels for the next start.
-    pub fn export_kernels(&self, cache: &mut KernelCache) {
-        for (map, kernel) in self.maps.iter().zip(&self.kernels) {
-            if let Some(k) = kernel {
-                cache.insert(map.name(), map, k);
-            }
         }
     }
 
@@ -575,40 +534,6 @@ mod tests {
         let (empty, opt0) = ctx.score(&[]);
         assert_eq!(empty.len(), ctx.maps().len());
         assert_eq!(opt0, 0.0);
-    }
-
-    #[test]
-    fn cached_context_round_trips_through_a_kernel_image() {
-        let g = GridSpace::new_2d(8, 8).unwrap();
-        let serial = context();
-        let maps = serial.maps().to_vec();
-        // Cold: empty cache, every kernel is built and inserted.
-        let mut cache = KernelCache::new();
-        let cold = EvalContext::from_maps_cached(4, maps.clone(), &mut cache);
-        assert_eq!(cache.len(), cold.kernel_coverage());
-        // Warm: reload the persisted image; every kernel is adopted.
-        let mut warm_cache = KernelCache::from_bytes(&cache.to_bytes()).unwrap();
-        let warm = EvalContext::from_maps_cached(4, maps, &mut warm_cache);
-        assert_eq!(warm.kernel_coverage(), cold.kernel_coverage());
-        let regions: Vec<_> = (0..4)
-            .map(|i| {
-                RangeQuery::new([0, i], [5, i + 2])
-                    .unwrap()
-                    .region(&g)
-                    .unwrap()
-            })
-            .collect();
-        let (a, opt_a) = cold.score(&regions);
-        let (b, opt_b) = warm.score(&regions);
-        assert_eq!(opt_a, opt_b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.mean, y.mean);
-            assert_eq!(x.max, y.max);
-        }
-        // export_kernels re-persists to a byte-identical image.
-        let mut exported = KernelCache::new();
-        warm.export_kernels(&mut exported);
-        assert_eq!(exported.to_bytes(), cache.to_bytes());
     }
 
     #[test]

@@ -11,12 +11,12 @@ use crate::workload::{
 };
 use crate::{DiskParams, Result, SimError, Summary};
 use decluster_grid::{BucketRegion, GridDirectory, GridSpace};
-use decluster_methods::{AllocationMap, DeclusteringMethod, KernelCache, MethodRegistry, Scratch};
+use decluster_methods::{AllocationMap, DeclusteringMethod, MethodRegistry, Scratch};
 use decluster_obs::{Obs, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// One method's curve in a sweep: mean response time (or deviation) per
 /// x-value. Points where the method does not apply (e.g. ECC at a
@@ -353,9 +353,9 @@ impl fmt::Debug for SweepContext {
 /// fallback. Sweeps over the experiment's own grid and `M` share one
 /// context, built by the first of them to run; the disk and
 /// database-size sweeps, whose `M` or grid varies, build one per point.
-/// [`Experiment::with_seed`], [`Experiment::with_baselines`],
-/// [`Experiment::with_obs`] and [`Experiment::with_kernel_cache`] drop a
-/// built context, so the next sweep builds one that reflects them.
+/// [`Experiment::with_seed`], [`Experiment::with_baselines`] and
+/// [`Experiment::with_obs`] drop a built context, so the next sweep
+/// builds one that reflects them.
 /// Points are evaluated by a deterministic parallel executor: each point
 /// draws from an RNG seeded by `(seed, point index)`, so results are
 /// bit-identical for any thread count, including one.
@@ -369,7 +369,6 @@ pub struct Experiment {
     threads: usize,
     method_filter: Option<String>,
     obs: Obs,
-    kernel_cache: Option<Arc<Mutex<KernelCache>>>,
     context: SweepContext,
 }
 
@@ -386,23 +385,8 @@ impl Experiment {
             threads: 1,
             method_filter: None,
             obs: Obs::disabled(),
-            kernel_cache: None,
             context: SweepContext::default(),
         }
-    }
-
-    /// Attaches a persist-v3 [`KernelCache`]: engine and context
-    /// construction consults it before compiling each count kernel (a
-    /// hit skips the build phase entirely) and inserts freshly built
-    /// kernels back, so a cold run warms the cache for the next start.
-    /// Results are byte-identical with or without a cache — a stored
-    /// kernel is revalidated against the live allocation and a stale
-    /// entry simply misses. The default is no cache (always build).
-    /// Drops a built sweep context.
-    pub fn with_kernel_cache(mut self, cache: Arc<Mutex<KernelCache>>) -> Self {
-        self.kernel_cache = Some(cache);
-        self.context = SweepContext::default();
-        self
     }
 
     /// Sets how many random query placements are averaged per data point.
@@ -481,35 +465,8 @@ impl Experiment {
     /// [`Experiment::sweep_context`] builds.
     fn context_for(&self, space: &GridSpace, m: u32) -> EvalContext {
         let registry = MethodRegistry::with_seed(self.seed);
-        match &self.kernel_cache {
-            Some(cache) => {
-                let maps = Self::materialize_maps(&registry, space, m, self.include_baselines);
-                let mut guard = cache.lock().expect("kernel cache lock");
-                EvalContext::from_maps_cached(m, maps, &mut guard)
-            }
-            None => EvalContext::materialize(&registry, space, m, self.include_baselines),
-        }
-        .with_obs(self.obs.clone())
-    }
-
-    fn materialize_maps(
-        registry: &MethodRegistry,
-        space: &GridSpace,
-        m: u32,
-        baselines: bool,
-    ) -> Vec<AllocationMap> {
-        let methods = if baselines {
-            registry.with_baselines(space, m)
-        } else {
-            registry.paper_methods(space, m)
-        };
-        methods
-            .iter()
-            .map(|method| {
-                AllocationMap::from_method(space, method.as_ref())
-                    .expect("experiment grids are materializable")
-            })
-            .collect()
+        EvalContext::materialize(&registry, space, m, self.include_baselines)
+            .with_obs(self.obs.clone())
     }
 
     /// The one context every sweep over the experiment's own grid and
@@ -887,9 +844,10 @@ impl Experiment {
                     .is_none_or(|f| method.name() == f)
             })
             .map(|method| {
-                let dir = GridDirectory::build(self.space.clone(), self.m, |b| {
-                    method.disk_of(b.as_slice())
-                });
+                let map = AllocationMap::from_method(&self.space, method.as_ref())
+                    .expect("experiment grids are materializable");
+                let dir = GridDirectory::from_table(self.space.clone(), self.m, map.table())
+                    .expect("a materialized table fits its grid");
                 (method.name().to_owned(), dir)
             })
             .collect()
@@ -899,35 +857,7 @@ impl Experiment {
         let dirs = self.multiuser_dirs();
         let _build = self.obs.time_phase("multiuser.build_ms");
         dirs.into_iter()
-            .map(|(name, dir)| {
-                let engine = match &self.kernel_cache {
-                    Some(cache) => {
-                        let map = AllocationMap::from_table(
-                            dir.space(),
-                            dir.num_disks(),
-                            dir.disk_table(),
-                        )
-                        .expect("directory disk table is grid-shaped by construction");
-                        let mut guard = cache.lock().expect("kernel cache lock");
-                        match guard.lookup(&name, &map) {
-                            // Warm: adopt the stored compiled kernel —
-                            // zero build-phase work for this engine.
-                            Some(kernel) => MultiUserEngine::with_kernel(&dir, Some(kernel)),
-                            // Cold (or stale image): build as usual and
-                            // persist the fresh kernel for the next start.
-                            None => {
-                                let engine = MultiUserEngine::new(&dir);
-                                if let Some(k) = engine.counts().kernel() {
-                                    guard.insert(&name, &map, k);
-                                }
-                                engine
-                            }
-                        }
-                    }
-                    None => MultiUserEngine::new(&dir),
-                };
-                (name, engine)
-            })
+            .map(|(name, dir)| (name, MultiUserEngine::new(&dir)))
             .collect()
     }
 
@@ -2340,15 +2270,6 @@ mod tests {
             rec.snapshot().counter("rt.queries"),
             Some(5 * 64),
             "the new recorder sees every point of both sweeps"
-        );
-
-        let cache = Arc::new(Mutex::new(KernelCache::new()));
-        let cached = swept(fresh()).with_kernel_cache(cache.clone());
-        assert_eq!(tables(&cached), tables(&fresh()));
-        assert_eq!(
-            cache.lock().unwrap().len(),
-            6,
-            "the next sweep's context consulted and warmed the cache"
         );
     }
 

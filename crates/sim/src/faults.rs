@@ -447,8 +447,9 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// A policy with instant failure detection (no timeout, no retries).
-    /// Degraded response times then exactly match the analytic chained
-    /// model in `decluster-methods`.
+    /// Degraded response times then are the chain's per-disk loads alone:
+    /// a failed disk's batch lands on its first live successor at no
+    /// extra charge.
     pub fn instant() -> Self {
         RetryPolicy {
             timeout_units: 0,

@@ -61,29 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_rt_with_all_disks_live_is_the_plain_rt() {
-        let g = GridSpace::new_2d(16, 16).unwrap();
-        let dm = DiskModulo::new(&g, 5).unwrap();
-        let map = AllocationMap::from_method(&g, &dm).unwrap();
-        let kernel = map.disk_counts().unwrap();
-        let r = RangeQuery::new([2, 5], [9, 14])
-            .unwrap()
-            .region(&g)
-            .unwrap();
-        assert_eq!(
-            kernel.masked_response_time(&r, &[true; 5]),
-            kernel.response_time(&r)
-        );
-        // Masking out the busiest disk can only lower the survivors' max.
-        for dead in 0..5usize {
-            let mut live = [true; 5];
-            live[dead] = false;
-            assert!(kernel.masked_response_time(&r, &live) <= kernel.response_time(&r));
-        }
-        assert_eq!(kernel.masked_response_time(&r, &[false; 5]), 0);
-    }
-
-    #[test]
     fn optimal_bound_rounds_up() {
         assert_eq!(optimal_response_time(0, 4), 0);
         assert_eq!(optimal_response_time(1, 4), 1);

@@ -44,5 +44,4 @@ pub mod closed_form;
 pub mod impossibility;
 pub mod partial_match;
 pub mod search;
-pub mod search_kd;
 pub mod strict;

@@ -129,10 +129,17 @@ fn seed_of(flags: &Flags) -> Result<u64, String> {
     parsed_or(flags, "seed", 1994)
 }
 
+/// The most random queries one run samples: a run at the cap peaks
+/// under 100 MB, where an unbounded count grows the region vector until
+/// allocation aborts.
+const MAX_QUERIES: usize = 1_000_000;
+
 fn queries_of(flags: &Flags, default: usize) -> Result<usize, String> {
     match parsed_or(flags, "queries", default)? {
-        0 => Err("--queries needs a positive query count, got 0".to_owned()),
-        n => Ok(n),
+        n @ 1..=MAX_QUERIES => Ok(n),
+        n => Err(format!(
+            "--queries needs a query count in 1..={MAX_QUERIES}, got {n}"
+        )),
     }
 }
 

@@ -14,14 +14,9 @@
 //! timings go to stderr). `--faults SPEC` overrides the fault schedule
 //! of the `faults` experiment (grammar: `fail:D@T`, `transient:D@A..B`,
 //! `slow:DxF@A..B`, comma-separated; see EXPERIMENTS.md); `--method
-//! NAME` restricts the `faults` table to one method. `--kernel-cache
-//! FILE` persists the compiled count kernels (persist v3): the first
-//! run pays the build phase and writes FILE, later runs adopt the
-//! stored kernels and reach their first scored query with zero
-//! build-phase work — outputs are byte-identical either way.
+//! NAME` restricts the `faults` table to one method.
 
 use decluster::grid::GridDirectory;
-use decluster::methods::KernelCache;
 use decluster::obs::{JsonLinesSink, MetricsRecorder, Obs};
 use decluster::prelude::*;
 use decluster::sim::workload::{all_partial_match_queries, ShapeSweep, SizeSweep};
@@ -31,7 +26,7 @@ use decluster::sim::{
 };
 use decluster::theory::{impossibility, partial_match};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default configuration of the study (see EXPERIMENTS.md).
 const GRID_SIDE: u32 = 64;
@@ -149,8 +144,8 @@ fn usage() -> String {
     let mut u = format!(
         "usage: repro <{}>\n       [--csv DIR] [--quick] [--threads N] [--faults SPEC] \
          [--method NAME]\n       [--replicas R] [--policy NAME] [--clients N] \
-         [--rate R]\n       [--share F] [--batch-window MS] [--kernel-cache FILE]\n       \
-         [--metrics FILE|-] [--trace FILE|-]\n\n\
+         [--rate R]\n       [--share F] [--batch-window MS] [--metrics FILE|-] \
+         [--trace FILE|-]\n\n\
          experiments:\n",
         names.join("|")
     );
@@ -179,11 +174,6 @@ fn usage() -> String {
          scan; either routes `serve` through the shared-scan path (spread policy,\n\
          healthy mode only, so not combinable with --faults). The `share`\n\
          experiment sweeps overlap x replicas and honors --share as one overlap.\n",
-    );
-    u.push_str(
-        "\n--kernel-cache FILE loads/saves a persist-v3 image of the compiled count\n\
-         kernels: a warmed run skips the kernel build phase entirely (stale entries\n\
-         revalidate and rebuild; outputs are byte-identical with or without it).\n",
     );
     u
 }
@@ -231,13 +221,6 @@ struct Opts {
     /// Shared-scan batch window in ms for the `serve` sweep; `None` =
     /// unshared (0 ms once `--share` routes it through the shared path).
     batch_window: Option<f64>,
-    /// Path of the persist-v3 compiled-kernel image (`--kernel-cache`):
-    /// loaded before the run when the file exists, consulted by every
-    /// engine/context build (a hit skips the kernel build phase), and
-    /// written back after the run so a cold start warms the next one.
-    kernel_cache_path: Option<String>,
-    /// The loaded kernel cache shared with the experiment harness.
-    kernel_cache: Option<Arc<Mutex<KernelCache>>>,
     /// Destination for the deterministic metrics snapshot (`-` = stdout).
     metrics: Option<String>,
     /// Destination for JSON-lines trace events (`-` = stdout).
@@ -263,8 +246,6 @@ fn main() -> ExitCode {
         policy: None,
         share: None,
         batch_window: None,
-        kernel_cache_path: None,
-        kernel_cache: None,
         metrics: None,
         trace: None,
         obs: Obs::disabled(),
@@ -381,13 +362,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--kernel-cache" => match it.next() {
-                Some(path) => opts.kernel_cache_path = Some(path.clone()),
-                None => {
-                    eprintln!("--kernel-cache needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--metrics" => match it.next() {
                 Some(dest) => opts.metrics = Some(dest.clone()),
                 None => {
@@ -402,6 +376,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
+            other if other.starts_with("--") => {
+                eprintln!("unknown flag {other}");
+                return ExitCode::FAILURE;
+            }
             other if experiment.is_none() => experiment = Some(other.to_owned()),
             other => {
                 eprintln!("unexpected argument {other:?}");
@@ -448,33 +426,9 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    if let Some(path) = &opts.kernel_cache_path {
-        let cache = match std::fs::read(path) {
-            Ok(bytes) => match KernelCache::from_bytes(&bytes) {
-                Ok(cache) => cache,
-                Err(e) => {
-                    eprintln!("could not load kernel cache {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => KernelCache::new(),
-            Err(e) => {
-                eprintln!("could not read kernel cache {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        opts.kernel_cache = Some(Arc::new(Mutex::new(cache)));
-    }
     if let Err(e) = run(&experiment, &opts) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
-    }
-    if let (Some(path), Some(cache)) = (&opts.kernel_cache_path, &opts.kernel_cache) {
-        let bytes = cache.lock().expect("kernel cache lock").to_bytes();
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("could not write kernel cache {path}: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     if let Some(rec) = recorder {
         if let Err(e) = rec.flush() {
@@ -600,15 +554,11 @@ fn grid_2d() -> GridSpace {
 }
 
 fn experiment_2d(opts: &Opts) -> Experiment {
-    let e = Experiment::new(grid_2d(), DISKS)
+    Experiment::new(grid_2d(), DISKS)
         .with_queries_per_point(opts.queries)
         .with_seed(SEED)
         .with_threads(opts.threads)
-        .with_obs(opts.obs.clone());
-    match &opts.kernel_cache {
-        Some(cache) => e.with_kernel_cache(cache.clone()),
-        None => e,
-    }
+        .with_obs(opts.obs.clone())
 }
 
 /// E1: query area 1 → 1024 on the 64×64 grid, near-square shapes.
@@ -965,7 +915,9 @@ fn rebuild_summary(opts: &Opts, schedule: &FaultSchedule) -> String {
     };
     let space = grid_2d();
     let method = DiskModulo::new(&space, DISKS).expect("DM applies to the default grid");
-    let dir = GridDirectory::build(space.clone(), DISKS, |b| method.disk_of(b.as_slice()));
+    let map = AllocationMap::from_method(&space, &method).expect("the default grid materializes");
+    let dir = GridDirectory::from_table(space.clone(), DISKS, map.table())
+        .expect("a materialized table fits its grid");
     let n = (opts.queries / 4).max(25);
     let mut rng = StdRng::seed_from_u64(SEED);
     let queries: Vec<BucketRegion> = (0..n)

@@ -111,6 +111,8 @@ fn declust_rejects_bad_input() {
         (&["--queries", "many"], "--queries"),
         (&["--queries", "1e3"], "--queries"),
         (&["--queries", "0"], "--queries"),
+        (&["--queries", "1000001"], "1000000"),
+        (&["--queries", "100000000000"], "1000000"),
     ] {
         let args: Vec<&str> = evaluate.iter().chain(args).copied().collect();
         let (ok, stdout, stderr) = run(DECLUST, &args);
@@ -171,6 +173,26 @@ fn repro_rejects_unknown_experiment() {
         let (ok, _, stderr) = run(REPRO, &[exp]);
         assert!(!ok, "{exp} should be rejected");
         assert!(stderr.contains("unknown experiment"), "{stderr}");
+    }
+}
+
+#[test]
+fn repro_rejects_unknown_flags() {
+    // `--kernel-cache` was removed; before or after the experiment it is
+    // an unknown flag, not an experiment name or a stray argument.
+    for (args, flag) in [
+        (&["--kernel-cache", "k.dclk", "e1"][..], "--kernel-cache"),
+        (&["e1", "--kernel-cache", "k.dclk"], "--kernel-cache"),
+        (&["--bogus"], "--bogus"),
+    ] {
+        let out = Command::new(REPRO)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
     }
 }
 

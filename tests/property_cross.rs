@@ -2,6 +2,7 @@
 //! method, grid, disk count, and query simultaneously.
 
 use decluster::prelude::*;
+use decluster::sim::{degraded_outcome, FaultSchedule, QueryOutcome, ReplicaPolicy, RetryPolicy};
 use proptest::prelude::*;
 
 /// Strategy: a small 2-D grid, a legal disk count, and a random in-grid
@@ -24,6 +25,32 @@ fn region_of(g: &GridSpace, q: (u32, u32, u32, u32)) -> BucketRegion {
         .expect("bounds ordered")
         .region(g)
         .expect("in grid")
+}
+
+/// The degraded RT of a query whose per-disk primary counts are `hist`,
+/// through the fault path the `faults` experiment runs: the disks that
+/// `failed` marks fail-stop at t = 0, and each batch is served by the
+/// first live copy on its `r`-way chain, with instant failure detection.
+/// `None` when some touched batch has no live copy.
+fn chain_rt(hist: &[u64], failed: &[bool], r: u32) -> Option<u64> {
+    let mut schedule = FaultSchedule::healthy(failed.len() as u32);
+    for (d, _) in failed.iter().enumerate().filter(|(_, &down)| down) {
+        schedule = schedule.fail_stop(d as u32, 0).expect("disk in range");
+    }
+    let outcome = degraded_outcome(
+        hist,
+        &schedule,
+        0,
+        &RetryPolicy::instant(),
+        r,
+        ReplicaPolicy::FailoverOnly,
+        &mut Vec::new(),
+    )
+    .expect("one count per disk, r < M");
+    match outcome {
+        QueryOutcome::Served { response_time, .. } => Some(response_time),
+        QueryOutcome::Unavailable { .. } => None,
+    }
 }
 
 proptest! {
@@ -114,14 +141,13 @@ proptest! {
     fn chained_failures_match_the_theory_enumeration(
         rows in 3u32..9, cols in 3u32..9, m in 2u32..6, h in 1u32..4, w in 1u32..4
     ) {
-        use decluster::methods::ChainedDecluster;
         use decluster::theory::bounds::failure_survival_fraction;
         let (h, w) = (h.min(rows), w.min(cols));
         let g = GridSpace::new_2d(rows, cols).expect("grid");
         for method in MethodRegistry::default().paper_methods(&g, m) {
             let map = AllocationMap::from_method(&g, method.as_ref()).expect("materializes");
-            let chain = ChainedDecluster::new(map.clone()).expect("M >= 2");
             for f in 0..m {
+                let failed: Vec<bool> = (0..m).map(|d| d == f).collect();
                 let mut untouched = 0u64;
                 let mut placements = 0u64;
                 for r in 0..=(rows - h) {
@@ -129,15 +155,15 @@ proptest! {
                         let region = RangeQuery::new([r, c], [r + h - 1, c + w - 1])
                             .expect("query").region(&g).expect("fits");
                         placements += 1;
+                        let hist = map.access_histogram(&region);
                         let healthy = map.response_time(&region);
-                        let degraded = chain
-                            .response_time(&region, Some(DiskId(f)))
+                        let degraded = chain_rt(&hist, &failed, 1)
                             .expect("chained survives any single failure");
                         prop_assert!(
                             degraded >= healthy,
                             "{}: degraded {degraded} < healthy {healthy}", method.name()
                         );
-                        if map.access_histogram(&region)[f as usize] == 0 {
+                        if hist[f as usize] == 0 {
                             untouched += 1;
                             prop_assert_eq!(
                                 degraded, healthy,
@@ -160,22 +186,19 @@ proptest! {
     /// The r = 1 chain against a hand-rolled one-successor reference on
     /// random grids and random failure masks: every bucket reads its
     /// primary, a failed primary falls back to `(primary + 1) mod M`, and
-    /// the query is lost when that successor is down too. Both the naive
-    /// masked evaluator and the kernel-accelerated one must reproduce
-    /// this reference exactly — the generalization to r-way chains
-    /// changed no r = 1 answer.
+    /// the query is lost when that successor is down too. The fault path
+    /// must reproduce this reference exactly from the naive walk's
+    /// histogram and from the kernel's.
     #[test]
     fn r1_masked_failover_matches_the_one_successor_reference(
         (g, m, q) in config(), bits in any::<u32>()
     ) {
-        use decluster::methods::ChainedDecluster;
         prop_assume!(m >= 2);
         let region = region_of(&g, q);
         let failed: Vec<bool> = (0..m).map(|d| (bits >> d) & 1 != 0).collect();
         for method in MethodRegistry::default().paper_methods(&g, m) {
             let map = AllocationMap::from_method(&g, method.as_ref()).expect("materializes");
             let kernel = map.disk_counts().expect("kernel builds");
-            let chain = ChainedDecluster::with_replicas(map.clone(), 1).expect("M >= 2");
             let mut per_disk = vec![0u64; m as usize];
             let mut lost = false;
             for bucket in region.iter() {
@@ -198,15 +221,15 @@ proptest! {
                 Some(per_disk.iter().copied().max().unwrap_or(0))
             };
             prop_assert_eq!(
-                chain.response_time_masked(&region, &failed),
+                chain_rt(&map.access_histogram(&region), &failed, 1),
                 reference,
-                "{}: naive masked eval diverged from the reference (mask {bits:b})",
+                "{}: naive histogram diverged from the reference (mask {bits:b})",
                 method.name()
             );
             prop_assert_eq!(
-                chain.degraded_response_time(&kernel, &region, &failed),
+                chain_rt(&kernel.access_histogram(&region), &failed, 1),
                 reference,
-                "{}: kernel eval diverged from the reference (mask {bits:b})",
+                "{}: kernel histogram diverged from the reference (mask {bits:b})",
                 method.name()
             );
         }
@@ -225,7 +248,6 @@ proptest! {
         rows in 3u32..7, cols in 3u32..7, m in 2u32..5, r_raw in 1u32..4,
         h in 1u32..3, w in 1u32..3
     ) {
-        use decluster::methods::ChainedDecluster;
         use decluster::theory::bounds::failure_survival_fraction;
         let r = r_raw.min(m - 1);
         let (h, w) = (h.min(rows), w.min(cols));
@@ -233,7 +255,6 @@ proptest! {
         for method in MethodRegistry::default().paper_methods(&g, m) {
             let map = AllocationMap::from_method(&g, method.as_ref()).expect("materializes");
             let kernel = map.disk_counts().expect("kernel builds");
-            let chain = ChainedDecluster::with_replicas(map.clone(), r).expect("r in 1..M");
             for bits in 0u32..(1 << m) {
                 if bits.count_ones() > r {
                     continue;
@@ -246,8 +267,9 @@ proptest! {
                         let region = RangeQuery::new([row, col], [row + h - 1, col + w - 1])
                             .expect("query").region(&g).expect("fits");
                         placements += 1;
+                        let hist = kernel.access_histogram(&region);
                         let healthy = map.response_time(&region);
-                        let degraded = chain.degraded_response_time(&kernel, &region, &failed);
+                        let degraded = chain_rt(&hist, &failed, r);
                         prop_assert!(
                             degraded.is_some(),
                             "{}: r = {r} lost a query under mask {bits:b}", method.name()
@@ -256,10 +278,7 @@ proptest! {
                             degraded.unwrap() >= healthy,
                             "{}: degraded below healthy under mask {bits:b}", method.name()
                         );
-                        if bits.count_ones() == 1
-                            && kernel.access_histogram(&region)[bits.trailing_zeros() as usize]
-                                == 0
-                        {
+                        if bits.count_ones() == 1 && hist[bits.trailing_zeros() as usize] == 0 {
                             untouched += 1;
                             prop_assert_eq!(
                                 degraded.unwrap(), healthy,
@@ -279,6 +298,58 @@ proptest! {
                         method.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// One failure on the classic r = 1 chain at most doubles the healthy
+    /// RT: the failed disk's whole share lands on its one successor,
+    /// which serves at most its own batch plus that share.
+    #[test]
+    fn one_failure_at_most_doubles_the_healthy_rt(
+        (g, m, q) in config(), f_raw in any::<u32>()
+    ) {
+        prop_assume!(m >= 2);
+        let region = region_of(&g, q);
+        let f = f_raw % m;
+        let failed: Vec<bool> = (0..m).map(|d| d == f).collect();
+        for method in MethodRegistry::default().paper_methods(&g, m) {
+            let map = AllocationMap::from_method(&g, method.as_ref()).expect("materializes");
+            let healthy = map.response_time(&region);
+            let degraded = chain_rt(&map.access_histogram(&region), &failed, 1)
+                .expect("r = 1 survives one failure");
+            prop_assert!(
+                healthy <= degraded && degraded <= 2 * healthy,
+                "{}: failed disk {f} took RT {healthy} to {degraded}", method.name()
+            );
+        }
+    }
+
+    /// A deeper chain never loses a query that a shallower chain serves,
+    /// and never raises its RT: each batch whose shallow chain has a live
+    /// copy is served by the same first live copy on the deeper chain.
+    /// Chains from no replication (r = 0) to r = M - 1, under random
+    /// failure masks.
+    #[test]
+    fn deeper_chains_never_lose_or_slow_a_served_query(
+        (g, m, q) in config(), bits in any::<u32>()
+    ) {
+        prop_assume!(m >= 2);
+        let region = region_of(&g, q);
+        let failed: Vec<bool> = (0..m).map(|d| (bits >> d) & 1 != 0).collect();
+        for method in MethodRegistry::default().paper_methods(&g, m) {
+            let map = AllocationMap::from_method(&g, method.as_ref()).expect("materializes");
+            let hist = map.access_histogram(&region);
+            for r in 0..m - 1 {
+                let Some(shallow) = chain_rt(&hist, &failed, r) else {
+                    continue;
+                };
+                let deeper = chain_rt(&hist, &failed, r + 1);
+                prop_assert!(
+                    deeper.is_some_and(|rt| rt <= shallow),
+                    "{}: r = {} gave {deeper:?} where r = {r} served at {shallow} (mask {bits:b})",
+                    method.name(), r + 1
+                );
             }
         }
     }
