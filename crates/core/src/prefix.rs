@@ -342,14 +342,19 @@ impl RunRows {
     }
 }
 
-/// Every `+` row minus every `-` row of `rows`, `width ≤ LANE_CHUNK`
+/// Every `+` row minus every `-` row of `pairs`, `width ≤ LANE_CHUNK`
 /// lanes each from lane `at` on, in a zero-padded chunk: the wrapping
 /// sum of [`chunk_counts`] with no corner skipped. A full chunk's width
 /// is a constant after inlining, so each row is read as one fixed array.
 #[inline(always)]
-fn signed_rows<T: Lane>(table: &[T], rows: &RunRows, at: usize, width: usize) -> [T; LANE_CHUNK] {
+fn signed_rows<T: Lane>(
+    table: &[T],
+    pairs: &[[usize; 2]],
+    at: usize,
+    width: usize,
+) -> [T; LANE_CHUNK] {
     let mut acc = [T::default(); LANE_CHUNK];
-    for &[plus, minus] in &rows.pairs {
+    for &[plus, minus] in pairs {
         let plus = &table[at + plus..at + plus + width];
         let minus = &table[at + minus..at + minus + width];
         for ((a, &p), &m) in acc.iter_mut().zip(plus).zip(minus) {
@@ -363,7 +368,7 @@ fn signed_rows<T: Lane>(table: &[T], rows: &RunRows, at: usize, width: usize) ->
 /// lane `anchor`: full 16-lane chunks, then one remainder chunk, folded
 /// lane by lane into one chunk that takes a single lane max.
 #[inline(always)]
-fn interior_max<T: Lane>(table: &[T], lanes: usize, rows: &RunRows, anchor: usize) -> u64 {
+fn interior_max<T: Lane>(table: &[T], lanes: usize, pairs: &[[usize; 2]], anchor: usize) -> u64 {
     let full = lanes - lanes % LANE_CHUNK;
     let mut best = [T::default(); LANE_CHUNK];
     let mut fold = |counts: [T; LANE_CHUNK]| {
@@ -373,19 +378,22 @@ fn interior_max<T: Lane>(table: &[T], lanes: usize, rows: &RunRows, anchor: usiz
     };
     let mut start = 0;
     while start < full {
-        fold(signed_rows(table, rows, anchor + start, LANE_CHUNK));
+        fold(signed_rows(table, pairs, anchor + start, LANE_CHUNK));
         start += LANE_CHUNK;
     }
     if full < lanes {
-        fold(signed_rows(table, rows, anchor + full, lanes - full));
+        fold(signed_rows(table, pairs, anchor + full, lanes - full));
     }
     best.into_iter().fold(T::default(), Ord::max).widen() as u64
 }
 
 /// Walks one run of equal-shape placements, handing each RT to `sink`
-/// in order: interior placements through the run's resolved `rows`,
-/// placements on a `lo = 0` face through [`lane_max`], which skips the
-/// corners that fall off the grid.
+/// in order. Interior placements take a row program fixed at compile
+/// time when the run's row shape is one the sweeps reach: `C` whole
+/// 16-lane chunks per row (`M = 16 · C`) and `P` corner pairs
+/// (`2^(k-1)`). The 2-D paper grids at `M = 16` are (1, 2), the 16³
+/// grid (1, 4) and the `M = 32` disk points (2, 2). Every other row
+/// shape walks its runtime chunk and pair counts.
 fn walk_run<T: Lane>(
     table: &[T],
     lanes: usize,
@@ -394,11 +402,53 @@ fn walk_run<T: Lane>(
     keys: &[PlacementKey],
     sink: &mut impl FnMut(u64),
 ) {
+    let chunks = lanes
+        .is_multiple_of(LANE_CHUNK)
+        .then_some(lanes / LANE_CHUNK);
+    match (chunks, rows.pairs.len()) {
+        (Some(1), 2) => walk_chunks::<T, 1, 2>(table, plan, rows, keys, sink),
+        (Some(1), 4) => walk_chunks::<T, 1, 4>(table, plan, rows, keys, sink),
+        (Some(2), 2) => walk_chunks::<T, 2, 2>(table, plan, rows, keys, sink),
+        _ => walk_keys(table, lanes, plan, rows.below, &rows.pairs, keys, sink),
+    }
+}
+
+/// [`walk_run`] for rows of `C` whole chunks and `P` corner pairs: the
+/// chunk and pair loops have constant trip counts, so each placement
+/// is `2P` reads of a `[T; 16]` per chunk and no loop is left.
+fn walk_chunks<T: Lane, const C: usize, const P: usize>(
+    table: &[T],
+    plan: &CornerPlan,
+    rows: &RunRows,
+    keys: &[PlacementKey],
+    sink: &mut impl FnMut(u64),
+) {
+    let pairs: &[[usize; 2]; P] = rows.pairs[..]
+        .try_into()
+        .expect("the run has P corner pairs");
+    walk_keys(table, C * LANE_CHUNK, plan, rows.below, pairs, keys, sink);
+}
+
+/// Hands `sink` the RT of each placement of `keys` in order: interior
+/// placements through [`interior_max`] over the corner `pairs`, whose
+/// lowest corner row sits `below` rows under the `lo` row, and
+/// placements on a `lo = 0` face through [`lane_max`], which skips the
+/// corners that fall off the grid.
+#[inline(always)]
+fn walk_keys<T: Lane>(
+    table: &[T],
+    lanes: usize,
+    plan: &CornerPlan,
+    below: usize,
+    pairs: &[[usize; 2]],
+    keys: &[PlacementKey],
+    sink: &mut impl FnMut(u64),
+) {
     for &key in keys {
         sink(if key.edge == 0 {
             // Every `lo` coordinate is at least 1, so the lowest corner
             // row sits at or after row 0.
-            interior_max(table, lanes, rows, (key.base - rows.below) * lanes)
+            interior_max(table, lanes, pairs, (key.base - below) * lanes)
         } else {
             lane_max(table, lanes, plan, key)
         });
@@ -589,12 +639,14 @@ impl BatchKeys {
             }
             Placements::Corners(extents) => {
                 let room = kernel.room_for(extents);
-                for lo in corners.chunks_exact(extents.len()) {
-                    assert!(
-                        lo.iter().zip(&room).all(|(&l, &r)| l <= r),
-                        "corner {lo:?} places a {extents:?} box off the grid"
-                    );
-                    self.placements.push(kernel.corner_key(lo));
+                let (strides, out) = (kernel.strides.as_slice(), &mut self.placements);
+                match extents.len() {
+                    2 => corner_keys::<2>(strides, &room, extents, corners, out),
+                    3 => corner_keys::<3>(strides, &room, extents, corners, out),
+                    k => out.extend(corners.chunks_exact(k).map(|lo| {
+                        check_room(lo, &room, extents);
+                        corner_key(lo, strides)
+                    })),
                 }
                 if !self.placements.is_empty() {
                     self.run_ends.push(self.placements.len());
@@ -603,6 +655,53 @@ impl BatchKeys {
         }
         self.strides = Some(SmallVec::from_slice(&kernel.strides));
     }
+}
+
+/// Appends to `out` the key of every `K`-D `lo` corner in `corners` on
+/// a grid with these `strides`: [`corner_key`] with the arity fixed at
+/// compile time, so each corner's loops unroll. `room` is the grid's
+/// room for a box of `extents` ([`DiskCounts::room_for`]).
+///
+/// # Panics
+/// Panics if a corner places the box off the grid.
+fn corner_keys<const K: usize>(
+    strides: &[usize],
+    room: &[u32],
+    extents: &[u32],
+    corners: &[u32],
+    out: &mut Vec<PlacementKey>,
+) {
+    let strides: &[usize; K] = strides.try_into().expect("a K-D grid");
+    let room: &[u32; K] = room.try_into().expect("a K-D box");
+    out.extend(corners.as_chunks::<K>().0.iter().map(|lo| {
+        check_room(lo, room, extents);
+        corner_key(lo, strides)
+    }));
+}
+
+/// Checks that the box of `extents` at corner `lo` fits a grid with
+/// `room` ([`DiskCounts::room_for`]).
+///
+/// # Panics
+/// Panics if it does not.
+#[inline(always)]
+fn check_room(lo: &[u32], room: &[u32], extents: &[u32]) {
+    assert!(
+        lo.iter().zip(room).all(|(&l, &r)| l <= r),
+        "corner {lo:?} places a {extents:?} box off the grid"
+    );
+}
+
+/// The [`PlacementKey`] of the placement whose `lo` corner is `lo` on a
+/// grid with these row `strides`.
+#[inline(always)]
+fn corner_key(lo: &[u32], strides: &[usize]) -> PlacementKey {
+    let mut key = PlacementKey::default();
+    for (dim, (&l, &stride)) in lo.iter().zip(strides).enumerate() {
+        key.base += l as usize * stride;
+        key.edge |= u32::from(l == 0) << dim;
+    }
+    key
 }
 
 /// One batch of placements scored through a [`Scratch`] on any number
@@ -1138,18 +1237,7 @@ impl DiskCounts {
     /// `region`'s [`PlacementKey`] on this kernel's grid.
     #[inline]
     fn placement_key(&self, region: &BucketRegion) -> PlacementKey {
-        self.corner_key(region.lo().as_slice())
-    }
-
-    /// The [`PlacementKey`] of the placement whose `lo` corner is `lo`.
-    #[inline]
-    fn corner_key(&self, lo: &[u32]) -> PlacementKey {
-        let mut key = PlacementKey::default();
-        for (dim, (&l, &stride)) in lo.iter().zip(&self.strides).enumerate() {
-            key.base += l as usize * stride;
-            key.edge |= u32::from(l == 0) << dim;
-        }
-        key
+        corner_key(region.lo().as_slice(), &self.strides)
     }
 
     /// The largest `lo` coordinate, per dimension, at which a box of
@@ -1510,6 +1598,79 @@ mod tests {
         assert_eq!(out, naive(&map1, &shifted));
     }
 
+    /// Every placement of three cube shapes, scored as one corner batch
+    /// on narrow and wide kernels, equals the naive walk: on each row
+    /// program the batch walk fixes at compile time, (C, P) = (1, 2),
+    /// (1, 4) and (2, 2), with 2-D and 3-D keys, and on the runtime walk
+    /// next to them (M = 17, 33 and 48, k = 1 and k = 4).
+    #[test]
+    fn every_row_program_matches_the_naive_walk() {
+        for (dims, m) in [
+            (&[7, 6][..], 16),
+            (&[5, 4, 6], 16),
+            (&[7, 6], 32),
+            (&[7, 6], 17),
+            (&[5, 4, 6], 33),
+            (&[7, 6], 48),
+            (&[9], 16),
+            (&[3, 4, 3, 4], 16),
+        ] {
+            let g = GridSpace::new(dims.to_vec()).unwrap();
+            let map = AllocationMap::from_method(&g, &RandomAlloc::new(&g, m, 5).unwrap()).unwrap();
+            let kernels = [
+                DiskCounts::build(&map).unwrap(),
+                DiskCounts::build_wide(&map).unwrap(),
+            ];
+            for side in 1..=3 {
+                let extents = vec![side; dims.len()];
+                let room: Vec<u32> = dims.iter().map(|&d| d - side + 1).collect();
+                let mut scratch = Scratch::new();
+                let corners = scratch.corners_mut();
+                GridSpace::new(room)
+                    .unwrap()
+                    .for_each_bucket(|lo| corners.extend_from_slice(lo.as_slice()));
+                let naive: Vec<u64> = corners
+                    .chunks(dims.len())
+                    .map(|lo| map.response_time(&corner_region(&g, lo, &extents)))
+                    .collect();
+                let mut rts = vec![0; naive.len()];
+                let mut batch = scratch.shape_batch(&extents);
+                for kernel in &kernels {
+                    batch.response_times(kernel, &mut rts);
+                    assert_eq!(rts, naive, "{extents:?} on {dims:?}, M = {m}");
+                }
+            }
+        }
+    }
+
+    /// Scores a corner batch of 2-sided boxes on `dims` whose last
+    /// corner sits one past the grid's room on the last dimension.
+    fn score_a_corner_off_the_grid(dims: &[u32]) {
+        let g = GridSpace::new(dims.to_vec()).unwrap();
+        let (_, dc) = kernel_for(&g, &DiskModulo::new(&g, 16).unwrap());
+        let mut scratch = Scratch::new();
+        let corners = scratch.corners_mut();
+        corners.extend(dims.iter().map(|&d| d - 2));
+        corners.extend(dims.iter().map(|_| 1));
+        *corners.last_mut().unwrap() = dims[dims.len() - 1] - 1;
+        let extents = vec![2; dims.len()];
+        scratch
+            .shape_batch(&extents)
+            .rt_histogram(&dc, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "off the grid")]
+    fn a_2d_corner_off_the_grid_panics() {
+        score_a_corner_off_the_grid(&[6, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "off the grid")]
+    fn a_5d_corner_off_the_grid_panics() {
+        score_a_corner_off_the_grid(&[3, 4, 3, 5, 4]);
+    }
+
     /// The nonzero entries of a dense histogram, as `(disk, count)`.
     fn sparse(hist: &[u64]) -> Vec<(u32, u64)> {
         (0u32..)
@@ -1839,8 +2000,9 @@ mod proptests {
 
     }
 
-    /// Disk counts below, at and across the 16-lane chunk.
-    const BATCH_DISKS: [u32; 8] = [1, 2, 5, 15, 16, 17, 33, 64];
+    /// Disk counts below, at and across the 16-lane chunk: 16 and 32
+    /// take the batch walk's fixed row programs on 2-D and 3-D grids.
+    const BATCH_DISKS: [u32; 9] = [1, 2, 5, 15, 16, 17, 32, 33, 64];
 
     /// An allocation of `g` over `BATCH_DISKS[disks]` disks: DM, FX or,
     /// for any other `which`, a random allocation seeded by `seed`.
@@ -2046,17 +2208,22 @@ mod proptests {
 
         /// The corner contract on the `grid_method_region` population
         /// (k in 1..=3): the drawn region's shape, with about a quarter
-        /// of its sides widened to fill their dimension.
+        /// of its sides widened to fill their dimension, under the drawn
+        /// allocation and under one over [`BATCH_DISKS`] disks.
         #[test]
         fn corner_batch_matches_the_region_batch(
             (g, map, r) in grid_method_region(),
+            disks in 0..BATCH_DISKS.len(),
             full_bits in any::<u64>(),
             raws in proptest::collection::vec(any::<u64>(), 0..24)
         ) {
             let extents: Vec<u32> = (0..r.dims())
                 .map(|d| if full_bits >> (2 * d) & 3 == 0 { g.dim(d) } else { r.extent(d) as u32 })
                 .collect();
-            corner_batch_matches_region_batch(&map, &extents, &corners_for(g.dims(), &extents, &raws));
+            let corners = corners_for(g.dims(), &extents, &raws);
+            corner_batch_matches_region_batch(&map, &extents, &corners);
+            let other = batch_map(&g, disks, ((full_bits >> 8) % 3) as u8, full_bits);
+            corner_batch_matches_region_batch(&other, &extents, &corners);
         }
 
         /// The corner contract on 4-D grids, over one of [`BATCH_DISKS`]

@@ -29,6 +29,11 @@ use decluster_grid::GridDirectory;
 use decluster_obs::{Obs, TraceEvent};
 use std::fmt::Write as _;
 
+/// The largest slow factor a schedule takes. Every golden run slows a
+/// disk 2 or 2.5 times; a factor near `f64::MAX` saturates the degraded
+/// RT, rounded into a `u64`, at `u64::MAX`.
+const MAX_SLOW_FACTOR: f64 = 1000.0;
+
 /// The state of one disk at one logical instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DiskState {
@@ -99,7 +104,8 @@ pub enum FaultEvent {
 /// ```text
 /// fail:<disk>@<t>                      fail-stop at logical time t
 /// transient:<disk>@<from>..<until>     outage window [from, until)
-/// slow:<disk>x<factor>@<from>..<until> gray disk at factor x latency
+/// slow:<disk>x<factor>@<from>..<until> gray disk at factor x latency,
+///                                      factor in 1..=1000
 /// ```
 ///
 /// Events are comma-separated; `none` (or an empty spec) is the healthy
@@ -196,15 +202,16 @@ impl FaultSchedule {
     ///
     /// # Errors
     /// [`SimError::BadFaultSpec`] for an out-of-range disk, an empty
-    /// window, or a factor below 1 (a disk cannot get faster by failing —
-    /// and the degraded ≥ healthy invariant depends on it).
+    /// window, a factor below 1 (a disk cannot get faster by failing —
+    /// and the degraded ≥ healthy invariant depends on it) or above
+    /// 1000.
     pub fn slow(mut self, disk: u32, factor: f64, from: u64, until: u64) -> Result<Self> {
         self.check_disk(disk)?;
         Self::check_window(from, until)?;
-        if !factor.is_finite() || factor < 1.0 {
+        if !(1.0..=MAX_SLOW_FACTOR).contains(&factor) {
             return Err(SimError::BadFaultSpec {
-                spec: format!("slow factor {factor}"),
-                reason: "slow factor must be a finite number >= 1".into(),
+                spec: format!("slow factor {factor:?}"),
+                reason: format!("slow factor must be a number in 1..={MAX_SLOW_FACTOR}"),
             });
         }
         self.events.push(FaultEvent::Slow {
@@ -1129,8 +1136,10 @@ mod tests {
             "fail:9@2", // disk out of range for m = 4
             "transient:0@5",
             "transient:0@8..5",
-            "slow:0@1..2",     // missing factor
-            "slow:0x0.5@1..2", // factor < 1
+            "slow:0@1..2",        // missing factor
+            "slow:0x0.5@1..2",    // factor < 1
+            "slow:0x1e308@1..2",  // factor > 1000
+            "slow:0x1000.5@1..2", // just past it
             "slow:0xq@1..2",
             "fail:1@2, zorp",
         ] {
@@ -1142,6 +1151,13 @@ mod tests {
             // Error message is one line (CLI prints it verbatim).
             assert!(!err.to_string().contains('\n'), "{bad}");
         }
+    }
+
+    #[test]
+    fn parse_accepts_the_largest_slow_factor() {
+        let schedule = FaultSchedule::parse("slow:0x1000@1..2", 4).unwrap();
+        assert_eq!(schedule.state_at(0, 1), DiskState::Slow(1000.0));
+        assert_eq!(schedule.state_at(0, 2), DiskState::Up);
     }
 
     /// Every way the corpus disturbs a seed: each truncation, each
@@ -1197,7 +1213,7 @@ mod tests {
                 for t in [0, 10, 50, 60, 5_000, 15_000, 20_000, u64::MAX] {
                     match schedule.state_at(disk, t) {
                         DiskState::Up | DiskState::Down => {}
-                        DiskState::Slow(f) => assert!(f.is_finite() && f > 1.0, "{spec:?}"),
+                        DiskState::Slow(f) => assert!(f > 1.0 && f <= 1000.0, "{spec:?}"),
                     }
                 }
             }
@@ -1440,6 +1456,15 @@ mod tests {
                     until: 9,
                 },
                 "slow factor < 1",
+            ),
+            (
+                FaultEvent::Slow {
+                    disk: 0,
+                    factor: 1e308,
+                    from: 0,
+                    until: 9,
+                },
+                "slow factor > 1000",
             ),
             (
                 FaultEvent::Slow {

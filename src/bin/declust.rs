@@ -104,10 +104,18 @@ fn grid_of(flags: &Flags) -> Result<GridSpace, String> {
     GridSpace::new_2d(r, c).map_err(|e| e.to_string())
 }
 
+/// The most disks a run takes: 64 times the study's largest `M` (64),
+/// where an unbounded count aborts in an `M`-wide allocation.
+const MAX_DISKS: u32 = 4096;
+
 fn disks_of(flags: &Flags) -> Result<u32, String> {
-    required(flags, "disks")?
-        .parse()
-        .map_err(|_| "bad --disks".to_owned())
+    let s = required(flags, "disks")?;
+    match s.parse() {
+        Ok(m @ 1..=MAX_DISKS) => Ok(m),
+        _ => Err(format!(
+            "--disks needs a disk count in 1..={MAX_DISKS}, got {s:?}"
+        )),
+    }
 }
 
 fn shape_of(flags: &Flags) -> Result<(u32, u32), String> {

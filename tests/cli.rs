@@ -113,12 +113,27 @@ fn declust_rejects_bad_input() {
         (&["--queries", "0"], "--queries"),
         (&["--queries", "1000001"], "1000000"),
         (&["--queries", "100000000000"], "1000000"),
+        (&["--disks", "0"], "4096"),
+        (&["--disks", "4097"], "4096"),
+        (&["--disks", "4000000000"], "4096"),
+        (&["--disks", "four"], "--disks"),
     ] {
         let args: Vec<&str> = evaluate.iter().chain(args).copied().collect();
         let (ok, stdout, stderr) = run(DECLUST, &args);
         assert!(!ok, "{args:?} should fail:\n{stdout}");
         assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
         assert!(stderr.contains(flag), "{stderr}");
+    }
+    let advise = ["advise", "--grid", "16x16", "--shape", "2x2", "--disks"];
+    for disks in ["0", "4097", "4000000000"] {
+        let args: Vec<&str> = advise.iter().chain([&disks]).copied().collect();
+        let (ok, stdout, stderr) = run(DECLUST, &args);
+        assert!(!ok, "{args:?} should fail:\n{stdout}");
+        assert_eq!(stderr.lines().count(), 1, "one-line error, got:\n{stderr}");
+        assert!(
+            stderr.contains("--disks") && stderr.contains("4096"),
+            "{stderr}"
+        );
     }
     for max_m in ["40", "13", "0", "eight"] {
         let (ok, stdout, stderr) = run(DECLUST, &["theorem", "--max-m", max_m]);
